@@ -1,20 +1,17 @@
 // Hot-path measurement harness: drives the Adaptive Search engine over every
-// kernel through three hot paths in the same binary —
+// kernel through two hot paths in the same binary —
 //
-//   scalar : csp::ScalarPathProblem, reproducing the pre-batched
-//            per-variable virtual loop (PR 1 shape);
-//   batched: the kernel's bulk overrides (cost_on_all_variables /
-//            best_swap_for) with SIMD force-disabled, i.e. the literal PR 2
-//            scalar kernels;
-//   simd   : the same bulk overrides with the vector-extension lanes enabled
-//            (util/simd.hpp), the PR 6 data-parallel rewrites.
+//   reference: csp::ScalarPathProblem, the model's per-variable virtuals
+//              (cost_on_variable / cost_if_swap) looped one call at a time,
+//              the engine's pre-batched shape;
+//   kernel   : the kernel's bulk overrides (cost_on_all_variables /
+//              best_swap_for), the path every solve takes.
 //
-// Reports iterations/sec per path plus batched/scalar and simd/batched
-// speedups.  Emits machine-readable BENCH_micro.json (schema
-// cspls-bench-micro/2) so CI and future PRs can track the perf trajectory;
-// exits non-zero if any two paths ever disagree on a fixed-seed trajectory
-// (they must be identical — both the batched API and the SIMD lanes are pure
-// constant-factor optimizations).
+// Reports iterations/sec per path and the kernel/reference speedup.  Emits
+// machine-readable BENCH_micro.json (schema cspls-bench-micro/3) so CI and
+// future changes can track the perf trajectory; exits non-zero if the two
+// paths ever disagree on a fixed-seed trajectory (they must be identical —
+// the bulk hooks are pure constant-factor optimizations).
 //
 // Usage: bench_micro_solver [--quick] [--out FILE] [--seed N]
 #include <cstdio>
@@ -110,8 +107,8 @@ void append_json_path(std::string& json, const char* key,
 
 int main(int argc, char** argv) {
   util::ArgParser args("bench_micro_solver",
-                       "Hot-path throughput: scalar vs batched vs SIMD engine "
-                       "path per kernel, emitting BENCH_micro.json");
+                       "Hot-path throughput: scalar reference path vs kernel "
+                       "hooks per model, emitting BENCH_micro.json");
   args.add_flag("quick", "CI smoke mode: 1/10 iteration budgets");
   args.add_string("out", "BENCH_micro.json", "JSON output path");
   args.add_uint64("seed", 0xB5EED, "master RNG seed");
@@ -121,17 +118,16 @@ int main(int argc, char** argv) {
   const bool quick = args.flag("quick");
   const auto seed = args.get_uint64("seed");
 
-  std::printf("# bench_micro_solver — scalar vs batched vs SIMD hot path%s\n",
+  std::printf("# bench_micro_solver — reference vs kernel hot path%s\n",
               quick ? " (--quick)" : "");
   std::printf("# SIMD tier: %s\n", util::simd::tier_name());
 
-  util::Table table({"instance", "vars", "iters", "scalar it/s",
-                     "batched it/s", "simd it/s", "batched/scalar",
-                     "simd/batched"});
+  util::Table table({"instance", "vars", "iters", "reference it/s",
+                     "kernel it/s", "kernel/reference"});
 
   std::string json;
   json += "{\n";
-  json += "  \"schema\": \"cspls-bench-micro/2\",\n";
+  json += "  \"schema\": \"cspls-bench-micro/3\",\n";
   json += std::string("  \"quick\": ") + (quick ? "true" : "false") + ",\n";
   json += std::string("  \"simd_tier\": \"") + util::simd::tier_name() +
           "\",\n";
@@ -144,68 +140,49 @@ int main(int argc, char** argv) {
         quick ? std::max<std::uint64_t>(200, w.iteration_budget / 10)
               : w.iteration_budget;
 
-    // Batched/simd paths: the kernel's own bulk overrides; which inner loop
-    // they run is toggled per measurement via simd::set_force_scalar.
-    auto batched_problem = problems::make_problem(w.problem, w.size, 7);
-    auto simd_problem = problems::make_problem(w.problem, w.size, 7);
-    const std::string instance = batched_problem->instance_description();
-    const std::size_t vars = batched_problem->num_variables();
-    // Scalar path: same kernel behind the de-optimizing adapter.
-    csp::ScalarPathProblem scalar_problem(
+    auto kernel_problem = problems::make_problem(w.problem, w.size, 7);
+    const std::string instance = kernel_problem->instance_description();
+    const std::size_t vars = kernel_problem->num_variables();
+    // Reference path: same kernel behind the de-optimizing adapter.
+    csp::ScalarPathProblem reference_problem(
         problems::make_problem(w.problem, w.size, 7));
 
     // Warm-up on throwaway clones (touch caches, fault pages) — the measured
-    // problems must keep their pristine canonical state so all paths start
+    // problems must keep their pristine canonical state so both paths start
     // from the identical configuration.
     {
       const auto warm_budget = std::max<std::uint64_t>(budget / 10, 50);
-      util::simd::set_force_scalar(true);
-      auto warm = batched_problem->clone();
+      auto warm = kernel_problem->clone();
       (void)run_path(*warm, warm_budget, seed ^ 0xFFFF);
-      auto warm_scalar = scalar_problem.clone();
-      (void)run_path(*warm_scalar, warm_budget, seed ^ 0xFFFF);
-      util::simd::set_force_scalar(false);
-      auto warm_simd = simd_problem->clone();
-      (void)run_path(*warm_simd, warm_budget, seed ^ 0xFFFF);
+      auto warm_reference = reference_problem.clone();
+      (void)run_path(*warm_reference, warm_budget, seed ^ 0xFFFF);
     }
-    util::simd::set_force_scalar(true);
-    const PathResult batched = run_path(*batched_problem, budget, seed);
-    const PathResult scalar = run_path(scalar_problem, budget, seed);
-    util::simd::set_force_scalar(false);
-    const PathResult simd = run_path(*simd_problem, budget, seed);
+    const PathResult kernel = run_path(*kernel_problem, budget, seed);
+    const PathResult reference = run_path(reference_problem, budget, seed);
 
-    // The three paths must walk the identical trajectory: same iteration
-    // count, same evaluation count, same final configuration.
-    const bool agree =
-        paths_match(batched, scalar) && paths_match(batched, simd);
+    // Both paths must walk the identical trajectory: same iteration count,
+    // same evaluation count, same final configuration.
+    const bool agree = paths_match(kernel, reference);
     if (!agree) {
-      std::fprintf(stderr,
-                   "ERROR: scalar/batched/simd paths diverged on %s\n",
+      std::fprintf(stderr, "ERROR: reference/kernel paths diverged on %s\n",
                    instance.c_str());
       paths_agree = false;
     }
 
-    const double speedup = scalar.seconds > 0.0 && batched.seconds > 0.0
-                               ? scalar.seconds / batched.seconds
+    const double speedup = reference.seconds > 0.0 && kernel.seconds > 0.0
+                               ? reference.seconds / kernel.seconds
                                : 0.0;
-    const double simd_speedup = batched.seconds > 0.0 && simd.seconds > 0.0
-                                    ? batched.seconds / simd.seconds
-                                    : 0.0;
 
     char cell[64];
     std::vector<std::string> row;
     row.push_back(instance);
     row.push_back(std::to_string(vars));
-    row.push_back(std::to_string(batched.iterations));
-    std::snprintf(cell, sizeof(cell), "%.0f", scalar.iters_per_sec());
+    row.push_back(std::to_string(kernel.iterations));
+    std::snprintf(cell, sizeof(cell), "%.0f", reference.iters_per_sec());
     row.push_back(cell);
-    std::snprintf(cell, sizeof(cell), "%.0f", batched.iters_per_sec());
-    row.push_back(cell);
-    std::snprintf(cell, sizeof(cell), "%.0f", simd.iters_per_sec());
+    std::snprintf(cell, sizeof(cell), "%.0f", kernel.iters_per_sec());
     row.push_back(cell);
     std::snprintf(cell, sizeof(cell), "%.2fx", speedup);
-    row.push_back(cell);
-    std::snprintf(cell, sizeof(cell), "%.2fx", simd_speedup);
     row.push_back(cell);
     table.add_row(row);
 
@@ -215,20 +192,16 @@ int main(int argc, char** argv) {
     json += "      \"problem\": \"" + w.problem + "\",\n";
     json += "      \"instance\": \"" + instance + "\",\n";
     json += "      \"variables\": " + std::to_string(vars) + ",\n";
-    json += "      \"iterations\": " + std::to_string(batched.iterations) +
+    json += "      \"iterations\": " + std::to_string(kernel.iterations) +
             ",\n";
     json += "      \"cost_evaluations\": " +
-            std::to_string(batched.cost_evaluations) + ",\n";
-    append_json_path(json, "scalar", scalar);
+            std::to_string(kernel.cost_evaluations) + ",\n";
+    append_json_path(json, "reference", reference);
     json += ",\n";
-    append_json_path(json, "batched", batched);
+    append_json_path(json, "kernel", kernel);
     json += ",\n";
-    append_json_path(json, "simd", simd);
-    json += ",\n";
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "      \"speedup\": %.3f,\n      \"simd_speedup\": %.3f,\n",
-                  speedup, simd_speedup);
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "      \"speedup\": %.3f,\n", speedup);
     json += buf;
     json += std::string("      \"paths_agree\": ") +
             (agree ? "true" : "false") + "\n";
@@ -250,8 +223,8 @@ int main(int argc, char** argv) {
 
   if (!paths_agree) {
     std::fprintf(stderr,
-                 "FAIL: at least one kernel's batched/simd path diverged "
-                 "from the scalar reference\n");
+                 "FAIL: at least one kernel's hot path diverged from the "
+                 "scalar reference\n");
     return 1;
   }
   return 0;

@@ -46,34 +46,16 @@ class Solver {
   /// Determinism: with no deadline the run is exactly the equivalent
   /// direct WalkerPool::run for the request's master seed.
   [[nodiscard]] static SolveReport solve(const SolveRequest& request) {
-    return solve(request, nullptr);
+    return solve(request, core::StopToken{}, SolveCallbacks{});
   }
 
-  /// Same, with a caller-owned cancellation flag: flip `*cancel` to true
-  /// and the run stops within one engine polling period, reporting the
-  /// best configuration reached (SolveReport::cancelled set).  This is the
-  /// primitive SolverService builds on.
-  [[nodiscard]] static SolveReport solve(const SolveRequest& request,
-                                         const std::atomic<bool>* cancel) {
-    return solve(request, core::StopToken(cancel), nullptr);
-  }
-
-  /// Full-control overload for the serving layer: an arbitrary StopToken
-  /// (the request's deadline_ms is applied on top, tightening any deadline
-  /// the token already carries) and an optional liveness counter bumped by
-  /// every walker (see core::Hooks::heartbeat) for watchdog supervision.
+  /// The serving tier's entry point: full StopToken control — a caller-owned
+  /// cancel flag (the run stops within one engine polling period, reporting
+  /// the best configuration reached with SolveReport::cancelled set) and
+  /// any deadline, with the request's deadline_ms applied on top — plus the
+  /// observation channels (watchdog heartbeat, streaming sample sink).
   /// Validates the retry/warm-start knobs along with the rest of the
   /// request.
-  [[nodiscard]] static SolveReport solve(
-      const SolveRequest& request, core::StopToken token,
-      std::atomic<std::uint64_t>* heartbeat) {
-    SolveCallbacks callbacks;
-    callbacks.heartbeat = heartbeat;
-    return solve(request, token, callbacks);
-  }
-
-  /// The serving tier's entry point: full StopToken control plus the
-  /// observation channels (watchdog heartbeat, streaming sample sink).
   [[nodiscard]] static SolveReport solve(const SolveRequest& request,
                                          core::StopToken token,
                                          const SolveCallbacks& callbacks);

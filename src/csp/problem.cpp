@@ -4,7 +4,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "util/simd.hpp"
 
 namespace cspls::csp {
 
@@ -35,36 +34,9 @@ std::uint64_t scalar_best_swap_for(const Problem& problem, std::size_t x,
 
 }  // namespace detail
 
-void SwapScan::feed_lanes(std::size_t base_j, std::span<const Cost> cand,
-                          std::size_t skip, util::Xoshiro256& rng) noexcept {
-  namespace simd = util::simd;
-  const std::size_t n = cand.size();
-  std::size_t k = 0;
-  if (simd::runtime_enabled()) {
-    // Vector fast path: one compare per lane-block; a block whose candidates
-    // are all strictly worse than the incumbent can neither improve nor tie,
-    // so discarding it wholesale consumes no RNG and is draw-for-draw
-    // identical to considering each member.  Blocks containing a <= lane
-    // replay the scalar cascade to keep the reservoir draws exact.
-    constexpr std::size_t kL = simd::i64x4::kLanes;
-    static_assert(sizeof(Cost) == sizeof(std::int64_t));
-    Cost incumbent = best_cost;
-    simd::i64x4 best = simd::i64x4::broadcast(incumbent);
-    for (; k + kL <= n; k += kL) {
-      const auto lane = simd::i64x4::load(&cand[k]);
-      if (!simd::any(simd::cmp_le(lane, best))) continue;
-      for (std::size_t t = 0; t < kL; ++t) {
-        const std::size_t j = base_j + k + t;
-        if (j == skip) continue;
-        consider(j, cand[k + t], rng);
-      }
-      if (best_cost != incumbent) {
-        incumbent = best_cost;
-        best = simd::i64x4::broadcast(incumbent);
-      }
-    }
-  }
-  for (; k < n; ++k) {
+void SwapScan::feed(std::size_t base_j, std::span<const Cost> cand,
+                    std::size_t skip, util::Xoshiro256& rng) noexcept {
+  for (std::size_t k = 0; k < cand.size(); ++k) {
     const std::size_t j = base_j + k;
     if (j == skip) continue;
     consider(j, cand[k], rng);

@@ -208,25 +208,21 @@ struct SwapScan {
     }
   }
 
-  /// Batched reservoir step: feed candidates j = base_j .. base_j+cand.size()-1
-  /// with costs cand[j - base_j], in order, skipping j == skip — equivalent
-  /// draw-for-draw to calling consider() on each candidate individually.
-  /// When SIMD is active, whole lanes of candidates that all sit strictly
-  /// above best_cost are discarded with one vector compare; a lane that
-  /// contains a <= candidate replays scalar consider() so the reservoir RNG
-  /// draws land byte-for-byte where the historical loop put them.  Pass
+  /// Reservoir step over a staged candidate array: feed candidates
+  /// j = base_j .. base_j+cand.size()-1 with costs cand[j - base_j], in
+  /// order, skipping j == skip — exactly consider() on each candidate.  Pass
   /// `skip = base_j + cand.size()` (or anything outside the range) to skip
   /// nothing.  Kernels that store kInfiniteCost at the skipped position must
   /// STILL pass `skip`: when best_cost itself is still kInfiniteCost, a fed
-  /// sentinel would tie and consume an RNG draw the scalar loop never made.
-  void feed_lanes(std::size_t base_j, std::span<const Cost> cand,
-                  std::size_t skip, util::Xoshiro256& rng) noexcept;
+  /// sentinel would tie and consume an RNG draw a loop skipping x never makes.
+  void feed(std::size_t base_j, std::span<const Cost> cand,
+            std::size_t skip, util::Xoshiro256& rng) noexcept;
 };
 
 namespace detail {
 
 /// The scalar reference loops behind the Problem bulk-hook defaults, shared
-/// with ScalarPathProblem so the A/B baseline costs exactly one virtual call
+/// with ScalarPathProblem so the reference path costs exactly one virtual call
 /// per variable/candidate (like the pre-batched engine), never two.
 void scalar_cost_on_all_variables(const Problem& problem, std::span<Cost> out);
 std::uint64_t scalar_best_swap_for(const Problem& problem, std::size_t x,

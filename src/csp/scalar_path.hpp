@@ -5,7 +5,8 @@
 //
 // Two consumers:
 //   - bench_micro_solver measures the same kernel through both paths in one
-//     binary, so the batched-vs-scalar speedup is an apples-to-apples ratio;
+//     binary, so the kernel-vs-reference speedup is an apples-to-apples
+//     ratio;
 //   - the trajectory-equivalence tests pin that both paths draw the RNG in
 //     the same order and therefore walk the identical search trajectory.
 #pragma once

@@ -72,19 +72,6 @@ namespace cspls::parallel {
   return "on_reset";
 }
 
-/// Legacy alias spellings (the pre-neighborhood wire format).
-[[nodiscard]] constexpr std::string_view name_of(Topology topology) {
-  switch (topology) {
-    case Topology::kIndependent:
-      return "independent";
-    case Topology::kSharedElite:
-      return "shared-elite";
-    case Topology::kRingElite:
-      return "ring-elite";
-  }
-  return "independent";
-}
-
 [[nodiscard]] constexpr std::string_view name_of(Termination termination) {
   switch (termination) {
     case Termination::kFirstFinisher:
@@ -140,14 +127,6 @@ namespace cspls::parallel {
   return std::nullopt;
 }
 
-[[nodiscard]] inline std::optional<Topology> topology_from_name(
-    std::string_view name) {
-  if (name == "independent") return Topology::kIndependent;
-  if (name == "shared-elite") return Topology::kSharedElite;
-  if (name == "ring-elite") return Topology::kRingElite;
-  return std::nullopt;
-}
-
 [[nodiscard]] inline std::optional<Termination> termination_from_name(
     std::string_view name) {
   if (name == "first-finisher") return Termination::kFirstFinisher;
@@ -168,8 +147,6 @@ restart_schedule_from_name(std::string_view name) {
          "neighborhood: isolated | complete | ring | torus | hypercube\n"
          "exchange: none | elite | migration | decay-elite\n"
          "comm_mode: on_reset | async\n"
-         "topology (deprecated alias): independent | shared-elite | "
-         "ring-elite\n"
          "termination: first-finisher | best-after-budget\n"
          "restart_schedule: fixed | luby";
 }

@@ -25,9 +25,6 @@
 //       (kOnReset, the historical semantics) or additionally mid-walk every
 //       publish period (kAsync, asynchronous gossip through the engine's
 //       mid-walk hook).
-//     The legacy Topology enum survives as a deprecated alias constructor
-//     (kIndependent = isolated x none, kSharedElite = complete x elite,
-//     kRingElite = ring x elite — byte-for-byte the PR-1 trajectories).
 //
 //   Termination — when the pool stops:
 //     * kFirstFinisher    the first walker to solve wins and stops the rest
@@ -35,12 +32,11 @@
 //     * kBestAfterBudget  every walker runs its full budget; the best final
 //                         cost wins (anytime/optimization regime).
 //
-// Policy combinations reproduce every legacy entry point of multi_walk.hpp
-// byte-for-byte for a fixed master seed: walker i always receives RNG
-// stream i of the master seed and a clone of the prototype, regardless of
-// the policies — so scheduling, communication, termination and tracing can
-// be toggled without perturbing any walker's trajectory (communication
-// hooks excepted, since adoption is *meant* to change trajectories).
+// Walker i always receives RNG stream i of the master seed and a clone of
+// the prototype, regardless of the policies — so scheduling, communication,
+// termination and tracing can be toggled without perturbing any walker's
+// trajectory (communication hooks excepted, since adoption is *meant* to
+// change trajectories).
 //
 // Tracing: when enabled, each walker's core::WalkerTrace (counters +
 // cost-over-time samples) is recorded through core::Hooks and returned in
@@ -276,8 +272,8 @@ class WalkerPool {
 
 /// Deterministic race replay over completed walks: the winner is the solved
 /// walker with the fewest iterations (the one that would have signalled
-/// completion first on an iteration-synchronous machine).  Shared by
-/// Scheduling::kEmulatedRace and the legacy emulate_first_finisher wrapper.
+/// completion first on an iteration-synchronous machine).  This is how
+/// Scheduling::kEmulatedRace builds its report.
 [[nodiscard]] MultiWalkReport resolve_emulated_race(
     std::vector<WalkerOutcome> walkers);
 

@@ -7,12 +7,9 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "util/simd.hpp"
-
 namespace cspls::problems {
 
 using csp::Cost;
-namespace simd = util::simd;
 
 namespace {
 std::vector<int> canonical_values(std::size_t n) {
@@ -217,11 +214,10 @@ std::uint64_t AllInterval::best_swap_for(std::size_t x, util::Xoshiro256& rng,
   Cost* const cand = cand_cost_.data();
   const std::size_t lo = x > 0 ? x - 1 : 0;            // specials: x and its
   const std::size_t hi = x + 1 < n_ ? x + 1 : n_ - 1;  // neighbours + borders
-  const auto run = [&](auto xl_tag, auto xr_tag, std::size_t jb,
-                       std::size_t je) {
+  const auto run = [&](auto xl_tag, auto xr_tag) {
     constexpr bool kXL = decltype(xl_tag)::value;
     constexpr bool kXR = decltype(xr_tag)::value;
-    for (std::size_t j = jb; j < je; ++j) {
+    for (std::size_t j = 1; j + 1 < n_; ++j) {
       if (j >= lo && j <= hi) continue;  // filled by the generic probe below
       const int vj = vals[j];
       const int vjl = vals[j - 1];
@@ -252,81 +248,12 @@ std::uint64_t AllInterval::best_swap_for(std::size_t x, util::Xoshiro256& rng,
       cand[j] = base + delta;
     }
   };
-  // SIMD phase-1: eight candidates per step.  Comparisons yield -1/0 lane
-  // masks, so every scalar equality fold above maps to mask arithmetic
-  // (`t + cmp_eq` subtracts one per equal lane, `t - cmp_eq` adds) and the
-  // thresholds map to `delta ± cmp_ge` — the exact integer arithmetic of the
-  // scalar kernel, lane-parallel.  Blocks run over the whole interior
-  // including x's window: those lanes are overwritten by the scalar probes
-  // below, and all occurrence reads stay in-bounds, so skipping them is a
-  // branch the vector loop doesn't need.  Tail candidates fall back to the
-  // scalar kernel.
-  const auto run_simd = [&](auto xl_tag, auto xr_tag) {
-    constexpr bool kXL = decltype(xl_tag)::value;
-    constexpr bool kXR = decltype(xr_tag)::value;
-    constexpr std::size_t kL = simd::i32x8::kLanes;
-    const auto one = simd::i32x8::broadcast(1);
-    const auto two = simd::i32x8::broadcast(2);
-    const auto vxb = simd::i32x8::broadcast(vx);
-    const auto vxlb = simd::i32x8::broadcast(vxl);
-    const auto vxrb = simd::i32x8::broadcast(vxr);
-    const auto baseb = simd::i64x4::broadcast(base);
-    std::size_t j = 1;
-    for (; j + kL + 1 <= n_; j += kL) {
-      const auto vj = simd::i32x8::load(vals.data() + j);
-      const auto vjl = simd::i32x8::load(vals.data() + j - 1);
-      const auto vjr = simd::i32x8::load(vals.data() + j + 1);
-      const auto d3 = simd::i32x8::load(pair_diff_.data() + j - 1);
-      const auto d4 = simd::i32x8::load(pair_diff_.data() + j);
-      auto delta = simd::cmp_ge(simd::i32x8::gather(occ, d3), two);
-      delta = delta + simd::cmp_ge(
-                          simd::i32x8::gather(occ, d4) + simd::cmp_eq(d4, d3),
-                          two);
-      [[maybe_unused]] simd::i32x8 a1{};
-      [[maybe_unused]] simd::i32x8 a2{};
-      if constexpr (kXL) {
-        a1 = simd::abs(vj - vxlb);
-        const auto t1 = simd::i32x8::gather(occ, a1) + simd::cmp_eq(a1, d3) +
-                        simd::cmp_eq(a1, d4);
-        delta = delta - simd::cmp_ge(t1, one);
-      }
-      if constexpr (kXR) {
-        a2 = simd::abs(vxrb - vj);
-        auto t2 = simd::i32x8::gather(occ, a2) + simd::cmp_eq(a2, d3) +
-                  simd::cmp_eq(a2, d4);
-        if constexpr (kXL) t2 = t2 - simd::cmp_eq(a2, a1);
-        delta = delta - simd::cmp_ge(t2, one);
-      }
-      const auto a3 = simd::abs(vxb - vjl);
-      auto t3 = simd::i32x8::gather(occ, a3) + simd::cmp_eq(a3, d3) +
-                simd::cmp_eq(a3, d4);
-      if constexpr (kXL) t3 = t3 - simd::cmp_eq(a3, a1);
-      if constexpr (kXR) t3 = t3 - simd::cmp_eq(a3, a2);
-      delta = delta - simd::cmp_ge(t3, one);
-      const auto a4 = simd::abs(vjr - vxb);
-      auto t4 = simd::i32x8::gather(occ, a4) + simd::cmp_eq(a4, d3) +
-                simd::cmp_eq(a4, d4);
-      if constexpr (kXL) t4 = t4 - simd::cmp_eq(a4, a1);
-      if constexpr (kXR) t4 = t4 - simd::cmp_eq(a4, a2);
-      t4 = t4 - simd::cmp_eq(a4, a3);
-      delta = delta - simd::cmp_ge(t4, one);
-      simd::i64x4 dlo, dhi;
-      simd::widen(delta, dlo, dhi);
-      (baseb + dlo).store(cand + j);
-      (baseb + dhi).store(cand + j + simd::i64x4::kLanes);
-    }
-    run(xl_tag, xr_tag, j, n_ - 1);
-  };
-  const bool vector_path = simd::runtime_enabled();
   if (x_has_left && x_has_right) {
-    vector_path ? run_simd(std::true_type{}, std::true_type{})
-                : run(std::true_type{}, std::true_type{}, 1, n_ - 1);
+    run(std::true_type{}, std::true_type{});
   } else if (x_has_left) {
-    vector_path ? run_simd(std::true_type{}, std::false_type{})
-                : run(std::true_type{}, std::false_type{}, 1, n_ - 1);
+    run(std::true_type{}, std::false_type{});
   } else {
-    vector_path ? run_simd(std::false_type{}, std::true_type{})
-                : run(std::false_type{}, std::true_type{}, 1, n_ - 1);
+    run(std::false_type{}, std::true_type{});
   }
   // Specials — borders, x's neighbourhood (adjacency shares a pair): the
   // deduplicating scalar probe on the restored table (at most 7 per call).
@@ -337,10 +264,10 @@ std::uint64_t AllInterval::best_swap_for(std::size_t x, util::Xoshiro256& rng,
   cand[0] = x == 0 ? 0 : AllInterval::cost_if_swap(x, 0);
   cand[n_ - 1] = x == n_ - 1 ? 0 : AllInterval::cost_if_swap(x, n_ - 1);
 
-  // Phase 2: batched reservoir scan over the array — identical draw order to
-  // the historical inline loop, with SIMD discarding all-worse lane blocks.
+  // Phase 2: reservoir scan over the array — identical draw order to the
+  // historical inline loop.
   csp::SwapScan scan(n_);
-  scan.feed_lanes(0, std::span<const Cost>(cand, n_), x, rng);
+  scan.feed(0, std::span<const Cost>(cand, n_), x, rng);
   best_j = scan.best_j;
   best_cost = scan.best_cost;
   ties = scan.ties;

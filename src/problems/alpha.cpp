@@ -163,7 +163,7 @@ std::uint64_t Alpha::best_swap_for(std::size_t x, util::Xoshiro256& rng,
     cand[j] = j == x ? csp::kInfiniteCost : Alpha::cost_if_swap(x, j);
   }
   csp::SwapScan scan(nn);
-  scan.feed_lanes(0, std::span<const Cost>(cand, nn), x, rng);
+  scan.feed(0, std::span<const Cost>(cand, nn), x, rng);
   best_j = scan.best_j;
   best_cost = scan.best_cost;
   ties = scan.ties;

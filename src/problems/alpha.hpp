@@ -69,9 +69,7 @@ class Alpha final : public csp::PermutationProblem {
   std::vector<std::vector<std::size_t>> letter_eqs_;  ///< letter -> equations
   std::vector<csp::Cost> sums_;                   ///< cached equation sums
   mutable std::vector<csp::Cost> eq_err_;         ///< bulk-scan scratch
-  /// Candidate costs consumed by SwapScan::feed_lanes (one code shape with
-  /// the SIMD kernels; the lane fast-skip applies even to this scalar-width
-  /// compute).
+  /// Candidate costs consumed by SwapScan::feed.
   mutable std::vector<csp::Cost> cand_;
 };
 

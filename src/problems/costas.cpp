@@ -24,24 +24,18 @@ Costas::Costas(std::size_t n)
       n_(n),
       stride_(2 * n + 1),
       pstride_(simd::padded_size(n, simd::i32x8::kLanes)),
-      // +8 scratch slots past the real difference triangle: the SIMD swap
-      // scan parks the q == x / q == j lanes there to keep its bump/undo
+      // +8 scratch slots past the real difference triangle: the swap scan
+      // parks the q == x / q == j lanes there to keep its bump/undo
       // loops branch-free (each dummy absorbs exactly one op per candidate
       // and is restored by the matching undo, so they stay at zero).
       occ_((n - 1) * (2 * n + 1) + 8, 0),
-      rowoff_(n * n, 0),
-      sign_(n * n, 0),
       rowoff_pad_(n * pstride_, 0),
       sgmask_(n * pstride_, 0),
-      xrem_slots_(n, 0),
-      undo_rem_(2 * n, 0),
-      undo_add_(2 * n, 0),
       vals_pad_(pstride_, 0),
       xslot_(pstride_, 0),
       srj_(pstride_, 0),
       sax_(pstride_, 0),
       saj_(pstride_, 0),
-      acc32_(pstride_, 0),
       cand_(pstride_, 0) {
   if (n < 2) {
     throw std::invalid_argument("Costas: n must be >= 2");
@@ -50,9 +44,6 @@ Costas::Costas(std::size_t n)
     for (std::size_t q = 0; q < n; ++q) {
       if (p == q) continue;
       const std::size_t d = p > q ? p - q : q - p;
-      rowoff_[p * n + q] =
-          static_cast<std::uint32_t>((d - 1) * stride_ + n);
-      sign_[p * n + q] = q > p ? 1 : -1;
       rowoff_pad_[p * pstride_ + q] =
           static_cast<std::int32_t>((d - 1) * stride_ + n);
       sgmask_[p * pstride_ + q] = q > p ? 0 : -1;
@@ -191,57 +182,19 @@ void Costas::cost_on_all_variables(std::span<Cost> out) const {
   // each: every pair's surplus is charged to both endpoints, which is
   // exactly the cost_on_variable projection summed per variable.
   const auto vals = values();
-  if (!simd::runtime_enabled()) {
-    std::fill(out.begin(), out.end(), Cost{0});
-    for (std::size_t d = 1; d < n_; ++d) {
-      const int* occ_row = occ_.data() + (d - 1) * stride_ +
-                           static_cast<std::ptrdiff_t>(n_);
-      for (std::size_t a = 0; a + d < n_; ++a) {
-        const int c = occ_row[vals[a + d] - vals[a]];
-        if (c >= 2) {
-          const Cost s = c - 1;
-          out[a] += s;
-          out[a + d] += s;
-        }
-      }
-    }
-    return;
-  }
-  // SIMD triangle pass.  The per-row charge "out[a] += s, out[a+d] += s" is
-  // two *contiguous* accumulations of the same surplus vector at offsets 0
-  // and d, so apart from the occurrence gather the row is pure vector code.
-  // The a+d block may overlap the a block when d < kLanes; the second
-  // load/store pair sits after the first store, so the overlap is read back
-  // correctly.  Accumulation runs in 32-bit (bounded by n² ≪ 2³¹) and is
-  // widened into the Cost lanes once at the end.
-  constexpr std::size_t kL = simd::i32x8::kLanes;
-  const std::size_t n = n_;
-  std::fill(acc32_.begin(), acc32_.end(), 0);
-  const auto one = simd::i32x8::broadcast(1);
-  const auto two = simd::i32x8::broadcast(2);
-  for (std::size_t d = 1; d < n; ++d) {
+  std::fill(out.begin(), out.end(), Cost{0});
+  for (std::size_t d = 1; d < n_; ++d) {
     const int* occ_row = occ_.data() + (d - 1) * stride_ +
-                         static_cast<std::ptrdiff_t>(n);
-    const std::size_t m = n - d;
-    std::size_t a = 0;
-    for (; a + kL <= m; a += kL) {
-      const auto lo = simd::i32x8::load(vals.data() + a);
-      const auto hi = simd::i32x8::load(vals.data() + a + d);
-      const auto c = simd::i32x8::gather(occ_row, hi - lo);
-      const auto s = (c - one) & simd::cmp_ge(c, two);
-      (simd::i32x8::load(acc32_.data() + a) + s).store(acc32_.data() + a);
-      (simd::i32x8::load(acc32_.data() + a + d) + s)
-          .store(acc32_.data() + a + d);
-    }
-    for (; a < m; ++a) {
+                         static_cast<std::ptrdiff_t>(n_);
+    for (std::size_t a = 0; a + d < n_; ++a) {
       const int c = occ_row[vals[a + d] - vals[a]];
       if (c >= 2) {
-        acc32_[a] += c - 1;
-        acc32_[a + d] += c - 1;
+        const Cost s = c - 1;
+        out[a] += s;
+        out[a + d] += s;
       }
     }
   }
-  for (std::size_t i = 0; i < n; ++i) out[i] = acc32_[i];
 }
 
 std::uint64_t Costas::best_swap_for(std::size_t x, util::Xoshiro256& rng,
@@ -249,97 +202,19 @@ std::uint64_t Costas::best_swap_for(std::size_t x, util::Xoshiro256& rng,
                                     std::size_t& ties) const {
   // Probe-and-undo candidate deltas, one fused pass per candidate.  The cost
   // is a sum of per-slot surpluses g(c) = max(0, c - 1) whose marginals
-  // telescope, so retracting the ~2n affected pairs and asserting their
-  // hypothetical replacements directly on occ_ (recording the slots for the
-  // undo) yields the exact cost_if_swap value with no virtual calls, no
-  // rollback recomputation and — thanks to the sign-folded slot tables — no
-  // branches in the inner loop.
-  const std::size_t n = n_;
-  const auto vals = values();
-  const Cost total = total_cost();
-  const int vx = vals[x];
-  if (simd::runtime_enabled()) {
-    return best_swap_for_simd(x, rng, best_j, best_cost, ties);
-  }
-  const std::uint32_t* ro_x = rowoff_.data() + x * n;
-  const std::int8_t* sg_x = sign_.data() + x * n;
-
-  // The retraction slots of x's pairs are candidate-independent: cache them.
-  for (std::size_t q = 0; q < n; ++q) {
-    if (q == x) continue;
-    xrem_slots_[q] = static_cast<std::uint32_t>(
-        static_cast<int>(ro_x[q]) + sg_x[q] * (vals[q] - vx));
-  }
-
-  int* const occ = occ_.data();
-  std::uint32_t* const rem = undo_rem_.data();
-  std::uint32_t* const add = undo_add_.data();
-  csp::SwapScan scan(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (j == x) continue;
-    const int vj = vals[j];
-    const std::uint32_t* ro_j = rowoff_.data() + j * n;
-    const std::int8_t* sg_j = sign_.data() + j * n;
-    std::size_t count = 0;
-    Cost delta = 0;
-    for (std::size_t q = 0; q < n; ++q) {
-      if (q == x || q == j) continue;
-      const int vq = vals[q];
-      // Retract pair {x, q} (cached) and pair {j, q} (current values)...
-      const std::uint32_t s_rx = xrem_slots_[q];
-      delta -= (--occ[s_rx] >= 1);
-      const std::uint32_t s_rj = static_cast<std::uint32_t>(
-          static_cast<int>(ro_j[q]) + sg_j[q] * (vq - vj));
-      delta -= (--occ[s_rj] >= 1);
-      // ...and assert them under the exchange: x holds vj, j holds vx.
-      const std::uint32_t s_ax = static_cast<std::uint32_t>(
-          static_cast<int>(ro_x[q]) + sg_x[q] * (vq - vj));
-      delta += (occ[s_ax]++ >= 1);
-      const std::uint32_t s_aj = static_cast<std::uint32_t>(
-          static_cast<int>(ro_j[q]) + sg_j[q] * (vq - vx));
-      delta += (occ[s_aj]++ >= 1);
-      rem[count] = s_rx;
-      add[count] = s_ax;
-      rem[count + 1] = s_rj;
-      add[count + 1] = s_aj;
-      count += 2;
-    }
-    // The {x, j} pair itself: retract once, assert its exchanged diff.
-    const std::uint32_t s_rxj = xrem_slots_[j];
-    delta -= (--occ[s_rxj] >= 1);
-    const std::uint32_t s_axj = static_cast<std::uint32_t>(
-        static_cast<int>(ro_x[j]) + sg_x[j] * (vx - vj));
-    delta += (occ[s_axj]++ >= 1);
-    rem[count] = s_rxj;
-    add[count] = s_axj;
-    ++count;
-    scan.consider(j, total + delta, rng);
-    for (std::size_t k = 0; k < count; ++k) {
-      ++occ[rem[k]];
-      --occ[add[k]];
-    }
-  }
-  best_j = scan.best_j;
-  best_cost = scan.best_cost;
-  ties = scan.ties;
-  return n - 1;
-}
-
-std::uint64_t Costas::best_swap_for_simd(std::size_t x, util::Xoshiro256& rng,
-                                         std::size_t& best_j, Cost& best_cost,
-                                         std::size_t& ties) const {
-  // Data-parallel variant of the probe-and-undo scan above.  Because the
-  // per-slot surplus marginals telescope (Σ marginals = Σ_slots g(final) −
-  // g(initial), independent of op order), two restructurings preserve every
-  // candidate cost bit-for-bit:
+  // telescope (Σ marginals = Σ_slots g(final) − g(initial), independent of
+  // op order), so retracting the ~2n affected pairs and asserting their
+  // hypothetical replacements directly on occ_ yields the exact cost_if_swap
+  // value with no virtual calls and no rollback recomputation.  Two
+  // restructurings keep the serial part short:
   //   1. the retraction of x's pairs — common to every candidate — is folded
   //      out of the j loop and applied ONCE up front (delta0), cutting the
   //      serial occurrence-bump work per candidate from 4 ops/pair to 3;
-  //   2. slot addresses are batched eight pairs at a time on the lane-padded
-  //      mask tables (slot = ro + ((diff^m)−m), no multiply), then consumed
-  //      by the (inherently serial, scatter-carried) bump loop.
+  //   2. slot addresses are computed eight pairs at a time on the lane-padded
+  //      mask tables (slot = ro + ((diff^m)−m), no multiply, no branch), then
+  //      consumed by the (inherently serial, scatter-carried) bump loop.
   // Candidate costs land in cand_ and the reservoir runs through
-  // SwapScan::feed_lanes, which replays the historical RNG draws exactly.
+  // SwapScan::feed, which replays the historical RNG draws exactly.
   constexpr std::size_t kL = simd::i32x8::kLanes;
   const std::size_t n = n_;
   const std::size_t pn = pstride_;
@@ -418,7 +293,7 @@ std::uint64_t Costas::best_swap_for_simd(std::size_t x, util::Xoshiro256& rng,
     ++occ[xslot_[q]];
   }
   csp::SwapScan scan(n);
-  scan.feed_lanes(0, std::span<const Cost>(cand_.data(), n), x, rng);
+  scan.feed(0, std::span<const Cost>(cand_.data(), n), x, rng);
   best_j = scan.best_j;
   best_cost = scan.best_cost;
   ties = scan.ties;

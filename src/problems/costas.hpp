@@ -60,45 +60,31 @@ class Costas final : public csp::PermutationProblem {
   template <typename F>
   void for_affected_pairs(std::size_t i, std::size_t j, F&& f) const;
 
-  /// Data-parallel candidate scan (taken when util::simd::runtime_enabled());
-  /// bit-identical costs and RNG draws to the scalar loop in best_swap_for.
-  std::uint64_t best_swap_for_simd(std::size_t x, util::Xoshiro256& rng,
-                                   std::size_t& best_j, csp::Cost& best_cost,
-                                   std::size_t& ties) const;
-
   std::size_t n_;
   std::size_t stride_;
-  /// Lane-padded row stride for the SIMD tables (multiple of i32x8 lanes).
+  /// Lane-padded row stride of the slot tables (multiple of i32x8 lanes).
   std::size_t pstride_;
   std::string name_ = "costas";
   /// Occurrence tables, mutable for probe/rollback in cost_if_swap.
   mutable std::vector<int> occ_;
-  /// best_swap_for acceleration tables (value-independent, built once):
-  /// for the pair {p, q}, slot = rowoff_[p*n+q] + sign_[p*n+q] * (V[q]-V[p])
-  /// — the (d-1)*stride + n row offset with the diff's orientation folded
-  /// into a sign, so the candidate loop computes slots branch-free.
-  std::vector<std::uint32_t> rowoff_;
-  std::vector<std::int8_t> sign_;
-  /// SIMD mirrors of the tables above, lane-padded (stride pstride_) with
-  /// the sign replaced by a negate mask (0 / -1): slot = ro + ((diff^m)-m),
-  /// multiply-free and one vector op per eight pairs.  Padding lanes hold
-  /// zeros; their computed slots are stored to scratch but never consumed.
+  /// best_swap_for slot tables (value-independent, built once), lane-padded
+  /// (stride pstride_): for the pair {p, q}, slot = rowoff_pad_[p*ps+q] +
+  /// ((diff ^ m) - m) with m = sgmask_[p*ps+q] and diff = V[q] - V[p] — the
+  /// (d-1)*stride + n row offset with the diff's orientation folded into a
+  /// negate mask (0 / -1), so slots cost one lane op per eight pairs with
+  /// no multiply and no branch.  Padding lanes hold zeros; their computed
+  /// slots are stored to scratch but never consumed.
   std::vector<std::int32_t> rowoff_pad_;
   std::vector<std::int32_t> sgmask_;
-  /// Per-call scratch (alloc-free steady state): cached slots of the pairs
-  /// through the selected variable, and the probe undo lists.
-  mutable std::vector<std::uint32_t> xrem_slots_;
-  mutable std::vector<std::uint32_t> undo_rem_;
-  mutable std::vector<std::uint32_t> undo_add_;
-  /// SIMD-path scratch, all lane-padded: padded copy of values(), the three
-  /// per-candidate slot arrays, the per-variable surplus accumulator and the
-  /// candidate cost vector consumed by SwapScan::feed_lanes.
+  /// best_swap_for scratch (alloc-free steady state), all lane-padded:
+  /// padded copy of values(), the slots of x's pairs, the three
+  /// per-candidate slot arrays and the candidate cost vector consumed by
+  /// SwapScan::feed.
   mutable std::vector<std::int32_t> vals_pad_;
   mutable std::vector<std::int32_t> xslot_;
   mutable std::vector<std::int32_t> srj_;
   mutable std::vector<std::int32_t> sax_;
   mutable std::vector<std::int32_t> saj_;
-  mutable std::vector<std::int32_t> acc32_;
   mutable std::vector<csp::Cost> cand_;
 };
 

@@ -141,7 +141,7 @@ std::uint64_t Langford::best_swap_for(std::size_t x, util::Xoshiro256& rng,
     const std::size_t kj = item_j / 2;
     if (kj == kx) {
       // Both copies of one number: the gap is symmetric, nothing changes
-      // (covers j == x too; that lane is overwritten with the sentinel).
+      // (covers j == x too; that slot is overwritten with the sentinel).
       cand[j] = total;
       continue;
     }
@@ -156,7 +156,7 @@ std::uint64_t Langford::best_swap_for(std::size_t x, util::Xoshiro256& rng,
   }
   cand[x] = csp::kInfiniteCost;
   csp::SwapScan scan(nn);
-  scan.feed_lanes(0, std::span<const Cost>(cand, nn), x, rng);
+  scan.feed(0, std::span<const Cost>(cand, nn), x, rng);
   best_j = scan.best_j;
   best_cost = scan.best_cost;
   ties = scan.ties;

@@ -49,7 +49,7 @@ class Langford final : public csp::PermutationProblem {
   std::size_t n_;
   std::string name_ = "langford";
   std::vector<std::size_t> pos_;  ///< item id -> position (inverse of values)
-  /// Candidate costs consumed by SwapScan::feed_lanes.
+  /// Candidate costs consumed by SwapScan::feed.
   mutable std::vector<csp::Cost> cand_;
 };
 

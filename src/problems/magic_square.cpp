@@ -4,12 +4,9 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/simd.hpp"
-
 namespace cspls::problems {
 
 using csp::Cost;
-namespace simd = util::simd;
 
 namespace {
 std::vector<int> canonical_values(std::size_t n) {
@@ -24,8 +21,7 @@ MagicSquare::MagicSquare(std::size_t n)
       n_(n),
       magic_(static_cast<Cost>(n) * (static_cast<Cost>(n) * static_cast<Cost>(n) + 1) / 2),
       sums_(2 * n + 2, 0),
-      line_err_(2 * n + 2, 0),
-      cand_(n * n, 0) {
+      line_err_(2 * n + 2, 0) {
   if (n < 3) {
     throw std::invalid_argument("MagicSquare: n must be >= 3");
   }
@@ -154,36 +150,6 @@ void MagicSquare::cost_on_all_variables(std::span<Cost> out) const {
   // One pass over the board reading the cached line errors: the bulk scan
   // shares the 2n+2 error lookups across all n^2 cells.
   const Cost d1 = line_err_[2 * n_], d2 = line_err_[2 * n_ + 1];
-  if (simd::runtime_enabled()) {
-    // Per row: the column errors are one contiguous Cost load, the row error
-    // a broadcast, and the two diagonal patches iota-mask selects — no
-    // gathers anywhere on this kernel.
-    constexpr std::size_t kL = simd::i64x4::kLanes;
-    const auto d1b = simd::i64x4::broadcast(d1);
-    const auto d2b = simd::i64x4::broadcast(d2);
-    for (std::size_t i = 0; i < n_; ++i) {
-      const auto rowb = simd::i64x4::broadcast(line_err_[i]);
-      const auto diagb = simd::i64x4::broadcast(static_cast<std::int64_t>(i));
-      const auto antib =
-          simd::i64x4::broadcast(static_cast<std::int64_t>(n_ - 1 - i));
-      Cost* const row_out = out.data() + i * n_;
-      std::size_t j = 0;
-      for (; j + kL <= n_; j += kL) {
-        const auto jv = simd::i64x4::iota(static_cast<std::int64_t>(j));
-        auto err = rowb + simd::i64x4::load(line_err_.data() + n_ + j);
-        err = err + (d1b & simd::cmp_eq(jv, diagb));
-        err = err + (d2b & simd::cmp_eq(jv, antib));
-        err.store(row_out + j);
-      }
-      for (; j < n_; ++j) {
-        Cost err = line_err_[i] + line_err_[n_ + j];
-        if (i == j) err += d1;
-        if (i + j == n_ - 1) err += d2;
-        row_out[j] = err;
-      }
-    }
-    return;
-  }
   std::size_t k = 0;
   for (std::size_t i = 0; i < n_; ++i) {
     const Cost row = line_err_[i];
@@ -208,89 +174,14 @@ std::uint64_t MagicSquare::best_swap_for(std::size_t x, util::Xoshiro256& rng,
   const bool a_d1 = (ia == ja), a_d2 = (ia + ja == n_ - 1);
   const Cost total = total_cost();
   const auto vals = values();
-  if (!simd::runtime_enabled()) {
-    csp::SwapScan scan(nn);
-    std::size_t b = 0;
-    for (std::size_t ib = 0; ib < n_; ++ib) {
-      for (std::size_t jb = 0; jb < n_; ++jb, ++b) {
-        if (b == x) continue;
-        const Cost d = static_cast<Cost>(vals[b]) - va;
-        Cost delta = 0;
-        if (ia != ib) {
-          delta += line_error_after(ia, d) + line_error_after(ib, -d);
-        }
-        if (ja != jb) {
-          delta += line_error_after(n_ + ja, d) + line_error_after(n_ + jb, -d);
-        }
-        const bool b_d1 = (ib == jb);
-        if (a_d1 != b_d1) delta += line_error_after(2 * n_, a_d1 ? d : -d);
-        const bool b_d2 = (ib + jb == n_ - 1);
-        if (a_d2 != b_d2) delta += line_error_after(2 * n_ + 1, a_d2 ? d : -d);
-        scan.consider(b, total + delta, rng);
-      }
-    }
-    best_j = scan.best_j;
-    best_cost = scan.best_cost;
-    ties = scan.ties;
-    return nn - 1;
-  }
-  // Vector per-line error recomputation, four candidate cells per step (Cost
-  // width: line sums reach n³, past 32-bit comfort at bench sizes).  Within
-  // a board row the candidate's row line is constant, the column lines are
-  // contiguous loads, and every conditional of the scalar kernel becomes an
-  // iota/equality mask: no gathers at all.  The x lane computes d = 0 (delta
-  // 0) and is overwritten with the sentinel before the reservoir runs.
-  constexpr std::size_t kL = simd::i64x4::kLanes;
-  const auto vab = simd::i64x4::broadcast(va);
-  const auto totalb = simd::i64x4::broadcast(total);
-  const auto zero = simd::i64x4::broadcast(0);
-  const auto row_ab = simd::i64x4::broadcast(sums_[ia] - magic_);
-  const auto row_ae = simd::i64x4::broadcast(line_err_[ia]);
-  const auto col_ab = simd::i64x4::broadcast(sums_[n_ + ja] - magic_);
-  const auto col_ae = simd::i64x4::broadcast(line_err_[n_ + ja]);
-  const auto diag1b = simd::i64x4::broadcast(sums_[2 * n_] - magic_);
-  const auto diag1e = simd::i64x4::broadcast(line_err_[2 * n_]);
-  const auto diag2b = simd::i64x4::broadcast(sums_[2 * n_ + 1] - magic_);
-  const auto diag2e = simd::i64x4::broadcast(line_err_[2 * n_ + 1]);
-  const auto jab = simd::i64x4::broadcast(static_cast<std::int64_t>(ja));
-  const auto magicb = simd::i64x4::broadcast(magic_);
-  Cost* const cand = cand_.data();
+  csp::SwapScan scan(nn);
+  std::size_t b = 0;
   for (std::size_t ib = 0; ib < n_; ++ib) {
-    const bool row_differs = (ia != ib);
-    const auto row_bb = simd::i64x4::broadcast(sums_[ib] - magic_);
-    const auto row_be = simd::i64x4::broadcast(line_err_[ib]);
-    const auto ibb = simd::i64x4::broadcast(static_cast<std::int64_t>(ib));
-    const auto antib =
-        simd::i64x4::broadcast(static_cast<std::int64_t>(n_ - 1 - ib));
-    std::size_t b = ib * n_;
-    std::size_t jb = 0;
-    for (; jb + kL <= n_; jb += kL, b += kL) {
-      const auto dv = simd::i64x4::load_i32(vals.data() + b) - vab;
-      const auto jv = simd::i64x4::iota(static_cast<std::int64_t>(jb));
-      auto delta = zero;
-      if (row_differs) {
-        delta = (simd::abs(row_ab + dv) - row_ae) +
-                (simd::abs(row_bb - dv) - row_be);
-      }
-      const auto col_bb = simd::i64x4::load(sums_.data() + n_ + jb) - magicb;
-      const auto col_be = simd::i64x4::load(line_err_.data() + n_ + jb);
-      const auto col_term = (simd::abs(col_ab + dv) - col_ae) +
-                            (simd::abs(col_bb - dv) - col_be);
-      delta = delta + (col_term & ~simd::cmp_eq(jv, jab));
-      const auto sd1 = a_d1 ? dv : zero - dv;
-      const auto b_d1m = simd::cmp_eq(jv, ibb);
-      const auto d1m = a_d1 ? ~b_d1m : b_d1m;
-      delta = delta + ((simd::abs(diag1b + sd1) - diag1e) & d1m);
-      const auto sd2 = a_d2 ? dv : zero - dv;
-      const auto b_d2m = simd::cmp_eq(jv, antib);
-      const auto d2m = a_d2 ? ~b_d2m : b_d2m;
-      delta = delta + ((simd::abs(diag2b + sd2) - diag2e) & d2m);
-      (totalb + delta).store(cand + b);
-    }
-    for (; jb < n_; ++jb, ++b) {
+    for (std::size_t jb = 0; jb < n_; ++jb, ++b) {
+      if (b == x) continue;
       const Cost d = static_cast<Cost>(vals[b]) - va;
       Cost delta = 0;
-      if (row_differs) {
+      if (ia != ib) {
         delta += line_error_after(ia, d) + line_error_after(ib, -d);
       }
       if (ja != jb) {
@@ -300,12 +191,9 @@ std::uint64_t MagicSquare::best_swap_for(std::size_t x, util::Xoshiro256& rng,
       if (a_d1 != b_d1) delta += line_error_after(2 * n_, a_d1 ? d : -d);
       const bool b_d2 = (ib + jb == n_ - 1);
       if (a_d2 != b_d2) delta += line_error_after(2 * n_ + 1, a_d2 ? d : -d);
-      cand[b] = total + delta;
+      scan.consider(b, total + delta, rng);
     }
   }
-  cand[x] = csp::kInfiniteCost;
-  csp::SwapScan scan(nn);
-  scan.feed_lanes(0, std::span<const Cost>(cand, nn), x, rng);
   best_j = scan.best_j;
   best_cost = scan.best_cost;
   ties = scan.ties;

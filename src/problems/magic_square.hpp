@@ -79,8 +79,6 @@ class MagicSquare final : public csp::PermutationProblem {
   std::vector<csp::Cost> sums_;      ///< 2n+2 line sums
   std::vector<csp::Cost> line_err_;  ///< |sums_ - M| per line, cached
   csp::Cost err_sum_ = 0;            ///< running total of line_err_
-  /// SIMD-path candidate costs consumed by SwapScan::feed_lanes.
-  mutable std::vector<csp::Cost> cand_;
 };
 
 }  // namespace cspls::problems

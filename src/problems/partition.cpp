@@ -135,7 +135,7 @@ std::uint64_t Partition::best_swap_for(std::size_t x, util::Xoshiro256& rng,
   }
   cand[x] = csp::kInfiniteCost;
   csp::SwapScan scan(n_);
-  scan.feed_lanes(0, std::span<const Cost>(cand, n_), x, rng);
+  scan.feed(0, std::span<const Cost>(cand, n_), x, rng);
   best_j = scan.best_j;
   best_cost = scan.best_cost;
   ties = scan.ties;

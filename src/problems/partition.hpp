@@ -50,7 +50,7 @@ class Partition final : public csp::PermutationProblem {
   csp::Cost total_sq_ = 0;
   csp::Cost sum_a_ = 0;  ///< sum of the first n/2 positions
   csp::Cost sq_a_ = 0;   ///< sum of squares of the first n/2 positions
-  /// Candidate costs consumed by SwapScan::feed_lanes.
+  /// Candidate costs consumed by SwapScan::feed.
   mutable std::vector<csp::Cost> cand_;
 };
 

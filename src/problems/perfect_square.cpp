@@ -259,7 +259,7 @@ std::uint64_t PerfectSquare::best_swap_for(std::size_t x,
     std::swap(scratch_order_[x], scratch_order_[j]);
   }
   csp::SwapScan scan(nn);
-  scan.feed_lanes(0, std::span<const Cost>(cand_.data(), nn), x, rng);
+  scan.feed(0, std::span<const Cost>(cand_.data(), nn), x, rng);
   best_j = scan.best_j;
   best_cost = scan.best_cost;
   ties = scan.ties;

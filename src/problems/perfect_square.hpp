@@ -140,7 +140,7 @@ class PerfectSquare final : public csp::PermutationProblem {
   mutable std::vector<csp::Cost> checkpoint_err_;
   bool checkpoints_valid_ = false;
   mutable std::vector<std::size_t> ring_;       ///< window-max ring buffer
-  mutable std::vector<csp::Cost> cand_;         ///< feed_lanes candidates
+  mutable std::vector<csp::Cost> cand_;         ///< SwapScan::feed candidates
 };
 
 }  // namespace cspls::problems

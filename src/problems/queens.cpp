@@ -4,12 +4,9 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/simd.hpp"
-
 namespace cspls::problems {
 
 using csp::Cost;
-namespace simd = util::simd;
 
 namespace {
 std::vector<int> canonical_values(std::size_t n) {
@@ -111,28 +108,7 @@ Cost Queens::did_swap(std::size_t i, std::size_t j) {
 
 void Queens::cost_on_all_variables(std::span<Cost> out) const {
   const auto vals = values();
-  std::size_t i = 0;
-  if (simd::runtime_enabled()) {
-    // Eight columns per step: both diagonal slots are affine in (row, col),
-    // so the only non-contiguous accesses are the two occupation gathers.
-    constexpr std::size_t kL = simd::i32x8::kLanes;
-    const auto one = simd::i32x8::broadcast(1);
-    const auto two = simd::i32x8::broadcast(2);
-    const auto n1b = simd::i32x8::broadcast(static_cast<int>(n_) - 1);
-    for (; i + kL <= n_; i += kL) {
-      const auto rv = simd::i32x8::load(vals.data() + i);
-      const auto iv = simd::i32x8::iota(static_cast<int>(i));
-      const auto u = simd::i32x8::gather(up_.data(), rv + iv);
-      const auto d = simd::i32x8::gather(down_.data(), (rv - iv) + n1b);
-      const auto s = ((u - one) & simd::cmp_ge(u, two)) +
-                     ((d - one) & simd::cmp_ge(d, two));
-      simd::i64x4 slo, shi;
-      simd::widen(s, slo, shi);
-      slo.store(out.data() + i);
-      shi.store(out.data() + i + simd::i64x4::kLanes);
-    }
-  }
-  for (; i < n_; ++i) {
+  for (std::size_t i = 0; i < n_; ++i) {
     const int row = vals[i];
     const int u = up_[up_slot(i, row)];
     const int d = down_[down_slot(i, row)];
@@ -177,117 +153,16 @@ std::uint64_t Queens::best_swap_for(std::size_t x, util::Xoshiro256& rng,
   const int rx = vals[x];
   const std::size_t ux = up_slot(x, rx);
   const std::size_t dx = down_slot(x, rx);
-  if (!simd::runtime_enabled()) {
-    csp::SwapScan scan(n_);
-    for (std::size_t j = 0; j < n_; ++j) {
-      if (j == x) continue;
-      const int rj = vals[j];
-      const Cost delta =
-          remove_two(up_, ux, up_slot(j, rj)) +
-          add_two(up_, up_slot(x, rj), up_slot(j, rx)) +
-          remove_two(down_, dx, down_slot(j, rj)) +
-          add_two(down_, down_slot(x, rj), down_slot(j, rx));
-      scan.consider(j, total + delta, rng);
-    }
-    best_j = scan.best_j;
-    best_cost = scan.best_cost;
-    ties = scan.ties;
-    return n_ - 1;
-  }
-  // Vector closed forms, eight candidates per step.  remove/add slot
-  // coincidence (the a == b cases above) collapses to one vector equality
-  // mask and a select; the x-side occupation reads are lane-constant, so
-  // their contributions are hoisted to scalar broadcasts and each lane block
-  // performs six occupation gathers total.  The reservoir is fused into the
-  // compute loop: each half-block of costs is tested against the incumbent
-  // best while still in registers, and only a half that could improve or tie
-  // replays the scalar cascade — draw-for-draw what SwapScan::feed_lanes
-  // does, without staging candidates through a side buffer first.  The lane
-  // holding j == x computes a garbage cost; the replay skips it, and a
-  // garbage lane can at worst trigger a replay whose real lanes are all
-  // strictly worse, which consumes no RNG either way.
-  constexpr std::size_t kL = simd::i32x8::kLanes;
-  const int u_x = up_[ux];
-  const int d_x = down_[dx];
-  const auto rm_eq_u =
-      simd::i32x8::broadcast(u_x >= 3 ? -2 : (u_x == 2 ? -1 : 0));
-  const auto rm_eq_d =
-      simd::i32x8::broadcast(d_x >= 3 ? -2 : (d_x == 2 ? -1 : 0));
-  const auto rm_ne_u = simd::i32x8::broadcast(u_x >= 2 ? -1 : 0);
-  const auto rm_ne_d = simd::i32x8::broadcast(d_x >= 2 ? -1 : 0);
-  const auto zero = simd::i32x8::broadcast(0);
-  const auto one = simd::i32x8::broadcast(1);
-  const auto two = simd::i32x8::broadcast(2);
-  const auto uxb = simd::i32x8::broadcast(static_cast<int>(ux));
-  const auto dxb = simd::i32x8::broadcast(static_cast<int>(dx));
-  const auto xb = simd::i32x8::broadcast(static_cast<int>(x));
-  const auto rxb = simd::i32x8::broadcast(rx);
-  const auto n1b = simd::i32x8::broadcast(static_cast<int>(n_) - 1);
-  const auto totalb = simd::i64x4::broadcast(total);
   csp::SwapScan scan(n_);
-  Cost incumbent = scan.best_cost;
-  auto bestv = simd::i64x4::broadcast(incumbent);
-  constexpr std::size_t kHalf = simd::i64x4::kLanes;
-  const auto feed_half = [&](const simd::i64x4 costs, std::size_t base) {
-    if (!simd::any(simd::cmp_le(costs, bestv))) return;
-    Cost block[kHalf];
-    costs.store(block);
-    for (std::size_t t = 0; t < kHalf; ++t) {
-      const std::size_t cj = base + t;
-      if (cj == x) continue;
-      scan.consider(cj, block[t], rng);
-    }
-    if (scan.best_cost != incumbent) {
-      incumbent = scan.best_cost;
-      bestv = simd::i64x4::broadcast(incumbent);
-    }
-  };
-  std::size_t j = 0;
-  for (; j + kL <= n_; j += kL) {
-    const auto rj = simd::i32x8::load(vals.data() + j);
-    const auto jv = simd::i32x8::iota(static_cast<int>(j));
-    const auto ujj = rj + jv;               // up slot of candidate queen
-    const auto uxr = rj + xb;               // up slot of x holding row rj
-    const auto ujx = jv + rxb;              // up slot of j holding row rx
-    const auto djj = (rj - jv) + n1b;       // down slots, same roles
-    const auto dxr = (rj - xb) + n1b;
-    const auto djx = (rxb - jv) + n1b;
-    const auto rem_u =
-        simd::select(simd::cmp_eq(ujj, uxb), rm_eq_u,
-                     rm_ne_u + simd::cmp_ge(
-                                   simd::i32x8::gather(up_.data(), ujj), two));
-    const auto rem_d =
-        simd::select(simd::cmp_eq(djj, dxb), rm_eq_d,
-                     rm_ne_d + simd::cmp_ge(
-                                   simd::i32x8::gather(down_.data(), djj),
-                                   two));
-    const auto cu1 =
-        simd::cmp_ge(simd::i32x8::gather(up_.data(), uxr), one);
-    const auto cu2 =
-        simd::cmp_ge(simd::i32x8::gather(up_.data(), ujx), one);
-    const auto add_u = simd::select(simd::cmp_eq(uxr, ujx), one - cu1,
-                                    (zero - cu1) - cu2);
-    const auto cd1 =
-        simd::cmp_ge(simd::i32x8::gather(down_.data(), dxr), one);
-    const auto cd2 =
-        simd::cmp_ge(simd::i32x8::gather(down_.data(), djx), one);
-    const auto add_d = simd::select(simd::cmp_eq(dxr, djx), one - cd1,
-                                    (zero - cd1) - cd2);
-    const auto delta = ((rem_u + add_u) + (rem_d + add_d));
-    simd::i64x4 dlo, dhi;
-    simd::widen(delta, dlo, dhi);
-    feed_half(totalb + dlo, j);
-    feed_half(totalb + dhi, j + kHalf);
-  }
-  for (; j < n_; ++j) {
+  for (std::size_t j = 0; j < n_; ++j) {
     if (j == x) continue;
     const int rj = vals[j];
-    scan.consider(j,
-                  total + remove_two(up_, ux, up_slot(j, rj)) +
-                      add_two(up_, up_slot(x, rj), up_slot(j, rx)) +
-                      remove_two(down_, dx, down_slot(j, rj)) +
-                      add_two(down_, down_slot(x, rj), down_slot(j, rx)),
-                  rng);
+    const Cost delta =
+        remove_two(up_, ux, up_slot(j, rj)) +
+        add_two(up_, up_slot(x, rj), up_slot(j, rx)) +
+        remove_two(down_, dx, down_slot(j, rj)) +
+        add_two(down_, down_slot(x, rj), down_slot(j, rx));
+    scan.consider(j, total + delta, rng);
   }
   best_j = scan.best_j;
   best_cost = scan.best_cost;

@@ -199,7 +199,7 @@ void HttpServer::stop() {
   const int fd = listen_fd_.exchange(-1);
   if (fd >= 0) ::shutdown(fd, SHUT_RDWR), ::close(fd);
   if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> connections;
+  std::unordered_map<std::uint64_t, std::thread> connections;
   {
     std::lock_guard lock(conn_m_);
     connections.swap(connections_);
@@ -208,9 +208,22 @@ void HttpServer::stop() {
     // fds leave this set before closing, so no reused descriptor is hit.
     for (const int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  for (std::thread& connection : connections) {
+  for (auto& [id, connection] : connections) {
     if (connection.joinable()) connection.join();
   }
+}
+
+void HttpServer::reap_finished_locked() {
+  // Every queued id names a live entry: apart from this loop, only stop()
+  // removes entries, and it joins the acceptor first.  The handler queued
+  // its id in its last locked section, so the join only waits for it to
+  // close its socket and return.
+  for (const std::uint64_t id : finished_) {
+    const auto it = connections_.find(id);
+    it->second.join();
+    connections_.erase(it);
+  }
+  finished_.clear();
 }
 
 void HttpServer::accept_loop() {
@@ -227,12 +240,15 @@ void HttpServer::accept_loop() {
       ::close(fd);
       return;
     }
+    reap_finished_locked();
     live_fds_.insert(fd);
-    connections_.emplace_back([this, fd] { handle_connection(fd); });
+    const std::uint64_t id = next_connection_++;
+    connections_.emplace(
+        id, std::thread([this, fd, id] { handle_connection(fd, id); }));
   }
 }
 
-void HttpServer::handle_connection(int fd) {
+void HttpServer::handle_connection(int fd, std::uint64_t id) {
   std::string buffer;  ///< unconsumed bytes, carried across requests
   bool keep_open = true;
   while (keep_open && !stopping_.load()) {
@@ -286,6 +302,7 @@ void HttpServer::handle_connection(int fd) {
 
     // Parse before answering so protocol errors get a 400 status; the
     // session would only see them after the 200 header was on the wire.
+    // The parsed command is what the session then runs: one parse per body.
     Command parsed_command;
     try {
       parsed_command = parse_command(request.body, options_.max_body_bytes);
@@ -331,7 +348,7 @@ void HttpServer::handle_connection(int fd) {
           }
         },
         Session::Options{options_.max_body_bytes});
-    session.handle_line(request.body);
+    session.handle_command(std::move(parsed_command));
     if (broken.load() || stopping_.load()) session.cancel_all();
     session.drain();
     // The zero-length chunk delimits the stream; the next request may
@@ -339,8 +356,11 @@ void HttpServer::handle_connection(int fd) {
     if (broken.load() || !send_all(fd, "0\r\n\r\n")) break;
   }
   {
+    // Queued before the close, so a client that reconnects once it sees
+    // EOF finds this handler already reapable.
     std::lock_guard lock(conn_m_);
     live_fds_.erase(fd);
+    finished_.push_back(id);
   }
   ::close(fd);
 }

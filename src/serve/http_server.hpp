@@ -31,6 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -66,7 +67,12 @@ class HttpServer {
 
  private:
   void accept_loop();
-  void handle_connection(int fd);
+  /// Serve connection `id` on socket `fd` until it closes; the last act
+  /// under conn_m_ queues `id` on finished_, before the socket closes.
+  void handle_connection(int fd, std::uint64_t id);
+  /// Join the handlers that queued themselves on finished_.  Caller holds
+  /// conn_m_.
+  void reap_finished_locked();
 
   Scheduler& scheduler_;
   Options options_;
@@ -75,7 +81,13 @@ class HttpServer {
   std::atomic<bool> stopping_{false};
   std::thread acceptor_;
   std::mutex conn_m_;
-  std::vector<std::thread> connections_;
+  /// Handler threads by connection id.  A handler queues its id on
+  /// finished_ before its socket closes, and accept_loop joins the queued
+  /// ones before starting the next, so closed connections do not keep
+  /// their stacks.
+  std::unordered_map<std::uint64_t, std::thread> connections_;
+  std::vector<std::uint64_t> finished_;
+  std::uint64_t next_connection_ = 0;
   std::unordered_set<int> live_fds_;  ///< open sockets, for stop() to break
                                       ///< idle keep-alive reads
 };

@@ -280,7 +280,12 @@ api::ServiceStats Scheduler::service_stats() const { return service_.stats(); }
 
 std::vector<std::uint64_t> Scheduler::started_order() const {
   std::lock_guard lock(m_);
-  return started_order_;
+  return {started_order_.begin(), started_order_.end()};
+}
+
+void Scheduler::note_started_locked(std::uint64_t id) {
+  started_order_.push_back(id);
+  if (started_order_.size() > kStartedWindow) started_order_.pop_front();
 }
 
 bool Scheduler::warm_lanes_empty() const {
@@ -424,7 +429,7 @@ void Scheduler::run_warm_fused(std::vector<JobPtr>& batch,
     }
     if (!job->started_recorded) {
       job->started_recorded = true;
-      started_order_.push_back(job->id);
+      note_started_locked(job->id);
     }
     return true;
   };
@@ -565,7 +570,7 @@ void Scheduler::warm_loop() {
             cut = batch[i];
           } else if (!batch[i]->started_recorded) {
             batch[i]->started_recorded = true;
-            started_order_.push_back(batch[i]->id);
+            note_started_locked(batch[i]->id);
           }
         }
       }
@@ -611,7 +616,7 @@ void Scheduler::dispatch_loop() {
         const api::JobStatus status = job->handle.status();
         if (!job->started_recorded && status == api::JobStatus::kRunning) {
           job->started_recorded = true;
-          started_order_.push_back(job->id);
+          note_started_locked(job->id);
         }
         if (!job->handle.wait_for(std::chrono::milliseconds(0))) {
           ++it;
@@ -659,7 +664,7 @@ void Scheduler::dispatch_loop() {
           if (!job->started_recorded &&
               terminal != api::JobStatus::kCancelled) {
             job->started_recorded = true;
-            started_order_.push_back(job->id);
+            note_started_locked(job->id);
           }
           const std::string_view status_name = status_of(terminal);
           done.push_back(Finalization{job, std::string(status_name),

@@ -194,10 +194,13 @@ class Scheduler {
   /// service down.  Idempotent; also run by the destructor.
   void shutdown();
 
-  /// Job ids in the order their solve actually started (warm: the worker
-  /// picked it up; service: first observed out of the service's queue) —
-  /// the observable priority/preemption order, for tests.
+  /// The ids of the most recent kStartedWindow jobs whose solve actually
+  /// started (warm: the worker picked it up; service: first observed out of
+  /// the service's queue), oldest first — the observable priority and
+  /// preemption order, for tests.  Older starts are forgotten, so a
+  /// long-lived server does not grow with every job it has run.
   [[nodiscard]] std::vector<std::uint64_t> started_order() const;
+  static constexpr std::size_t kStartedWindow = 64;
 
  private:
   using JobPtr = std::shared_ptr<detail::ServeJob>;
@@ -213,6 +216,7 @@ class Scheduler {
   std::string run_warm(detail::ServeJob& job);
   void run_warm_fused(std::vector<JobPtr>& batch, std::size_t lane_idx);
   [[nodiscard]] bool warm_lanes_empty() const;  ///< caller holds m_
+  void note_started_locked(std::uint64_t id);   ///< caller holds m_
   void finalize(const Finalization& f);
 
   SchedulerOptions options_;
@@ -224,7 +228,7 @@ class Scheduler {
   std::array<std::deque<JobPtr>, kNumLanes> service_lanes_;
   std::unordered_map<std::uint64_t, JobPtr> jobs_;  ///< live (non-terminal)
   std::vector<JobPtr> inflight_;
-  std::vector<std::uint64_t> started_order_;
+  std::deque<std::uint64_t> started_order_;  ///< last kStartedWindow starts
   std::uint64_t next_id_ = 1;
   bool stopping_ = false;
   bool joined_ = false;

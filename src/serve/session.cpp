@@ -37,7 +37,10 @@ void Session::handle_line(std::string_view line) {
     emit(encode_error(error.code(), error.what()));
     return;
   }
+  handle_command(std::move(command));
+}
 
+void Session::handle_command(Command command) {
   if (auto* solve = std::get_if<SolveCommand>(&command)) {
     dispatch_solve(std::move(*solve));
   } else if (std::get_if<StatsCommand>(&command) != nullptr) {

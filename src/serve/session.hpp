@@ -1,7 +1,8 @@
 // One client's view of the serving tier: a Session binds a Scheduler to a
 // line-oriented byte sink.  The transport (stdio loop, HTTP connection)
-// feeds complete request lines into handle_line(); the session parses,
-// dispatches, and pushes event lines — `accepted`, `sample`, `report`,
+// feeds complete request lines into handle_line() (or commands it parsed
+// itself into handle_command()); the session parses, dispatches, and pushes
+// event lines — `accepted`, `sample`, `report`,
 // `cancel`, `stats`, `error` — through the sink, each terminated with
 // '\n' and serialized under a write lock (event lines from concurrent
 // walker threads never interleave).
@@ -50,6 +51,11 @@ class Session {
   /// ignored).  Never throws on client input — malformed lines emit an
   /// `error` event instead.
   void handle_line(std::string_view line);
+
+  /// Dispatch an already-parsed command — what handle_line() does after
+  /// parsing.  The HTTP front door parses each body once for its 400/429
+  /// pre-checks and hands the result here.
+  void handle_command(Command command);
 
   /// Block until every job submitted through this session has reported.
   void drain();

@@ -238,7 +238,6 @@ TEST(PolicyNames, RoundTripThroughTheTables) {
   using parallel::Neighborhood;
   using parallel::Scheduling;
   using parallel::Termination;
-  using parallel::Topology;
   for (const auto s : {Scheduling::kThreads, Scheduling::kSequential,
                        Scheduling::kEmulatedRace}) {
     EXPECT_EQ(scheduling_from_name(name_of(s)), s);
@@ -256,10 +255,6 @@ TEST(PolicyNames, RoundTripThroughTheTables) {
        {parallel::CommMode::kOnReset, parallel::CommMode::kAsync}) {
     EXPECT_EQ(comm_mode_from_name(name_of(m)), m);
   }
-  for (const auto t : {Topology::kIndependent, Topology::kSharedElite,
-                       Topology::kRingElite}) {
-    EXPECT_EQ(topology_from_name(name_of(t)), t);
-  }
   for (const auto t :
        {Termination::kFirstFinisher, Termination::kBestAfterBudget}) {
     EXPECT_EQ(termination_from_name(name_of(t)), t);
@@ -268,7 +263,6 @@ TEST(PolicyNames, RoundTripThroughTheTables) {
   EXPECT_FALSE(neighborhood_from_name("bogus").has_value());
   EXPECT_FALSE(exchange_from_name("bogus").has_value());
   EXPECT_FALSE(comm_mode_from_name("bogus").has_value());
-  EXPECT_FALSE(topology_from_name("bogus").has_value());
   EXPECT_FALSE(termination_from_name("bogus").has_value());
 }
 
@@ -345,29 +339,30 @@ TEST(Solver, AsyncGossipRequestSolvesAndCountsAdoptions) {
   EXPECT_EQ(decoded.comm_adoptions, report.comm_adoptions);
 }
 
-TEST(SolveRequestJson, LegacyTopologyMemberIsAnAcceptedAlias) {
-  // Pre-refactor documents keep working: "topology" maps onto the
-  // neighborhood x exchange pair it used to hard-wire...
-  const SolveRequest ring = SolveRequest::from_json_string(
-      R"({"problem":"costas:10","topology":"ring-elite"})");
-  EXPECT_EQ(ring.neighborhood, parallel::Neighborhood::kRing);
-  EXPECT_EQ(ring.exchange, parallel::Exchange::kElite);
-  const SolveRequest shared = SolveRequest::from_json_string(
-      R"({"problem":"costas:10","topology":"shared-elite"})");
-  EXPECT_EQ(shared.neighborhood, parallel::Neighborhood::kComplete);
-  EXPECT_EQ(shared.exchange, parallel::Exchange::kElite);
-  // ...the re-encode speaks the new spelling only...
+TEST(SolveRequestJson, RetiredAliasMemberIsRejectedAsUnknown) {
+  // The pre-neighborhood "topology" alias is gone from the wire: it is an
+  // unknown member like any other, whatever its value.
+  for (const char* doc :
+       {R"({"problem":"costas:10","topology":"ring-elite"})",
+        R"({"problem":"costas:10","topology":"independent"})",
+        R"({"problem":"costas:10","topology":"ring-elite","exchange":"none"})"}) {
+    try {
+      (void)SolveRequest::from_json_string(doc);
+      FAIL() << "accepted " << doc;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown member \"topology\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The encoder speaks the neighborhood x exchange spelling only.
+  SolveRequest ring;
+  ring.problem = "costas:10";
+  ring.neighborhood = parallel::Neighborhood::kRing;
+  ring.exchange = parallel::Exchange::kElite;
   EXPECT_EQ(ring.to_json_string().find("topology"), std::string::npos);
   EXPECT_NE(ring.to_json_string().find("\"neighborhood\""), std::string::npos);
   EXPECT_NE(ring.to_json_string().find("\"ring\""), std::string::npos);
-  // ...and a document mixing both spellings is ambiguous, not merged.
-  EXPECT_THROW(
-      (void)SolveRequest::from_json_string(
-          R"({"problem":"costas:10","topology":"ring-elite","exchange":"none"})"),
-      std::invalid_argument);
-  EXPECT_THROW((void)SolveRequest::from_json_string(
-                   R"({"problem":"costas:10","topology":"warp-drive"})"),
-               std::invalid_argument);
 }
 
 TEST(Solver, RejectsUnknownProblemsWithTheNameList) {
@@ -493,7 +488,8 @@ TEST(SolverCancel, HonoredUnderAllSchedulingPolicies) {
       cancel.store(true);
     });
     util::Stopwatch watch;
-    const SolveReport report = Solver::solve(request, &cancel);
+    const SolveReport report =
+        Solver::solve(request, core::StopToken(&cancel), SolveCallbacks{});
     canceller.join();
     EXPECT_TRUE(report.cancelled) << name_of(scheduling);
     EXPECT_FALSE(report.deadline_expired) << name_of(scheduling);
@@ -589,7 +585,8 @@ TEST(SolverCancel, PreRaisedFlagStopsImmediately) {
   SolveRequest request =
       unsolvable_request(parallel::Scheduling::kSequential);
   util::Stopwatch watch;
-  const SolveReport report = Solver::solve(request, &cancel);
+  const SolveReport report =
+      Solver::solve(request, core::StopToken(&cancel), SolveCallbacks{});
   EXPECT_TRUE(report.cancelled);
   EXPECT_FALSE(report.deadline_expired);
   EXPECT_FALSE(report.solved);

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <numeric>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -165,6 +167,85 @@ TEST(IsPermutationOf, AcceptsAndRejects) {
 
 TEST(Cost, InfiniteSentinelIsLarge) {
   EXPECT_GT(kInfiniteCost, Cost{1} << 62);
+}
+
+// --- SwapScan::feed vs the per-candidate consider() loop ------------------
+
+struct ScanResult {
+  std::size_t best_j;
+  Cost best_cost;
+  std::size_t ties;
+  std::array<std::uint64_t, 4> rng_state;
+};
+
+ScanResult run_consider(std::size_t n, std::span<const Cost> cand,
+                        std::size_t skip, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  SwapScan scan(n);
+  for (std::size_t j = 0; j < cand.size(); ++j) {
+    if (j == skip) continue;
+    scan.consider(j, cand[j], rng);
+  }
+  return {scan.best_j, scan.best_cost, scan.ties, rng.state()};
+}
+
+ScanResult run_feed(std::size_t n, std::span<const Cost> cand,
+                    std::size_t skip, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  SwapScan scan(n);
+  scan.feed(0, cand, skip, rng);
+  return {scan.best_j, scan.best_cost, scan.ties, rng.state()};
+}
+
+TEST(SwapScanFeed, MatchesConsiderOnRandomCandidates) {
+  util::Xoshiro256 rng(0xFEED);
+  // Small cost ranges force heavy ties, so every reservoir draw is checked.
+  for (const std::size_t n : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 13u, 31u, 64u}) {
+    for (int round = 0; round < 50; ++round) {
+      std::vector<Cost> cand(n);
+      for (auto& c : cand) {
+        c = static_cast<Cost>(rng.below(round % 2 ? 3 : 1000));
+      }
+      const std::size_t skip = rng.below(n + 1);  // n == skip nothing
+      if (skip < n) cand[skip] = kInfiniteCost;
+      const auto seed = 0x5EED + static_cast<std::uint64_t>(round);
+      const auto want = run_consider(n, cand, skip, seed);
+      const auto got = run_feed(n, cand, skip, seed);
+      EXPECT_EQ(got.best_j, want.best_j);
+      EXPECT_EQ(got.best_cost, want.best_cost);
+      EXPECT_EQ(got.ties, want.ties);
+      EXPECT_EQ(got.rng_state, want.rng_state) << "RNG stream diverged";
+    }
+  }
+}
+
+TEST(SwapScanFeed, SkippedSentinelDoesNotTieAgainstInfiniteBest) {
+  // Every candidate is the sentinel: with skip passed, the one at `skip`
+  // must not tie with the initial best or consume an RNG draw, while the
+  // other eight tie among themselves exactly as the consider() loop does.
+  const std::size_t n = 9;
+  const std::vector<Cost> cand(n, kInfiniteCost);
+  const std::size_t skip = 4;
+  const auto want = run_consider(n, cand, skip, 123);
+  const auto got = run_feed(n, cand, skip, 123);
+  EXPECT_EQ(got.best_j, want.best_j);
+  EXPECT_EQ(got.best_cost, want.best_cost);
+  EXPECT_EQ(got.ties, want.ties);
+  EXPECT_EQ(got.ties, n - 1);
+  EXPECT_EQ(got.rng_state, want.rng_state);
+}
+
+TEST(SwapScanFeed, BaseOffsetAddressesCandidatesCorrectly) {
+  // Feeding a window starting at base_j must report absolute indices.
+  const std::size_t n = 20;
+  std::vector<Cost> cand(8, 100);
+  cand[5] = 1;  // base 7 + offset 5 => j = 12
+  util::Xoshiro256 rng(7);
+  SwapScan scan(n);
+  scan.feed(7, std::span<const Cost>(cand), n, rng);
+  EXPECT_EQ(scan.best_j, 12u);
+  EXPECT_EQ(scan.best_cost, 1);
+  EXPECT_EQ(scan.ties, 1u);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include <fstream>
 
 #include "core/adaptive_search.hpp"
-#include "parallel/multi_walk.hpp"
+#include "parallel/walker_pool.hpp"
 #include "problems/registry.hpp"
 #include "sim/platform.hpp"
 #include "sim/sampling.hpp"
@@ -96,16 +96,17 @@ TEST(Integration, RacingAndOfflineFirstFinisherAgreeOnWinnersLaw) {
   // The racing solver's accepted solutions and the offline emulation must
   // both be valid solutions of the same instance.
   auto costas = problems::make_problem("costas", 10);
-  parallel::MultiWalkOptions options;
+  parallel::WalkerPoolOptions options;
   options.num_walkers = 4;
   options.master_seed = 3;
-  const parallel::MultiWalkSolver racing(options);
-  const auto report = racing.solve(*costas);
+  options.scheduling = parallel::Scheduling::kThreads;
+  options.termination = parallel::Termination::kFirstFinisher;
+  const auto report = parallel::WalkerPool(options).run(*costas);
   ASSERT_TRUE(report.solved);
   ASSERT_TRUE(costas->verify(report.best.solution));
 
-  const auto offline = parallel::emulate_first_finisher(
-      parallel::run_independent_walks(*costas, 4, 3));
+  options.scheduling = parallel::Scheduling::kEmulatedRace;
+  const auto offline = parallel::WalkerPool(options).run(*costas);
   ASSERT_TRUE(offline.solved);
   EXPECT_TRUE(costas->verify(offline.best.solution));
 }
@@ -114,7 +115,12 @@ TEST(Integration, MoreWalkersNeverSlowTheOfflineCompletionEffort) {
   // min-of-k in iterations is monotone in k on the same stream prefix —
   // the defining property that makes multi-walk parallelism pay.
   auto costas = problems::make_problem("costas", 11);
-  const auto walks16 = parallel::run_independent_walks(*costas, 16, 5);
+  parallel::WalkerPoolOptions options;
+  options.num_walkers = 16;
+  options.master_seed = 5;
+  options.scheduling = parallel::Scheduling::kSequential;
+  options.termination = parallel::Termination::kBestAfterBudget;
+  const auto walks16 = parallel::WalkerPool(options).run(*costas).walkers;
   const auto effort_of = [&](std::size_t k) {
     std::uint64_t best = UINT64_MAX;
     for (std::size_t i = 0; i < k; ++i) {

@@ -272,9 +272,11 @@ TEST(AsyncGossipValidation, AsyncWithoutAnExchangeIsRejected) {
 
 TEST(AsyncGossipValidation, DefaultModeIsOnReset) {
   EXPECT_EQ(CommunicationPolicy{}.mode, CommMode::kOnReset);
-  // The deprecated Topology aliases keep the historical semantics.
-  EXPECT_EQ(CommunicationPolicy{Topology::kRingElite}.mode,
-            CommMode::kOnReset);
+  // An exchanging pair keeps the historical adopt-on-reset semantics unless
+  // asked otherwise.
+  const CommunicationPolicy ring{.neighborhood = Neighborhood::kRing,
+                                 .exchange = Exchange::kElite};
+  EXPECT_EQ(ring.mode, CommMode::kOnReset);
 }
 
 }  // namespace

@@ -39,6 +39,12 @@ WalkerPoolOptions base_options(Scheduling scheduling, std::size_t num_walkers,
   return options;
 }
 
+/// One shared elite blackboard: every walker publishes to and adopts from
+/// the same slot, with the default exchange knobs.
+CommunicationPolicy shared_elite() {
+  return {.neighborhood = Neighborhood::kComplete, .exchange = Exchange::kElite};
+}
+
 /// Run the pool with a preempt flag that a walker trips at ~`preempt_at`
 /// iterations, collecting the assembled PoolCheckpoint (when capture
 /// succeeded) and the interrupted report.
@@ -119,7 +125,7 @@ TEST(PoolCheckpoint, ResumeRestoresEliteStateAndCommCounters) {
   const problems::Langford langford(5);
   WalkerPoolOptions options =
       base_options(Scheduling::kSequential, 4, 2024);
-  options.communication = CommunicationPolicy(Topology::kSharedElite);
+  options.communication = shared_elite();
   const MultiWalkReport reference = WalkerPool(options).run(langford);
 
   const std::optional<PoolCheckpoint> checkpoint =
@@ -161,7 +167,7 @@ TEST(PoolCheckpoint, JsonRoundTripIsExactAndStrict) {
   const problems::Langford langford(5);
   WalkerPoolOptions options =
       base_options(Scheduling::kSequential, 3, 42);
-  options.communication = CommunicationPolicy(Topology::kSharedElite);
+  options.communication = shared_elite();
   options.trace.enabled = true;
   options.trace.sample_period = 32;
   const std::optional<PoolCheckpoint> checkpoint =
@@ -210,7 +216,7 @@ TEST(PoolCheckpoint, ResumeValidatesWalkerCountAndEliteShape) {
                std::invalid_argument);
 
   WalkerPoolOptions wrong_elite = options;
-  wrong_elite.communication = CommunicationPolicy(Topology::kSharedElite);
+  wrong_elite.communication = shared_elite();
   wrong_elite.resume = checkpoint;  // captured with communication off
   EXPECT_THROW((void)WalkerPool(wrong_elite).run(langford),
                std::invalid_argument);

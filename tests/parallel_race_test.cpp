@@ -1,11 +1,14 @@
-// Independent multi-walk engine tests: first-finisher protocol, stream
-// seeding, determinism of the sequential paths, elite-pool semantics.
-#include "parallel/multi_walk.hpp"
+// Independent multi-walk races through WalkerPool: the first-finisher
+// protocol, stream seeding, determinism of the sequential paths, the
+// emulated race replay, elite-pool semantics.
+#include "parallel/walker_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "parallel/elite_pool.hpp"
 #include "problems/costas.hpp"
@@ -16,13 +19,34 @@
 namespace cspls::parallel {
 namespace {
 
-TEST(MultiWalkSolver, SolvesAndWinnerIsWellFormed) {
+/// The paper's scheme: real threads, no communication, first finisher wins.
+WalkerPoolOptions race_options(std::size_t num_walkers,
+                               std::uint64_t master_seed) {
+  WalkerPoolOptions pool;
+  pool.num_walkers = num_walkers;
+  pool.master_seed = master_seed;
+  pool.scheduling = Scheduling::kThreads;
+  pool.termination = Termination::kFirstFinisher;
+  return pool;
+}
+
+/// Every walker of the same population run to completion, one after
+/// another: the full runtime distribution the simulator samples.
+std::vector<WalkerOutcome> independent_walks(
+    const csp::Problem& prototype, std::size_t num_walkers,
+    std::uint64_t master_seed, const std::optional<core::Params>& params = {}) {
+  WalkerPoolOptions pool;
+  pool.num_walkers = num_walkers;
+  pool.master_seed = master_seed;
+  pool.params = params;
+  pool.scheduling = Scheduling::kSequential;
+  pool.termination = Termination::kBestAfterBudget;
+  return WalkerPool(pool).run(prototype).walkers;
+}
+
+TEST(ThreadedRace, SolvesAndWinnerIsWellFormed) {
   problems::Costas costas(10);
-  MultiWalkOptions options;
-  options.num_walkers = 4;
-  options.master_seed = 1;
-  const MultiWalkSolver solver(options);
-  const MultiWalkReport report = solver.solve(costas);
+  const MultiWalkReport report = WalkerPool(race_options(4, 1)).run(costas);
   ASSERT_TRUE(report.solved);
   ASSERT_LT(report.winner, 4u);
   EXPECT_TRUE(report.best.solved);
@@ -33,13 +57,9 @@ TEST(MultiWalkSolver, SolvesAndWinnerIsWellFormed) {
   EXPECT_GE(report.wall_seconds, report.time_to_solution_seconds);
 }
 
-TEST(MultiWalkSolver, EveryWalkerEitherFinishedOrWasInterrupted) {
+TEST(ThreadedRace, EveryWalkerEitherFinishedOrWasInterrupted) {
   problems::Costas costas(11);
-  MultiWalkOptions options;
-  options.num_walkers = 6;
-  options.master_seed = 2;
-  const MultiWalkSolver solver(options);
-  const MultiWalkReport report = solver.solve(costas);
+  const MultiWalkReport report = WalkerPool(race_options(6, 2)).run(costas);
   ASSERT_TRUE(report.solved);
   for (const auto& w : report.walkers) {
     EXPECT_TRUE(w.result.solved || w.result.interrupted)
@@ -49,42 +69,32 @@ TEST(MultiWalkSolver, EveryWalkerEitherFinishedOrWasInterrupted) {
   EXPECT_FALSE(report.walkers[report.winner].result.interrupted);
 }
 
-TEST(MultiWalkSolver, SingleWalkerDegeneratesToSequential) {
+TEST(ThreadedRace, SingleWalkerDegeneratesToSequential) {
   problems::Costas costas(9);
-  MultiWalkOptions options;
-  options.num_walkers = 1;
-  options.master_seed = 3;
-  const MultiWalkSolver solver(options);
-  const MultiWalkReport report = solver.solve(costas);
+  const MultiWalkReport report = WalkerPool(race_options(1, 3)).run(costas);
   ASSERT_TRUE(report.solved);
   EXPECT_EQ(report.winner, 0u);
 }
 
-TEST(MultiWalkSolver, ThreadCapStillCompletesAllWalkers) {
+TEST(ThreadedRace, ThreadCapStillCompletesAllWalkers) {
   problems::Costas costas(9);
-  MultiWalkOptions options;
-  options.num_walkers = 8;
-  options.master_seed = 4;
+  WalkerPoolOptions options = race_options(8, 4);
   options.max_threads = 2;
-  const MultiWalkSolver solver(options);
-  const MultiWalkReport report = solver.solve(costas);
+  const MultiWalkReport report = WalkerPool(options).run(costas);
   ASSERT_TRUE(report.solved);
   EXPECT_EQ(report.walkers.size(), 8u);
 }
 
-TEST(MultiWalkSolver, UnsolvableInstanceReportsBestEffort) {
+TEST(ThreadedRace, UnsolvableInstanceReportsBestEffort) {
   // L(2,5) has no solution (n must be ≡ 0 or 3 mod 4).
   problems::Langford langford(5);
-  MultiWalkOptions options;
-  options.num_walkers = 3;
-  options.master_seed = 5;
+  WalkerPoolOptions options = race_options(3, 5);
   core::Params params =
       core::Params::from_hints(langford.tuning(), langford.num_variables());
   params.restart_limit = 2'000;
   params.max_restarts = 2;
   options.params = params;
-  const MultiWalkSolver solver(options);
-  const MultiWalkReport report = solver.solve(langford);
+  const MultiWalkReport report = WalkerPool(options).run(langford);
   EXPECT_FALSE(report.solved);
   EXPECT_EQ(report.winner, kNoWinner);
   EXPECT_FALSE(report.has_winner());
@@ -92,10 +102,10 @@ TEST(MultiWalkSolver, UnsolvableInstanceReportsBestEffort) {
   EXPECT_FALSE(report.best.solution.empty());
 }
 
-TEST(RunIndependentWalks, DeterministicPerStream) {
+TEST(IndependentWalks, DeterministicPerStream) {
   problems::Costas costas(10);
-  const auto a = run_independent_walks(costas, 5, 42);
-  const auto b = run_independent_walks(costas, 5, 42);
+  const auto a = independent_walks(costas, 5, 42);
+  const auto b = independent_walks(costas, 5, 42);
   ASSERT_EQ(a.size(), 5u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].result.stats.iterations, b[i].result.stats.iterations);
@@ -103,9 +113,9 @@ TEST(RunIndependentWalks, DeterministicPerStream) {
   }
 }
 
-TEST(RunIndependentWalks, StreamsExploreIndependently) {
+TEST(IndependentWalks, StreamsExploreIndependently) {
   problems::Costas costas(11);
-  const auto walks = run_independent_walks(costas, 8, 7);
+  const auto walks = independent_walks(costas, 8, 7);
   std::set<std::uint64_t> iteration_counts;
   for (const auto& w : walks) {
     EXPECT_TRUE(w.result.solved);
@@ -115,22 +125,22 @@ TEST(RunIndependentWalks, StreamsExploreIndependently) {
   EXPECT_GT(iteration_counts.size(), 4u);
 }
 
-TEST(RunIndependentWalks, PrefixStabilityAcrossPopulationSize) {
+TEST(IndependentWalks, PrefixStabilityAcrossPopulationSize) {
   // Walker i's trajectory must not depend on how many walkers run: this is
   // what makes offline min-of-k analysis equivalent to the racing version.
   problems::Costas costas(9);
-  const auto small = run_independent_walks(costas, 3, 99);
-  const auto large = run_independent_walks(costas, 6, 99);
+  const auto small = independent_walks(costas, 3, 99);
+  const auto large = independent_walks(costas, 6, 99);
   for (std::size_t i = 0; i < small.size(); ++i) {
     EXPECT_EQ(small[i].result.stats.iterations,
               large[i].result.stats.iterations);
   }
 }
 
-TEST(EmulateFirstFinisher, PicksFewestIterations) {
+TEST(EmulatedRace, PicksFewestIterations) {
   problems::Costas costas(10);
-  auto walks = run_independent_walks(costas, 6, 11);
-  const MultiWalkReport report = emulate_first_finisher(walks);
+  const MultiWalkReport report =
+      resolve_emulated_race(independent_walks(costas, 6, 11));
   ASSERT_TRUE(report.solved);
   const auto& winner = report.walkers[report.winner];
   for (const auto& w : report.walkers) {
@@ -141,14 +151,14 @@ TEST(EmulateFirstFinisher, PicksFewestIterations) {
   EXPECT_EQ(report.best.stats.iterations, winner.result.stats.iterations);
 }
 
-TEST(EmulateFirstFinisher, HandlesAllFailed) {
+TEST(EmulatedRace, HandlesAllFailed) {
   problems::Langford langford(5);  // unsolvable
   core::Params params =
       core::Params::from_hints(langford.tuning(), langford.num_variables());
   params.restart_limit = 500;
   params.max_restarts = 0;
-  auto walks = run_independent_walks(langford, 3, 1, params);
-  const MultiWalkReport report = emulate_first_finisher(walks);
+  const MultiWalkReport report =
+      resolve_emulated_race(independent_walks(langford, 3, 1, params));
   EXPECT_FALSE(report.solved);
   EXPECT_GT(report.best.cost, 0);
 }
@@ -175,38 +185,34 @@ TEST(ElitePool, TakeIfBetterHonoursThreshold) {
   EXPECT_EQ(out, (std::vector<int>{4, 5, 6}));
 }
 
-TEST(DependentMultiWalk, SolvesWithCommunicationEnabled) {
+TEST(SharedEliteRace, SolvesWithCommunicationEnabled) {
   problems::Costas costas(10);
-  DependentOptions options;
-  options.base.num_walkers = 4;
-  options.base.master_seed = 6;
-  options.period = 50;
-  options.adopt_probability = 0.5;
-  const DependentMultiWalkSolver solver(options);
-  const MultiWalkReport report = solver.solve(costas);
+  WalkerPoolOptions options = race_options(4, 6);
+  options.communication.neighborhood = Neighborhood::kComplete;
+  options.communication.exchange = Exchange::kElite;
+  options.communication.period = 50;
+  options.communication.adopt_probability = 0.5;
+  const MultiWalkReport report = WalkerPool(options).run(costas);
   ASSERT_TRUE(report.solved);
   EXPECT_TRUE(costas.verify(report.best.solution));
 }
 
-/// Sweep: the racing solver must succeed across walker counts and seeds.
-class MultiWalkSweep
+/// Sweep: the threaded race must succeed across walker counts and seeds.
+class RaceSweep
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {
 };
 
-TEST_P(MultiWalkSweep, AlwaysSolvesCostas9) {
+TEST_P(RaceSweep, AlwaysSolvesCostas9) {
   const auto [walkers, seed] = GetParam();
   problems::Costas costas(9);
-  MultiWalkOptions options;
-  options.num_walkers = walkers;
-  options.master_seed = seed;
-  const MultiWalkSolver solver(options);
-  const MultiWalkReport report = solver.solve(costas);
+  const MultiWalkReport report =
+      WalkerPool(race_options(walkers, seed)).run(costas);
   ASSERT_TRUE(report.solved);
   EXPECT_TRUE(costas.verify(report.best.solution));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, MultiWalkSweep,
+    Sweep, RaceSweep,
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 8u),
                        ::testing::Values(1ULL, 77ULL)));
 

@@ -1,21 +1,22 @@
-// WalkerPool policy-matrix tests: scheduling-mode equivalence against the
-// legacy entry points (walker-for-walker RNG-stream identity), fixed-seed
-// identity of the legacy communication topologies spelled through the new
-// Neighborhood x ExchangeStrategy API, the migration and decay-elite
-// strategies, option validation, best-after-budget termination, and trace
-// neutrality.
+// WalkerPool policy-matrix tests: scheduling-mode equivalence against
+// reference implementations of the historical walks (walker-for-walker
+// RNG-stream identity), fixed-seed identity of the PR-1 communication
+// schemes spelled through the Neighborhood x ExchangeStrategy API, the
+// migration and decay-elite strategies, option validation,
+// best-after-budget termination, and trace neutrality.
 #include "parallel/walker_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 
 #include "core/adaptive_search.hpp"
 #include "parallel/elite_pool.hpp"
-#include "parallel/multi_walk.hpp"
 #include "problems/costas.hpp"
 #include "problems/langford.hpp"
 #include "util/rng.hpp"
@@ -71,15 +72,6 @@ TEST(WalkerPoolEquivalence, SequentialModeReproducesLegacyIndependentWalks) {
     EXPECT_EQ(report.walkers[i].result.stats.resets,
               reference[i].stats.resets);
   }
-
-  // The legacy wrapper must be a pure façade over the same pool mode.
-  const auto wrapped = run_independent_walks(costas, 5, 42);
-  ASSERT_EQ(wrapped.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(wrapped[i].result.stats.iterations,
-              reference[i].stats.iterations);
-    EXPECT_EQ(wrapped[i].result.solution, reference[i].solution);
-  }
 }
 
 TEST(WalkerPoolEquivalence, TracingDoesNotPerturbOutcomes) {
@@ -118,21 +110,21 @@ TEST(WalkerPoolEquivalence, TracingDoesNotPerturbOutcomes) {
   }
 }
 
-TEST(WalkerPoolEquivalence, EmulatedRaceMatchesEmulateFirstFinisher) {
+TEST(WalkerPoolEquivalence, EmulatedRaceReplaysTheSequentialWalks) {
   problems::Costas costas(10);
-  const auto legacy =
-      emulate_first_finisher(run_independent_walks(costas, 6, 11));
+  const auto replayed = resolve_emulated_race(
+      WalkerPool(sequential_options(6, 11)).run(costas).walkers);
 
   WalkerPoolOptions pool = sequential_options(6, 11);
   pool.scheduling = Scheduling::kEmulatedRace;
   pool.termination = Termination::kFirstFinisher;
   const auto emulated = WalkerPool(pool).run(costas);
 
-  ASSERT_EQ(emulated.solved, legacy.solved);
-  EXPECT_EQ(emulated.winner, legacy.winner);
-  EXPECT_EQ(emulated.best.stats.iterations, legacy.best.stats.iterations);
-  EXPECT_EQ(emulated.best.solution, legacy.best.solution);
-  EXPECT_EQ(emulated.total_iterations(), legacy.total_iterations());
+  ASSERT_EQ(emulated.solved, replayed.solved);
+  EXPECT_EQ(emulated.winner, replayed.winner);
+  EXPECT_EQ(emulated.best.stats.iterations, replayed.best.stats.iterations);
+  EXPECT_EQ(emulated.best.solution, replayed.best.solution);
+  EXPECT_EQ(emulated.total_iterations(), replayed.total_iterations());
 }
 
 TEST(WalkerPool, ThreadedIndependentRaceSolves) {
@@ -367,42 +359,29 @@ TEST(WalkerPoolEquivalence, RingEliteViaNewApiReproducesPr1Trajectories) {
   expect_matches_reference(WalkerPool(pool).run(langford), reference);
 }
 
-TEST(WalkerPoolEquivalence, TopologyAliasConstructorSpellsTheSamePolicies) {
-  CommunicationPolicy independent{Topology::kIndependent};
-  EXPECT_EQ(independent.neighborhood, Neighborhood::kIsolated);
-  EXPECT_EQ(independent.exchange, Exchange::kNone);
-  CommunicationPolicy shared{Topology::kSharedElite};
-  EXPECT_EQ(shared.neighborhood, Neighborhood::kComplete);
-  EXPECT_EQ(shared.exchange, Exchange::kElite);
-  CommunicationPolicy ring{Topology::kRingElite};
-  EXPECT_EQ(ring.neighborhood, Neighborhood::kRing);
-  EXPECT_EQ(ring.exchange, Exchange::kElite);
-  // The alias keeps the knob defaults of the original CommunicationPolicy.
-  EXPECT_EQ(ring.period, CommunicationPolicy{}.period);
-  EXPECT_EQ(ring.adopt_probability, CommunicationPolicy{}.adopt_probability);
-  EXPECT_EQ(ring.decay, 0u);
-
-  // And an aliased pool run is byte-identical to the spelled-out one.
-  problems::Langford langford(5);
-  WalkerPoolOptions spelled =
-      exchanging_options(Neighborhood::kRing, Exchange::kElite);
-  WalkerPoolOptions aliased = spelled;
-  aliased.communication = CommunicationPolicy(Topology::kRingElite);
-  aliased.communication.period = spelled.communication.period;
-  aliased.communication.adopt_probability =
-      spelled.communication.adopt_probability;
-  const auto a = WalkerPool(spelled).run(langford);
-  const auto b = WalkerPool(aliased).run(langford);
-  ASSERT_EQ(a.walkers.size(), b.walkers.size());
-  for (std::size_t i = 0; i < a.walkers.size(); ++i) {
-    EXPECT_EQ(a.walkers[i].result.stats.iterations,
-              b.walkers[i].result.stats.iterations);
-    EXPECT_EQ(a.walkers[i].result.solution, b.walkers[i].result.solution);
-  }
-  EXPECT_EQ(a.elite_accepted, b.elite_accepted);
-}
-
 // --- The new neighbourhoods and exchange strategies ---------------------
+
+/// The iteration at which walker `id` of `pool` solves when no migrant
+/// ever reaches it (UINT64_MAX if it does not solve): the pool's engine
+/// parameters and RNG stream, with the communication hook's adoption gate
+/// reduced to what it does when every in-neighbour slot is empty — one
+/// chance() draw per partial reset and no adoption.
+std::uint64_t solo_solve_iteration(const csp::Problem& prototype,
+                                   const WalkerPoolOptions& pool,
+                                   std::size_t id) {
+  const core::AdaptiveSearch engine(core::Params::from_hints(
+      prototype.tuning(), prototype.num_variables()));
+  auto problem = prototype.clone();
+  util::Xoshiro256 rng = util::RngStreamFactory(pool.master_seed).stream(id);
+  core::Hooks hooks;
+  hooks.on_reset = [p = pool.communication.adopt_probability](
+                       csp::Problem&, util::Xoshiro256& r) {
+    (void)r.chance(p);
+    return false;
+  };
+  const core::Result result = engine.solve(*problem, rng, {}, hooks);
+  return result.solved ? result.stats.iterations : UINT64_MAX;
+}
 
 TEST(WalkerPool, MigrationOnTorusSolvesThreaded) {
   problems::Costas costas(10);
@@ -413,8 +392,17 @@ TEST(WalkerPool, MigrationOnTorusSolvesThreaded) {
   pool.termination = Termination::kFirstFinisher;
   pool.communication.neighborhood = Neighborhood::kTorus;
   pool.communication.exchange = Exchange::kMigration;
-  pool.communication.period = 50;
+  pool.communication.period = 10;
   pool.communication.adopt_probability = 0.5;
+  // Precondition: no walker can solve on its own before its first publish
+  // at iteration `period`.  A winner therefore either walked its own
+  // trajectory past that publish or adopted a migrant someone published —
+  // either way the race publishes, however the threads are scheduled.
+  std::uint64_t earliest = UINT64_MAX;
+  for (std::size_t id = 0; id < pool.num_walkers; ++id) {
+    earliest = std::min(earliest, solo_solve_iteration(costas, pool, id));
+  }
+  ASSERT_LE(pool.communication.period, earliest);
   const auto report = WalkerPool(pool).run(costas);
   ASSERT_TRUE(report.solved);
   EXPECT_TRUE(costas.verify(report.best.solution));
@@ -591,11 +579,10 @@ TEST(WalkerPool, CollapsedThreadedRaceShortCircuitsAfterInternalWinner) {
   }
 }
 
-TEST(WalkerPool, LegacyWrappersShareWalkerTrajectories) {
-  // The sequential pool, the racing wrapper's stream assignment and the
-  // emulated race all draw walker i from stream i of the master seed; the
-  // emulated winner's trajectory therefore appears verbatim among the
-  // sequential walkers.
+TEST(WalkerPool, SchedulingModesShareWalkerTrajectories) {
+  // The sequential pool, the threaded race and the emulated race all draw
+  // walker i from stream i of the master seed; the emulated winner's
+  // trajectory therefore appears verbatim among the sequential walkers.
   problems::Costas costas(9);
   const auto sequential = WalkerPool(sequential_options(3, 77)).run(costas);
 

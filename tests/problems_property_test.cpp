@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "core/adaptive_search.hpp"
+#include "csp/scalar_path.hpp"
 #include "problems/registry.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace cspls::problems {
 namespace {
@@ -225,18 +225,18 @@ INSTANTIATE_TEST_SUITE_P(AllModels, ProblemContract,
                            return name;
                          });
 
-// --- SIMD tier vs scalar fallback ------------------------------------------
+// --- Kernel hooks vs the scalar reference path -------------------------------
 //
-// The lane rewrites must be invisible: on every kernel, every size (odd ones
-// straddle lane boundaries and exercise the scalar tails), every seed, the
-// SIMD code path must produce byte-identical bulk costs, the same chosen
-// swap (winner, cost, tie count) AND leave the reservoir RNG at the same
-// stream position as the scalar reference — one stray draw would silently
-// fork every downstream decision.
-TEST(SimdScalarEquivalence, RandomSweepAcrossKernelsAndOddSizes) {
-  namespace simd = util::simd;
-  // At least one size per kernel whose variable count is not a lane
-  // multiple (perfect-square size is the quadtree split count: 4 -> n=13,
+// The kernels' bulk overrides must be invisible: on every kernel, every size
+// (odd ones straddle the costas scan's lane boundaries), every seed, the
+// kernel must produce byte-identical bulk costs, the same chosen swap
+// (winner, cost, tie count) AND leave the reservoir RNG at the same stream
+// position as csp::ScalarPathProblem, which runs the same model through the
+// per-variable virtuals — one stray draw would silently fork every
+// downstream decision.
+TEST(KernelScalarEquivalence, RandomSweepAcrossKernelsAndOddSizes) {
+  // At least one size per kernel whose variable count is not a multiple of
+  // eight (perfect-square size is the quadtree split count: 4 -> n=13,
   // 6 -> n=19; langford size n -> 2n variables).
   const std::map<std::string, std::vector<std::size_t>> sweep_sizes = {
       {"costas", {7, 9}},        {"all-interval", {11, 14}},
@@ -247,63 +247,55 @@ TEST(SimdScalarEquivalence, RandomSweepAcrossKernelsAndOddSizes) {
   for (const auto& name : problem_names()) {
     for (const std::size_t size : sweep_sizes.at(name)) {
       for (std::uint64_t seed = 101; seed <= 103; ++seed) {
-        auto scalar_p = make_problem(name, size, 3);
-        auto simd_p = make_problem(name, size, 3);
-        util::Xoshiro256 rng_scalar(seed);
-        util::Xoshiro256 rng_simd(seed);
+        csp::ScalarPathProblem reference(make_problem(name, size, 3));
+        auto kernel = make_problem(name, size, 3);
+        util::Xoshiro256 rng_reference(seed);
+        util::Xoshiro256 rng_kernel(seed);
         util::Xoshiro256 driver(seed ^ 0xD21BE7);
 
-        simd::set_force_scalar(true);
-        const Cost c0_scalar = scalar_p->randomize(rng_scalar);
-        simd::set_force_scalar(false);
-        const Cost c0_simd = simd_p->randomize(rng_simd);
-        ASSERT_EQ(c0_scalar, c0_simd) << name << " size=" << size;
+        const Cost c0_reference = reference.randomize(rng_reference);
+        const Cost c0_kernel = kernel->randomize(rng_kernel);
+        ASSERT_EQ(c0_reference, c0_kernel) << name << " size=" << size;
 
-        const std::size_t n = scalar_p->num_variables();
-        std::vector<Cost> costs_scalar(n);
-        std::vector<Cost> costs_simd(n);
+        const std::size_t n = reference.num_variables();
+        std::vector<Cost> costs_reference(n);
+        std::vector<Cost> costs_kernel(n);
         for (int step = 0; step < 50; ++step) {
-          simd::set_force_scalar(true);
-          scalar_p->cost_on_all_variables(costs_scalar);
-          simd::set_force_scalar(false);
-          simd_p->cost_on_all_variables(costs_simd);
-          ASSERT_EQ(costs_scalar, costs_simd)
+          reference.cost_on_all_variables(costs_reference);
+          kernel->cost_on_all_variables(costs_kernel);
+          ASSERT_EQ(costs_reference, costs_kernel)
               << name << " size=" << size << " seed=" << seed
               << " step=" << step;
 
           const auto x = static_cast<std::size_t>(driver.below(n));
-          std::size_t bj_scalar = n;
-          std::size_t bj_simd = n;
-          std::size_t ties_scalar = 0;
-          std::size_t ties_simd = 0;
-          Cost bc_scalar = 0;
-          Cost bc_simd = 0;
-          simd::set_force_scalar(true);
-          scalar_p->best_swap_for(x, rng_scalar, bj_scalar, bc_scalar,
-                                  ties_scalar);
-          simd::set_force_scalar(false);
-          simd_p->best_swap_for(x, rng_simd, bj_simd, bc_simd, ties_simd);
-          ASSERT_EQ(bj_scalar, bj_simd)
+          std::size_t bj_reference = n;
+          std::size_t bj_kernel = n;
+          std::size_t ties_reference = 0;
+          std::size_t ties_kernel = 0;
+          Cost bc_reference = 0;
+          Cost bc_kernel = 0;
+          reference.best_swap_for(x, rng_reference, bj_reference,
+                                  bc_reference, ties_reference);
+          kernel->best_swap_for(x, rng_kernel, bj_kernel, bc_kernel,
+                                ties_kernel);
+          ASSERT_EQ(bj_reference, bj_kernel)
               << name << " size=" << size << " seed=" << seed
               << " step=" << step << " x=" << x;
-          ASSERT_EQ(bc_scalar, bc_simd) << name << " step=" << step;
-          ASSERT_EQ(ties_scalar, ties_simd) << name << " step=" << step;
-          ASSERT_EQ(rng_scalar.state(), rng_simd.state())
+          ASSERT_EQ(bc_reference, bc_kernel) << name << " step=" << step;
+          ASSERT_EQ(ties_reference, ties_kernel) << name << " step=" << step;
+          ASSERT_EQ(rng_reference.state(), rng_kernel.state())
               << name << " size=" << size << " seed=" << seed << " step="
               << step << ": reservoir RNG stream position diverged";
 
-          if (bj_scalar < n && bj_scalar != x) {
-            simd::set_force_scalar(true);
-            const Cost s1 = scalar_p->swap(x, bj_scalar);
-            simd::set_force_scalar(false);
-            const Cost s2 = simd_p->swap(x, bj_simd);
+          if (bj_reference < n && bj_reference != x) {
+            const Cost s1 = reference.swap(x, bj_reference);
+            const Cost s2 = kernel->swap(x, bj_kernel);
             ASSERT_EQ(s1, s2) << name << " step=" << step;
           }
         }
       }
     }
   }
-  simd::set_force_scalar(false);
 }
 
 TEST(Registry, KnowsEveryProblemAndRejectsUnknown) {

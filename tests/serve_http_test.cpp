@@ -1,18 +1,21 @@
 // HttpServer front door: persistent connections — two (and three) requests
 // share one socket, a chunked solve stream is delimited by its zero-length
 // terminator so the next request can follow it, Connection: close and
-// HTTP/1.0 defaults are honored, and protocol errors answer 400.
+// HTTP/1.0 defaults are honored, protocol errors answer 400, and closed
+// connections give their handler threads back.
 #include "serve/http_server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 
@@ -164,6 +167,59 @@ TEST(ServeHttp, ConnectionCloseIsHonored) {
   ::close(fd);
   server.stop();
   scheduler.shutdown();
+}
+
+/// This process's virtual size in KiB (VmSize of /proc/self/status).
+std::size_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  ADD_FAILURE() << "no VmSize in /proc/self/status";
+  return 0;
+}
+
+TEST(ServeHttp, ClosedConnectionsDoNotKeepTheirHandlerStacks) {
+  Scheduler scheduler;
+  HttpServer server(scheduler);
+  server.start();
+
+  // Each connection's handler runs on its own thread; once the connection
+  // closes, that thread's stack must be given back rather than kept until
+  // stop().  A few hundred sequential Connection: close requests would map
+  // one default-sized stack each if finished handlers were never joined.
+  const auto one_request = [&] {
+    const int fd = connect_to(server.port());
+    send_text(fd, stats_request("Connection: close\r\n"));
+    std::string buffer;
+    std::string body;
+    const std::string head = recv_simple_response(fd, buffer, body);
+    EXPECT_NE(head.find("200 OK"), std::string::npos);
+    char io[256];
+    while (::recv(fd, io, sizeof io, 0) > 0) {
+    }
+    ::close(fd);
+  };
+  for (int i = 0; i < 8; ++i) one_request();  // warm allocator and caches
+  const std::size_t before_kib = vm_size_kib();
+  constexpr int kRequests = 300;
+  for (int i = 0; i < kRequests; ++i) one_request();
+  const std::size_t after_kib = vm_size_kib();
+
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  std::size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  pthread_attr_destroy(&attr);
+  const std::size_t stack_kib = stack_bytes / 1024;
+  ASSERT_GT(stack_kib, 0u);
+  const std::size_t growth_kib =
+      after_kib > before_kib ? after_kib - before_kib : 0;
+  EXPECT_LT(growth_kib, kRequests / 10 * stack_kib)
+      << "VmSize grew by " << growth_kib << " KiB over " << kRequests
+      << " closed connections (" << stack_kib << " KiB per thread stack)";
+  server.stop();
 }
 
 TEST(ServeHttp, Http10DefaultsToCloseUnlessOptedIn) {

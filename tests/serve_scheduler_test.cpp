@@ -104,6 +104,25 @@ bool started(Scheduler& scheduler, std::uint64_t id) {
   return std::find(order.begin(), order.end(), id) != order.end();
 }
 
+TEST(ServeScheduler, StartedOrderKeepsOnlyTheRecentWindow) {
+  SchedulerOptions options;
+  options.warm_workers = 1;
+  Scheduler scheduler(options);
+  Recorder recorder;
+
+  // One worker runs the jobs one at a time, in submission order.
+  constexpr std::size_t kJobs = Scheduler::kStartedWindow + 10;
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    ids.push_back(scheduler.submit(quick(Priority::kNormal, i + 1),
+                                   recorder.events()));
+  }
+  ASSERT_TRUE(eventually([&] { return recorder.reported() == kJobs; }));
+  const std::vector<std::uint64_t> order = scheduler.started_order();
+  EXPECT_EQ(order, std::vector<std::uint64_t>(
+                       ids.end() - Scheduler::kStartedWindow, ids.end()));
+}
+
 TEST(ServeScheduler, WarmLanesRunStrongestFirst) {
   SchedulerOptions options;
   options.warm_workers = 1;

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Perf-regression gate over BENCH_micro.json.
 
-Compares a freshly measured bench JSON (schema cspls-bench-micro/2) against
-the committed baseline and fails if any kernel's *speedup ratio* regressed by
-more than the threshold.  Ratios (batched/scalar and simd/batched) are
-dimensionless per-iteration cost ratios measured inside one binary on one
-machine, so they transfer across hosts far better than raw iterations/sec —
-the gate deliberately never compares absolute throughput.
+Compares a freshly measured bench JSON (schema cspls-bench-micro/3) against
+the committed baseline and fails if any kernel's *speedup ratio*
+(reference-path seconds / kernel-path seconds) regressed by more than the
+threshold.  The ratio is a dimensionless per-iteration cost ratio measured
+inside one binary on one machine, so it transfers across hosts far better
+than raw iterations/sec — the gate deliberately never compares absolute
+throughput.
 
 Usage: check_bench_regression.py FRESH BASELINE [--threshold 0.25]
 """
@@ -14,6 +15,8 @@ Usage: check_bench_regression.py FRESH BASELINE [--threshold 0.25]
 import argparse
 import json
 import sys
+
+SCHEMA = "cspls-bench-micro/3"
 
 
 def load(path):
@@ -27,12 +30,10 @@ def load(path):
     if not isinstance(data, dict):
         sys.exit(f"{path}: expected a JSON object, got {type(data).__name__}")
     schema = data.get("schema", "")
-    if not isinstance(schema, str) or not schema.startswith(
-        "cspls-bench-micro/"
-    ):
+    if schema != SCHEMA:
         sys.exit(
-            f"{path}: unexpected schema {schema!r} "
-            "(expected cspls-bench-micro/N)"
+            f"{path}: unexpected schema {schema!r} (expected {SCHEMA!r}); "
+            "re-measure with the current bench_micro_solver"
         )
     return data
 
@@ -69,23 +70,6 @@ def main():
     fresh_by = by_instance(fresh, args.fresh)
     base_by = by_instance(base, args.baseline)
 
-    # The fresh run must speak a schema at least as new as the baseline:
-    # gating a /2 baseline against a /1 fresh file would silently drop the
-    # simd column and pass vacuously.
-    base_schema = base["schema"]
-    fresh_schema = fresh["schema"]
-    if fresh_schema != base_schema and fresh_schema < base_schema:
-        sys.exit(
-            f"schema mismatch: fresh {args.fresh} speaks {fresh_schema!r} "
-            f"but baseline {args.baseline} speaks {base_schema!r}; "
-            "re-measure with the current bench binary or update the baseline"
-        )
-
-    # Older baselines (schema /1) lack the simd column; gate what both have.
-    keys = ["speedup"]
-    if base_schema == "cspls-bench-micro/2":
-        keys.append("simd_speedup")
-
     failures = []
     rows = []
     for instance, b in base_by.items():
@@ -101,40 +85,38 @@ def main():
             continue
         if not f.get("paths_agree", False):
             failures.append(f"{instance}: hot paths diverged")
-        for key in keys:
-            b_ratio = b.get(key, 0.0)
-            f_ratio = f.get(key, 0.0)
-            if not isinstance(b_ratio, (int, float)) or not isinstance(
-                f_ratio, (int, float)
-            ):
-                failures.append(
-                    f"{instance}: {key} is not numeric "
-                    f"(base {b_ratio!r}, fresh {f_ratio!r})"
-                )
-                continue
-            if b_ratio <= 0:
-                failures.append(
-                    f"{instance}: baseline {key} is {b_ratio} — a zero or "
-                    "negative baseline ratio gates nothing; re-measure the "
-                    "baseline"
-                )
-                continue
-            rel = f_ratio / b_ratio
-            ok = rel >= 1.0 - args.threshold
-            rows.append((instance, key, b_ratio, f_ratio, rel, ok))
-            if not ok:
-                failures.append(
-                    f"{instance}: {key} regressed {b_ratio:.2f}x -> "
-                    f"{f_ratio:.2f}x ({rel:.0%} of baseline)"
-                )
+        b_ratio = b.get("speedup", 0.0)
+        f_ratio = f.get("speedup", 0.0)
+        if not isinstance(b_ratio, (int, float)) or not isinstance(
+            f_ratio, (int, float)
+        ):
+            failures.append(
+                f"{instance}: speedup is not numeric "
+                f"(base {b_ratio!r}, fresh {f_ratio!r})"
+            )
+            continue
+        if b_ratio <= 0:
+            failures.append(
+                f"{instance}: baseline speedup is {b_ratio} — a zero or "
+                "negative baseline ratio gates nothing; re-measure the "
+                "baseline"
+            )
+            continue
+        rel = f_ratio / b_ratio
+        ok = rel >= 1.0 - args.threshold
+        rows.append((instance, b_ratio, f_ratio, rel, ok))
+        if not ok:
+            failures.append(
+                f"{instance}: speedup regressed {b_ratio:.2f}x -> "
+                f"{f_ratio:.2f}x ({rel:.0%} of baseline)"
+            )
 
     width = max((len(r[0]) for r in rows), default=8)
-    print(f"{'instance':<{width}}  {'ratio':<13} {'base':>6} {'fresh':>6} "
-          f"{'rel':>5}")
-    for instance, key, b_ratio, f_ratio, rel, ok in rows:
+    print(f"{'instance':<{width}}  {'base':>6} {'fresh':>6} {'rel':>5}")
+    for instance, b_ratio, f_ratio, rel, ok in rows:
         mark = "ok" if ok else "FAIL"
-        print(f"{instance:<{width}}  {key:<13} {b_ratio:>5.2f}x "
-              f"{f_ratio:>5.2f}x {rel:>4.0%}  {mark}")
+        print(f"{instance:<{width}}  {b_ratio:>5.2f}x {f_ratio:>5.2f}x "
+              f"{rel:>4.0%}  {mark}")
 
     if failures:
         print(f"\nFAIL: {len(failures)} regression(s) beyond "
