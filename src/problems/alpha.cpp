@@ -1,5 +1,8 @@
 #include "problems/alpha.hpp"
 
+#include <algorithm>
+#include <cstdlib>
+#include <iterator>
 #include <numeric>
 #include <sstream>
 
@@ -14,6 +17,21 @@ constexpr const char* kWords[] = {
     "glee",   "jazz",      "lyre",    "oboe",  "opera",
     "polka",  "quartet",   "saxophone", "scale", "solo",
     "song",   "soprano",   "theme",   "violin", "waltz"};
+static_assert(std::size(kWords) == Alpha::kEquations);
+
+constexpr std::size_t kMaxWordLength = [] {
+  std::size_t longest = 0;
+  for (const char* word : kWords) {
+    longest = std::max(longest, std::char_traits<char>::length(word));
+  }
+  return longest;
+}();
+
+// best_swap_for sums its equation errors in 16-bit lanes.  For any
+// configuration of the values 1..26, a word of length L has its sum and its
+// target in [L, 26L], so its residual is within 25L and a swap moves it by
+// at most 25L more: each error is at most 50L, and twenty of them fit.
+static_assert(Alpha::kEquations * 50 * kMaxWordLength <= INT16_MAX);
 
 std::vector<int> canonical_values() {
   std::vector<int> v(26);
@@ -30,29 +48,20 @@ std::array<int, 26> Alpha::reference_solution() noexcept {
           12, 10, 19, 7,  11, 15, 3,  1,  26, 6,  22, 18, 14};
 }
 
-Alpha::Alpha()
-    : PermutationProblem(canonical_values()),
-      letter_eqs_(26),
-      cand_(26, 0) {
+Alpha::Alpha() : PermutationProblem(canonical_values()), letter_eqs_(26) {
   const std::array<int, 26> ref = reference_solution();
-  for (const char* word : kWords) {
-    words_.emplace_back(word);
-    std::array<int, 26> coeff{};
+  for (std::size_t eq = 0; eq < kEquations; ++eq) {
+    words_.emplace_back(kWords[eq]);
     Cost target = 0;
-    for (const char* p = word; *p; ++p) {
+    for (const char* p = kWords[eq]; *p; ++p) {
       const auto letter = static_cast<std::size_t>(*p - 'a');
-      ++coeff[letter];
+      if (coeffs_[letter][eq]++ == 0) letter_eqs_[letter].push_back(eq);
       target += ref[letter];
     }
-    const std::size_t eq = coeffs_.size();
-    coeffs_.push_back(coeff);
     targets_.push_back(target);
-    for (std::size_t letter = 0; letter < 26; ++letter) {
-      if (coeff[letter] > 0) letter_eqs_[letter].push_back(eq);
-    }
   }
-  sums_.assign(coeffs_.size(), 0);
-  eq_err_.assign(coeffs_.size(), 0);
+  sums_.assign(kEquations, 0);
+  eq_err_.assign(kEquations, 0);
 }
 
 const std::string& Alpha::name() const noexcept { return name_; }
@@ -69,10 +78,10 @@ std::unique_ptr<csp::Problem> Alpha::clone() const {
 
 Cost Alpha::on_rebind() {
   Cost cost = 0;
-  for (std::size_t e = 0; e < coeffs_.size(); ++e) {
+  for (std::size_t e = 0; e < kEquations; ++e) {
     Cost sum = 0;
     for (std::size_t letter = 0; letter < 26; ++letter) {
-      sum += static_cast<Cost>(coeffs_[e][letter]) * value(letter);
+      sum += static_cast<Cost>(coeffs_[letter][e]) * value(letter);
     }
     sums_[e] = sum;
     cost += equation_error(e);
@@ -82,10 +91,10 @@ Cost Alpha::on_rebind() {
 
 Cost Alpha::full_cost() const {
   Cost cost = 0;
-  for (std::size_t e = 0; e < coeffs_.size(); ++e) {
+  for (std::size_t e = 0; e < kEquations; ++e) {
     Cost sum = 0;
     for (std::size_t letter = 0; letter < 26; ++letter) {
-      sum += static_cast<Cost>(coeffs_[e][letter]) * value(letter);
+      sum += static_cast<Cost>(coeffs_[letter][e]) * value(letter);
     }
     const Cost d = sum - targets_[e];
     cost += d < 0 ? -d : d;
@@ -107,14 +116,14 @@ Cost Alpha::cost_if_swap(std::size_t i, std::size_t j) const {
   // handle the overlap once via the coefficient difference.
   for (const std::size_t e : letter_eqs_[i]) {
     const Cost change =
-        d * (static_cast<Cost>(coeffs_[e][i]) - static_cast<Cost>(coeffs_[e][j]));
+        d * (static_cast<Cost>(coeffs_[i][e]) - static_cast<Cost>(coeffs_[j][e]));
     if (change == 0) continue;
     const Cost s = sums_[e] + change - targets_[e];
     delta += (s < 0 ? -s : s) - equation_error(e);
   }
   for (const std::size_t e : letter_eqs_[j]) {
-    if (coeffs_[e][i] > 0) continue;  // already handled above
-    const Cost change = -d * static_cast<Cost>(coeffs_[e][j]);
+    if (coeffs_[i][e] > 0) continue;  // already handled above
+    const Cost change = -d * static_cast<Cost>(coeffs_[j][e]);
     const Cost s = sums_[e] + change - targets_[e];
     delta += (s < 0 ? -s : s) - equation_error(e);
   }
@@ -126,15 +135,15 @@ Cost Alpha::did_swap(std::size_t i, std::size_t j) {
   // (its new value minus its old one, which is now at j).
   const Cost d = static_cast<Cost>(value(i)) - static_cast<Cost>(value(j));
   for (const std::size_t e : letter_eqs_[i]) {
-    sums_[e] += d * (static_cast<Cost>(coeffs_[e][i]) -
-                     static_cast<Cost>(coeffs_[e][j]));
+    sums_[e] += d * (static_cast<Cost>(coeffs_[i][e]) -
+                     static_cast<Cost>(coeffs_[j][e]));
   }
   for (const std::size_t e : letter_eqs_[j]) {
-    if (coeffs_[e][i] > 0) continue;
-    sums_[e] += -d * static_cast<Cost>(coeffs_[e][j]);
+    if (coeffs_[i][e] > 0) continue;
+    sums_[e] += -d * static_cast<Cost>(coeffs_[j][e]);
   }
   Cost cost = 0;
-  for (std::size_t e = 0; e < coeffs_.size(); ++e) cost += equation_error(e);
+  for (std::size_t e = 0; e < kEquations; ++e) cost += equation_error(e);
   return cost;
 }
 
@@ -155,15 +164,34 @@ void Alpha::cost_on_all_variables(std::span<Cost> out) const {
 std::uint64_t Alpha::best_swap_for(std::size_t x, util::Xoshiro256& rng,
                                    std::size_t& best_j, Cost& best_cost,
                                    std::size_t& ties) const {
-  // cost_if_swap is already O(equations containing either letter); the bulk
-  // win here is devirtualizing the candidate loop.
-  const std::size_t nn = num_variables();
-  Cost* const cand = cand_.data();
-  for (std::size_t j = 0; j < nn; ++j) {
-    cand[j] = j == x ? csp::kInfiniteCost : Alpha::cost_if_swap(x, j);
+  // Swapping x and j moves equation e's sum by (v_j - v_x)(c_ex - c_ej),
+  // which is zero for an equation holding neither letter, so one dense pass
+  // over every equation per candidate gives the exact cost with no index
+  // lists.  The pass runs in 16-bit lanes (see the static_assert on
+  // kMaxWordLength), padded with zero equations to whole 8-lane vectors.
+  std::array<Lane, kLanes> residual{};
+  int error_sum = 0;
+  for (std::size_t e = 0; e < kEquations; ++e) {
+    residual[e] = static_cast<Lane>(sums_[e] - targets_[e]);
+    error_sum += std::abs(residual[e]);
   }
+  const std::array<Lane, kLanes>& coeff_x = coeffs_[x];
+  const Cost base = total_cost() - error_sum;
+  const Cost value_x = value(x);
+  const std::size_t nn = num_variables();
   csp::SwapScan scan(nn);
-  scan.feed(0, std::span<const Cost>(cand, nn), x, rng);
+  for (std::size_t j = 0; j < nn; ++j) {
+    if (j == x) continue;
+    const auto d = static_cast<Lane>(static_cast<Cost>(value(j)) - value_x);
+    const std::array<Lane, kLanes>& coeff_j = coeffs_[j];
+    Lane error = 0;
+    for (std::size_t e = 0; e < kLanes; ++e) {
+      const auto r =
+          static_cast<Lane>(residual[e] + d * (coeff_x[e] - coeff_j[e]));
+      error = static_cast<Lane>(error + (r < 0 ? -r : r));
+    }
+    scan.consider(j, base + error, rng);
+  }
   best_j = scan.best_j;
   best_cost = scan.best_cost;
   ties = scan.ties;
@@ -173,10 +201,10 @@ std::uint64_t Alpha::best_swap_for(std::size_t x, util::Xoshiro256& rng,
 bool Alpha::verify(std::span<const int> vals) const {
   if (vals.size() != 26) return false;
   if (!csp::is_permutation_of(vals, canonical_values())) return false;
-  for (std::size_t e = 0; e < coeffs_.size(); ++e) {
+  for (std::size_t e = 0; e < kEquations; ++e) {
     Cost sum = 0;
     for (std::size_t letter = 0; letter < 26; ++letter) {
-      sum += static_cast<Cost>(coeffs_[e][letter]) * vals[letter];
+      sum += static_cast<Cost>(coeffs_[letter][e]) * vals[letter];
     }
     if (sum != targets_[e]) return false;
   }

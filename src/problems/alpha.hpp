@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,8 @@ namespace cspls::problems {
 
 class Alpha final : public csp::PermutationProblem {
  public:
+  static constexpr std::size_t kEquations = 20;
+
   Alpha();
 
   [[nodiscard]] const std::string& name() const noexcept override;
@@ -62,15 +65,19 @@ class Alpha final : public csp::PermutationProblem {
     return d < 0 ? -d : d;
   }
 
+  /// best_swap_for's dense pass: 16-bit lanes, equations padded with zero
+  /// rows to a whole number of 8-lane vectors.
+  using Lane = std::int16_t;
+  static constexpr std::size_t kLanes = (kEquations + 7) / 8 * 8;
+
   std::string name_ = "alpha";
   std::vector<std::string> words_;
-  std::vector<std::array<int, 26>> coeffs_;       ///< per-equation letter counts
+  /// Dense letter-major counts: coeffs_[letter][e] = occurrences in word e.
+  std::array<std::array<Lane, kLanes>, 26> coeffs_{};
   std::vector<csp::Cost> targets_;
   std::vector<std::vector<std::size_t>> letter_eqs_;  ///< letter -> equations
   std::vector<csp::Cost> sums_;                   ///< cached equation sums
   mutable std::vector<csp::Cost> eq_err_;         ///< bulk-scan scratch
-  /// Candidate costs consumed by SwapScan::feed.
-  mutable std::vector<csp::Cost> cand_;
 };
 
 }  // namespace cspls::problems

@@ -69,9 +69,7 @@ PerfectSquare::PerfectSquare(PerfectSquareInstance instance)
       checkpoint_h_(instance_.sizes.size() *
                         static_cast<std::size_t>(instance_.side),
                     0),
-      checkpoint_err_(instance_.sizes.size(), 0),
-      ring_(static_cast<std::size_t>(instance_.side)),
-      cand_(instance_.sizes.size(), 0) {
+      checkpoint_err_(instance_.sizes.size(), 0) {
   long long area = 0;
   for (const int s : instance_.sizes) {
     if (s < 1 || s > instance_.side) {
@@ -100,28 +98,38 @@ std::unique_ptr<csp::Problem> PerfectSquare::clone() const {
 Cost PerfectSquare::place(std::size_t s, std::vector<int>& h,
                           std::size_t& out_x, int& out_y) const {
   const auto side = static_cast<std::size_t>(instance_.side);
+  // A plain pointer: indexing `h` itself made GCC reload h[highest] on
+  // every step of the window scan.
+  const int* col = h.data();
 
-  // Sliding-window maximum of the skyline over windows of width s
-  // (monotone queue): win_max(x) = max h[x .. x+s-1].  The queue lives in a
-  // preallocated ring buffer — head/tail only ever advance, and at most one
-  // index is pushed per column, so `side` slots suffice without wraparound.
+  // Bottom-left rule: the window of width s whose support level
+  // y = max h[x .. x+s-1] is lowest, leftmost on ties.  Only x = 0 and
+  // columns whose left neighbour is strictly higher can win: if
+  // h[x-1] <= h[x], the window at x-1 is no higher and lies further left.
+  // A window is abandoned at its first column at or above the best level so
+  // far.  Every later window that still holds that column (or, after a new
+  // best, the window's highest column) is no lower, so the scan resumes
+  // just past it.
   int best_y = INT32_MAX;
   std::size_t best_x = 0;
-  std::size_t* ring = ring_.data();  // indices with decreasing heights
-  std::size_t head = 0;
-  std::size_t tail = 0;
-  for (std::size_t x = 0; x < side; ++x) {
-    while (tail > head && h[ring[tail - 1]] <= h[x]) --tail;
-    ring[tail++] = x;
-    if (x + 1 >= s) {
-      const std::size_t win_start = x + 1 - s;
-      while (ring[head] < win_start) ++head;
-      const int y = h[ring[head]];
-      if (y < best_y) {
-        best_y = y;
-        best_x = win_start;
-      }
+  std::size_t x = 0;
+  while (x + s <= side) {
+    if (x > 0 && col[x - 1] <= col[x]) {
+      ++x;
+      continue;
     }
+    std::size_t highest = x;
+    std::size_t c = x;
+    for (; c < x + s && col[c] < best_y; ++c) {
+      if (col[c] >= col[highest]) highest = c;
+    }
+    if (c < x + s) {
+      x = c + 1;
+      continue;
+    }
+    best_y = col[highest];
+    best_x = x;
+    x = highest + 1;
   }
 
   const int top = best_y + static_cast<int>(s);
@@ -148,7 +156,7 @@ Cost PerfectSquare::place(std::size_t s, std::vector<int>& h,
 Cost PerfectSquare::decode_from(std::size_t first, std::span<const int> order,
                                 std::vector<Cost>* overflow_by_pos,
                                 std::vector<SquarePlacement>* placements,
-                                bool capture) const {
+                                bool capture, Cost bound) const {
   const auto side = static_cast<std::size_t>(instance_.side);
   auto& h = heights_;
   Cost total = 0;
@@ -165,6 +173,7 @@ Cost PerfectSquare::decode_from(std::size_t first, std::span<const int> order,
   if (placements) placements->resize(first);
 
   for (std::size_t pos = first; pos < order.size(); ++pos) {
+    if (total > bound) return total;  // waste never shrinks: over for good
     if (capture) {
       std::copy(h.begin(), h.end(), checkpoint_h_.begin() + pos * side);
       checkpoint_err_[pos] = total;
@@ -243,23 +252,34 @@ std::uint64_t PerfectSquare::best_swap_for(std::size_t x,
   // depends on every earlier placement), but the order buffer is built once
   // and patched by two-element swaps, and each decode resumes from the
   // prefix checkpoint at min(x, j) — candidates with j < x pay only the
-  // suffix from j, candidates with j > x only the suffix from x.
+  // suffix from j, candidates with j > x only the suffix from x.  A decode
+  // also stops once its waste exceeds the scan's best so far: consider()
+  // drops any cost above best_cost before it draws, so such a candidate can
+  // never win, tie or touch the RNG.  Swapping two squares of one size
+  // leaves the size sequence, and so every placement, as it is: once a
+  // commit has decoded the configuration, such a candidate costs exactly
+  // total_cost() and needs no decode at all.
   const std::size_t nn = num_variables();
   const auto vals = values();
   std::copy(vals.begin(), vals.end(), scratch_order_.begin());
+  const auto size_at = [&](std::size_t pos) {
+    return instance_.sizes[static_cast<std::size_t>(vals[pos])];
+  };
+  csp::SwapScan scan(nn);
   for (std::size_t j = 0; j < nn; ++j) {
-    if (j == x) {
-      cand_[j] = csp::kInfiniteCost;
+    if (j == x) continue;
+    if (checkpoints_valid_ && size_at(j) == size_at(x)) {
+      scan.consider(j, total_cost(), rng);
       continue;
     }
     std::swap(scratch_order_[x], scratch_order_[j]);
     const std::size_t first = checkpoints_valid_ ? std::min(x, j) : 0;
-    cand_[j] = decode_from(first, scratch_order_, nullptr, nullptr,
-                           /*capture=*/false);
+    scan.consider(j,
+                  decode_from(first, scratch_order_, nullptr, nullptr,
+                              /*capture=*/false, scan.best_cost),
+                  rng);
     std::swap(scratch_order_[x], scratch_order_[j]);
   }
-  csp::SwapScan scan(nn);
-  scan.feed(0, std::span<const Cost>(cand_.data(), nn), x, rng);
   best_j = scan.best_j;
   best_cost = scan.best_cost;
   ties = scan.ties;
@@ -272,7 +292,7 @@ bool PerfectSquare::verify(std::span<const int> vals) const {
   if (!csp::is_permutation_of(vals, canonical_order(n))) return false;
 
   // Independent re-simulation on an explicit occupancy grid (separate code
-  // path from the deque-based decoder): derive column heights from the grid,
+  // path from the skyline decoder): derive column heights from the grid,
   // place each square at the (y, x)-minimal skyline position, and demand
   // in-bounds, overlap-free placement plus full coverage.
   const auto side = static_cast<std::size_t>(instance_.side);

@@ -23,9 +23,13 @@
 // captures, per order position, the skyline (and accumulated waste) before
 // that placement.  A two-element swap at (i, j) cannot affect placements
 // below min(i, j), so cost_if_swap / best_swap_for resume decoding from
-// that checkpoint instead of re-packing from scratch — O((n−p)·S) per probe
-// with a ring-buffer sliding-window maximum — while producing bit-identical
-// placements and waste charges to a full decode.
+// that checkpoint instead of re-packing from scratch, while producing
+// bit-identical placements and waste charges to a full decode.  Within a
+// decode, a placement only evaluates the windows that can be bottom-left
+// (x = 0 or a column whose left neighbour is higher).  Within best_swap_for,
+// a candidate's decode stops as soon as its waste exceeds the best candidate
+// so far, which can then no longer win, tie or draw, and a candidate that
+// swaps two squares of one size costs the current total without a decode.
 //
 // Instances: quadtree-generated classes (exactly solvable by construction,
 // hardness tuned by split count) and the classic order-21 simple perfect
@@ -101,9 +105,10 @@ class PerfectSquare final : public csp::PermutationProblem {
   csp::Cost did_swap(std::size_t i, std::size_t j) override;
 
  private:
-  /// Place one square of size `s` on the skyline `h` (bottom-left rule via a
-  /// ring-buffer monotone sliding-window maximum); charges buried + overflow
-  /// waste, raises the supporting columns, and reports the chosen corner.
+  /// Place one square of size `s` on the skyline `h` (bottom-left rule, over
+  /// the windows starting at a downward skyline edge); charges buried +
+  /// overflow waste, raises the supporting columns, and reports the chosen
+  /// corner.
   csp::Cost place(std::size_t s, std::vector<int>& h, std::size_t& out_x,
                   int& out_y) const;
 
@@ -113,11 +118,16 @@ class PerfectSquare final : public csp::PermutationProblem {
   /// per-order-position waste and placements from `first` on (earlier
   /// entries are untouched — they belong to the unchanged prefix) and, when
   /// `capture` is set, refreshes the prefix checkpoints (callers must pass
-  /// the *current* configuration in that case).  Returns total waste.
+  /// the *current* configuration in that case).  Returns total waste.  A
+  /// probe may pass a `bound`: once the waste exceeds it, the decode stops
+  /// and returns the partial total, which already exceeds it (waste per
+  /// placement is never negative).  Callers that fill any output or capture
+  /// leave it unbounded.
   [[nodiscard]] csp::Cost decode_from(
       std::size_t first, std::span<const int> order,
       std::vector<csp::Cost>* overflow_by_pos,
-      std::vector<SquarePlacement>* placements, bool capture) const;
+      std::vector<SquarePlacement>* placements, bool capture,
+      csp::Cost bound = csp::kInfiniteCost) const;
 
   /// Full decode, no checkpoint refresh (probes, full_cost).
   [[nodiscard]] csp::Cost decode(std::span<const int> order,
@@ -139,8 +149,6 @@ class PerfectSquare final : public csp::PermutationProblem {
   mutable std::vector<int> checkpoint_h_;       ///< n rows of `side` columns
   mutable std::vector<csp::Cost> checkpoint_err_;
   bool checkpoints_valid_ = false;
-  mutable std::vector<std::size_t> ring_;       ///< window-max ring buffer
-  mutable std::vector<csp::Cost> cand_;         ///< SwapScan::feed candidates
 };
 
 }  // namespace cspls::problems

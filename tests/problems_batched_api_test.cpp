@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "csp/scalar_path.hpp"
+#include "problems/perfect_square.hpp"
 #include "problems/registry.hpp"
 #include "util/rng.hpp"
 
@@ -25,6 +27,48 @@ std::size_t batched_size(const std::string& name) {
       {"partition", 16},   {"alpha", 26},
   };
   return sizes.at(name);
+}
+
+/// best_swap_for for every x against the scalar reference scan
+/// (cost_if_swap per candidate through SwapScan::consider): same winner,
+/// cost, ties, evaluation count and RNG draws, and the winner really is the
+/// exhaustive argmin.
+void expect_best_swap_matches_reference(const csp::Problem& p,
+                                        std::uint64_t rng_seed,
+                                        const std::string& context) {
+  const std::size_t n = p.num_variables();
+  for (std::size_t x = 0; x < n; ++x) {
+    // Two identically-seeded generators: the batched scan and the scalar
+    // reference must draw the same values in the same order.
+    util::Xoshiro256 rng_batched(rng_seed + x);
+    util::Xoshiro256 rng_reference(rng_seed + x);
+
+    std::size_t best_j = 0, ties = 0;
+    Cost best_cost = 0;
+    const std::uint64_t evaluated =
+        p.best_swap_for(x, rng_batched, best_j, best_cost, ties);
+
+    std::size_t ref_j = 0, ref_ties = 0;
+    Cost ref_cost = 0;
+    const std::uint64_t ref_evaluated = csp::detail::scalar_best_swap_for(
+        p, x, rng_reference, ref_j, ref_cost, ref_ties);
+
+    ASSERT_EQ(best_j, ref_j) << context << " x=" << x;
+    ASSERT_EQ(best_cost, ref_cost) << context << " x=" << x;
+    ASSERT_EQ(ties, ref_ties) << context << " x=" << x;
+    ASSERT_EQ(evaluated, ref_evaluated) << context << " x=" << x;
+    ASSERT_EQ(rng_batched.state(), rng_reference.state())
+        << context << " x=" << x << ": RNG draw sequences diverged";
+
+    // And the reference really is the exhaustive argmin.
+    Cost exhaustive = csp::kInfiniteCost;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == x) continue;
+      exhaustive = std::min(exhaustive, p.cost_if_swap(x, j));
+    }
+    ASSERT_EQ(best_cost, exhaustive) << context << " x=" << x;
+    ASSERT_EQ(p.cost_if_swap(x, best_j), best_cost) << context << " x=" << x;
+  }
 }
 
 class BatchedApiContract : public ::testing::TestWithParam<std::string> {
@@ -52,44 +96,6 @@ class BatchedApiContract : public ::testing::TestWithParam<std::string> {
     p.cost_on_all_variables(bulk);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(bulk[i], p.cost_on_variable(i)) << context << " var " << i;
-    }
-  }
-
-  static void expect_best_swap_matches_reference(const csp::Problem& p,
-                                                 std::uint64_t rng_seed,
-                                                 const std::string& context) {
-    const std::size_t n = p.num_variables();
-    for (std::size_t x = 0; x < n; ++x) {
-      // Two identically-seeded generators: the batched scan and the scalar
-      // reference must draw the same values in the same order.
-      util::Xoshiro256 rng_batched(rng_seed + x);
-      util::Xoshiro256 rng_reference(rng_seed + x);
-
-      std::size_t best_j = 0, ties = 0;
-      Cost best_cost = 0;
-      const std::uint64_t evaluated =
-          p.best_swap_for(x, rng_batched, best_j, best_cost, ties);
-
-      std::size_t ref_j = 0, ref_ties = 0;
-      Cost ref_cost = 0;
-      const std::uint64_t ref_evaluated = csp::detail::scalar_best_swap_for(
-          p, x, rng_reference, ref_j, ref_cost, ref_ties);
-
-      ASSERT_EQ(best_j, ref_j) << context << " x=" << x;
-      ASSERT_EQ(best_cost, ref_cost) << context << " x=" << x;
-      ASSERT_EQ(ties, ref_ties) << context << " x=" << x;
-      ASSERT_EQ(evaluated, ref_evaluated) << context << " x=" << x;
-      ASSERT_EQ(rng_batched.state(), rng_reference.state())
-          << context << " x=" << x << ": RNG draw sequences diverged";
-
-      // And the reference really is the exhaustive argmin.
-      Cost exhaustive = csp::kInfiniteCost;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == x) continue;
-        exhaustive = std::min(exhaustive, p.cost_if_swap(x, j));
-      }
-      ASSERT_EQ(best_cost, exhaustive) << context << " x=" << x;
-      ASSERT_EQ(p.cost_if_swap(x, best_j), best_cost) << context << " x=" << x;
     }
   }
 };
@@ -171,6 +177,59 @@ INSTANTIATE_TEST_SUITE_P(AllModels, BatchedApiContract,
                            std::replace(name.begin(), name.end(), '-', '_');
                            return name;
                          });
+
+// The kernels whose probes skip work: perfect-square bounds each decode by
+// the running best and prices equal-size swaps without one; alpha runs one
+// dense pass over every equation.  expect_best_swap_matches_reference checks
+// every x, so the first and last positions are always among them.
+struct SizedModel {
+  const char* name;
+  std::size_t size;
+};
+constexpr SizedModel kPruningKernels[] = {{"perfect-square", 5},
+                                          {"perfect-square", 8},
+                                          {"perfect-square", 0},
+                                          {"alpha", 26}};
+
+TEST(BatchedApiEdgeCases, PruningKernelsMatchReferenceBeforeAndAfterRandomize) {
+  for (const auto& model : kPruningKernels) {
+    auto p = make_problem(model.name, model.size, 3);
+    const std::string label =
+        std::string(model.name) + ":" + std::to_string(model.size);
+    // Before any randomize perfect-square has no prefix checkpoints yet and
+    // alpha's equation sums are still zero.
+    expect_best_swap_matches_reference(*p, 4000, label + " before randomize");
+    util::Xoshiro256 rng(27);
+    for (std::uint64_t round = 0; round < 4; ++round) {
+      p->randomize(rng);
+      expect_best_swap_matches_reference(*p, 5000 + 100 * round,
+                                         label + " randomized");
+    }
+  }
+}
+
+TEST(BatchedApiEdgeCases, AllEqualPerfectSquareSizesTieOnEveryCandidate) {
+  // Nine 2x2 squares tile a 6x6 square in any order: every candidate costs
+  // zero, so each one after the first ties and draws.
+  PerfectSquareInstance equal;
+  equal.side = 6;
+  equal.sizes.assign(9, 2);
+  equal.label = "nine 2x2";
+  PerfectSquare p(equal);
+  expect_best_swap_matches_reference(p, 6000, "nine 2x2 before randomize");
+  util::Xoshiro256 rng(28);
+  p.randomize(rng);
+  expect_best_swap_matches_reference(p, 7000, "nine 2x2 randomized");
+  const std::size_t n = p.num_variables();
+  for (std::size_t x = 0; x < n; ++x) {
+    util::Xoshiro256 draws(x);
+    std::size_t best_j = 0, ties = 0;
+    Cost best_cost = 1;
+    (void)p.best_swap_for(x, draws, best_j, best_cost, ties);
+    EXPECT_EQ(best_cost, 0);
+    EXPECT_EQ(ties, n - 1);
+  }
+}
 
 }  // namespace
 }  // namespace cspls::problems

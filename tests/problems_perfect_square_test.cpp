@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/adaptive_search.hpp"
 #include "util/rng.hpp"
@@ -146,6 +149,93 @@ TEST(PerfectSquare, DescendingSizeOrderSolvesEveryQuadtreeInstance) {
       EXPECT_EQ(p.assign(order), 0) << "seed=" << seed << " splits=" << splits;
       EXPECT_TRUE(p.verify(order));
     }
+  }
+}
+
+// Brute-force bottom-left decoder sharing no code with the model: for every
+// x the square's support level is the highest of its s columns, and the
+// square goes to the smallest (y, x).  Waste per order position is the area
+// buried below the square plus the area poking above the lid.
+struct OracleDecode {
+  std::vector<SquarePlacement> placements;
+  std::vector<Cost> waste;
+};
+
+OracleDecode oracle_decode(const PerfectSquareInstance& inst,
+                           std::span<const int> order) {
+  const int side = inst.side;
+  std::vector<int> h(static_cast<std::size_t>(side), 0);
+  OracleDecode out;
+  for (const int id : order) {
+    const int s = inst.sizes[static_cast<std::size_t>(id)];
+    int best_x = -1;
+    int best_y = 0;
+    for (int x = 0; x + s <= side; ++x) {
+      const int y = *std::max_element(h.begin() + x, h.begin() + x + s);
+      if (best_x < 0 || y < best_y) {
+        best_x = x;
+        best_y = y;
+      }
+    }
+    Cost waste = 0;
+    for (int c = best_x; c < best_x + s; ++c) {
+      waste += best_y - h[static_cast<std::size_t>(c)];
+      h[static_cast<std::size_t>(c)] = best_y + s;
+    }
+    if (best_y + s > side) waste += static_cast<Cost>(best_y + s - side) * s;
+    out.placements.push_back(SquarePlacement{best_x, best_y, s, id});
+    out.waste.push_back(waste);
+  }
+  return out;
+}
+
+void expect_matches_oracle(const PerfectSquare& p, const std::string& what) {
+  const OracleDecode oracle = oracle_decode(p.instance(), p.values());
+  const auto& placements = p.placements();
+  ASSERT_EQ(placements.size(), oracle.placements.size()) << what;
+  for (std::size_t pos = 0; pos < placements.size(); ++pos) {
+    const auto& got = placements[pos];
+    const auto& want = oracle.placements[pos];
+    ASSERT_EQ(got.x, want.x) << what << " pos=" << pos;
+    ASSERT_EQ(got.y, want.y) << what << " pos=" << pos;
+    ASSERT_EQ(got.size, want.size) << what << " pos=" << pos;
+    ASSERT_EQ(got.id, want.id) << what << " pos=" << pos;
+  }
+  std::vector<Cost> waste(p.num_variables());
+  p.cost_on_all_variables(waste);
+  ASSERT_EQ(waste, oracle.waste) << what;
+  ASSERT_EQ(p.total_cost(),
+            std::accumulate(oracle.waste.begin(), oracle.waste.end(), Cost{0}))
+      << what;
+}
+
+/// Random orders from randomize(), then random commits, which re-decode
+/// from a prefix checkpoint.
+void sweep_against_oracle(const PerfectSquareInstance& inst,
+                          std::uint64_t seed) {
+  PerfectSquare p(inst);
+  util::Xoshiro256 rng(seed);
+  const std::size_t n = p.num_variables();
+  for (int trial = 0; trial < 4; ++trial) {
+    p.randomize(rng);
+    expect_matches_oracle(p, inst.label + " randomize");
+    for (int step = 0; step < 10 && n > 1; ++step) {
+      const auto i = static_cast<std::size_t>(rng.below(n));
+      auto j = static_cast<std::size_t>(rng.below(n));
+      if (i == j) j = (j + 1) % n;
+      p.swap(i, j);
+      expect_matches_oracle(p, inst.label + " swap");
+    }
+  }
+}
+
+TEST(PerfectSquare, DecoderMatchesABruteForceBottomLeftOracle) {
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
+    for (int splits = 1; splits <= 20; ++splits) {
+      sweep_against_oracle(PerfectSquareInstance::quadtree(5, splits, seed),
+                           seed);
+    }
+    sweep_against_oracle(PerfectSquareInstance::duijvestijn21(), seed);
   }
 }
 

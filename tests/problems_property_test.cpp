@@ -237,10 +237,11 @@ INSTANTIATE_TEST_SUITE_P(AllModels, ProblemContract,
 TEST(KernelScalarEquivalence, RandomSweepAcrossKernelsAndOddSizes) {
   // At least one size per kernel whose variable count is not a multiple of
   // eight (perfect-square size is the quadtree split count: 4 -> n=13,
-  // 6 -> n=19; langford size n -> 2n variables).
+  // 6 -> n=19, 8 -> n=25, and 0 is Duijvestijn-21; langford size n -> 2n
+  // variables).
   const std::map<std::string, std::vector<std::size_t>> sweep_sizes = {
       {"costas", {7, 9}},        {"all-interval", {11, 14}},
-      {"perfect-square", {4, 6}}, {"magic-square", {5, 6}},
+      {"perfect-square", {4, 6, 8, 0}}, {"magic-square", {5, 6}},
       {"queens", {11, 13}},      {"langford", {7, 9}},
       {"partition", {12, 20}},   {"alpha", {26}},
   };
