@@ -1,26 +1,44 @@
-// Asynchronous solve service: submit(SolveRequest) -> JobHandle, with
-// wait() / status() / cancel(), FIFO admission and a bounded global thread
-// budget shared by every concurrent job — the serving story on top of the
-// api::Solver façade.
+// The serving engine: submit(SolveRequest) -> JobHandle, with three
+// priority lanes, one walker-thread budget shared by every job, resident
+// workers, running preemption and per-job callbacks — the serving story on
+// top of the api::Solver façade.
 //
-// Thread accounting: the budget counts *walker* threads.  A queued job is
-// admitted when it reaches the head of the queue and at least one budget
-// slot is free; it then leases min(its desired parallelism, free slots)
-// and its WalkerPool is capped to that lease (walkers beyond the lease run
-// in waves, exactly WalkerPoolOptions::max_threads semantics).  Sequential
-// and emulated-race jobs lease one slot.  Leases return to the pool when
-// the job finishes, waking the next queued job.
+// Lanes and claiming: a job waits in the lane of its Priority, strongest
+// first and FIFO within a lane.  `thread_budget` resident worker threads,
+// started with the service, claim the front of the strongest non-empty
+// lane whenever a budget slot is free.  The claim leases min(the job's
+// desired parallelism, free slots) and caps its WalkerPool to that lease
+// (walkers beyond it run in waves, WalkerPoolOptions::max_threads
+// semantics); sequential and emulated-race jobs lease one slot.  Every
+// running job holds at least one slot, so running jobs never outnumber the
+// workers, and submission only enqueues: no thread starts per job.
 //
-// OS threads are bounded by the budget, not the queue depth: submission
-// only enqueues; one dispatcher thread admits jobs and spawns a worker per
-// *running* job (each holds >= 1 lease, so running jobs <= budget).  A
-// client may queue thousands of requests without growing the thread count.
+// Admission: `max_lane_depth` bounds each lane's queue (running jobs are
+// not counted).  A submit to a full lane throws OverloadedError before
+// on_accepted fires; the serving tier answers it with the `overloaded`
+// protocol error (HTTP 429).
+//
+// Preemption: when a job enters its lane while no slot is free, the weakest
+// running job of a weaker lane is asked to suspend.  It stops at its next
+// safe point and surrenders a PoolCheckpoint; the worker releases its
+// lease, fires on_preempted and requeues it at the front of its lane with
+// the checkpoint as resume_from, so its next claim continues the walk
+// byte-identically to never having been interrupted.  A failed capture
+// requeues the job from its last resume point (it loses only work).
+//
+// Callbacks (JobCallbacks): on_accepted fires inside submit() once the job
+// has its id and before any worker can claim it; on_sample fires from
+// walker threads; on_preempted fires before the suspended job can be
+// claimed again; on_done fires exactly once, after the status turned
+// terminal.  None runs under the engine lock, so a callback may call back
+// into the service.  Callbacks must be thread-safe and must not throw.
 //
 // Cancellation: cancel() flips the job's flag.  A queued job finishes
-// immediately (kCancelled, empty report); a running job stops within one
-// engine polling period and its report carries the best configuration
-// reached so far (the anytime contract) with `cancelled` set.  Destroying
-// the service cancels every outstanding job and joins all workers.
+// immediately (kCancelled, report.cancelled set); a running job stops
+// within one engine polling period and its report carries the best
+// configuration reached so far (the anytime contract) with `cancelled`
+// set.  Destroying the service cancels every outstanding job and joins the
+// workers.
 //
 // Self-healing: an attempt that crashes wholesale (every walker failed, or
 // the dispatch path threw) or stalls (no engine heartbeat for the
@@ -33,63 +51,71 @@
 // down.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <stdexcept>
+#include <string_view>
+#include <thread>
+#include <vector>
 
 #include "api/solve.hpp"
 #include "api/solver.hpp"
 
 namespace cspls::api {
 
+/// Admission lanes, strongest first (the numeric value is the lane index).
+enum class Priority : std::uint8_t { kHigh = 0, kNormal = 1, kLow = 2 };
+inline constexpr std::size_t kNumLanes = 3;
+
+/// "high" | "normal" | "low", the wire names.
+[[nodiscard]] std::string_view name_of(Priority priority) noexcept;
+[[nodiscard]] std::optional<Priority> priority_from_name(
+    std::string_view name) noexcept;
+
+/// Thrown by SolverService::submit when the job's lane is at its depth
+/// bound; nothing was enqueued and no callback fired.
+class OverloadedError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Point-in-time view of a SolverService — what a transport's /stats
 /// endpoint and a load generator need: the live queue state plus lifetime
 /// counters (monotone since construction).
 struct ServiceStats {
-  std::size_t queued = 0;        ///< jobs admitted to the FIFO, not yet run
-  std::size_t running = 0;       ///< jobs currently holding a thread lease
-  std::uint64_t submitted = 0;   ///< successful submit() calls
+  std::array<std::size_t, kNumLanes> queued{};  ///< per lane, waiting
+  std::size_t running = 0;       ///< jobs holding a thread lease
+  std::uint64_t submitted = 0;   ///< jobs given an id by submit()
   std::uint64_t completed = 0;   ///< jobs finished kDone
   std::uint64_t cancelled = 0;   ///< jobs finished kCancelled
-  std::uint64_t preempted = 0;   ///< jobs finished kPreempted (checkpoint held)
   std::uint64_t failed = 0;      ///< jobs finished kFailed
+  std::uint64_t preempted = 0;   ///< running jobs suspended for a stronger one
+  std::uint64_t resumed = 0;     ///< claims that carried a resume_from
+  std::uint64_t rejected = 0;    ///< submits refused at a full lane
   std::uint64_t retried = 0;     ///< retry backoffs entered (kRetrying)
-  std::uint64_t degraded = 0;    ///< jobs the watchdog degraded at least once
-  std::uint64_t fused_batches = 0;  ///< fused launches (>= 2 jobs sharing one
-                                    ///< resident team)
-  std::uint64_t fused_jobs = 0;  ///< jobs executed inside fused launches
+  std::uint64_t degraded = 0;    ///< claims the watchdog degraded at least once
   std::size_t thread_budget = 0;
   std::size_t free_threads = 0;
 
   /// {"queued":..,"running":..,...} — member order fixed, so the encoding
-  /// is deterministic for a given snapshot.
+  /// is deterministic for a given snapshot.  "queued" sums the lanes;
+  /// `resumed` and `rejected` appear in the serving tier's scheduler pane.
   [[nodiscard]] util::Json to_json() const;
 
   [[nodiscard]] bool operator==(const ServiceStats&) const = default;
 };
 
-/// Streaming subscription for a submitted job: `on_sample` receives
-/// (walker_id, iteration, cost) from walker threads while attempts run (see
-/// SolveCallbacks::sample_sink) — the transport lifts nonincreasing
-/// best-cost events out of it.  Retried attempts stream too, so a consumer
-/// wanting monotone output must filter (samples restart at the retry's
-/// starting cost).  Empty on_sample or zero period disables streaming.
-struct JobStream {
-  std::function<void(std::size_t, std::uint64_t, csp::Cost)> on_sample;
-  std::uint64_t sample_period = 0;
-};
-
 enum class JobStatus {
-  kQueued,     ///< admitted to the FIFO, waiting for budget
+  kQueued,     ///< waiting in its lane (also after a preemption)
   kRunning,    ///< leased threads, walkers executing
   kRetrying,   ///< a crashed/stalled attempt is backing off before a rerun
   kDegraded,   ///< running again after the watchdog shrank the walker pool
   kDone,       ///< finished on its own (solved or budget exhausted)
   kCancelled,  ///< stopped by cancel() or service shutdown
-  kPreempted,  ///< suspended at a safe point by suspend(); the captured
-               ///< PoolCheckpoint is waiting in JobHandle::take_checkpoint()
-               ///< and the report carries the best configuration reached
   kFailed,     ///< every attempt crashed wholesale (or an internal error);
                ///< JobHandle::wait() rethrows it, report() still returns
                ///< the structured last-attempt report
@@ -97,10 +123,27 @@ enum class JobStatus {
 
 [[nodiscard]] constexpr bool is_terminal(JobStatus status) noexcept {
   return status == JobStatus::kDone || status == JobStatus::kCancelled ||
-         status == JobStatus::kPreempted || status == JobStatus::kFailed;
+         status == JobStatus::kFailed;
 }
 
 [[nodiscard]] std::string_view name_of(JobStatus status);
+
+/// Per-job subscription; every member is optional (see the header comment
+/// for when each fires).
+struct JobCallbacks {
+  std::function<void(std::uint64_t id)> on_accepted;
+  /// (walker_id, iteration, cost) at iteration 0 and every `sample_period`
+  /// iterations of each walk (see SolveCallbacks::sample_sink).  Retried
+  /// and resumed attempts stream too, so a consumer wanting monotone
+  /// output must filter.  Zero period disables streaming.
+  std::function<void(std::size_t, std::uint64_t, csp::Cost)> on_sample;
+  std::uint64_t sample_period = 0;
+  std::function<void()> on_preempted;
+  /// `error` is non-empty only for kFailed.
+  std::function<void(JobStatus status, const SolveReport& report,
+                     std::string_view error)>
+      on_done;
+};
 
 namespace detail {
 struct JobState;
@@ -135,24 +178,9 @@ class JobHandle {
   /// The job's error message ("" unless kFailed).
   [[nodiscard]] std::string error() const;
 
-  /// Request cancellation.  Returns true when the job was still queued or
-  /// running (the request will take effect), false when already terminal.
+  /// Request cancellation.  Returns true when the job was still live (the
+  /// request will take effect), false when already terminal.
   bool cancel() const;
-
-  /// Request suspension to a checkpoint.  A running job stops at its next
-  /// safe point and — when the capture succeeds — finishes kPreempted with
-  /// the PoolCheckpoint retrievable via take_checkpoint(); a failed capture
-  /// degrades the job to a plain kCancelled.  A still-queued job finishes
-  /// kPreempted immediately with *no* checkpoint (nothing ran, so the
-  /// original request resubmitted verbatim is the exact resume).  Returns
-  /// true when the job was still live, false when already terminal.
-  bool suspend() const;
-
-  /// Move the captured checkpoint out of a terminal job (empties the slot:
-  /// a second call returns nullopt).  nullopt for any job that is not
-  /// kPreempted, and for a kPreempted job that never started running.
-  /// Throws std::logic_error while the job is still live.
-  [[nodiscard]] std::optional<parallel::PoolCheckpoint> take_checkpoint() const;
 
   [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
 
@@ -169,12 +197,17 @@ class JobHandle {
 class SolverService {
  public:
   struct Options {
-    /// Global walker-thread budget; 0 = std::thread::hardware_concurrency()
-    /// (at least 1).
+    /// Walker-thread budget and resident worker count; 0 =
+    /// std::thread::hardware_concurrency() (at least 1).
     std::size_t thread_budget = 0;
-    /// Per-job lease cap; 0 = no extra cap (a job may lease the whole free
-    /// budget).  Lower it to keep head-of-line jobs from starving the queue.
-    std::size_t max_threads_per_job = 0;
+    /// Most jobs waiting per lane; 0 = unbounded.
+    std::size_t max_lane_depth = 0;
+  };
+
+  enum class CancelResult {
+    kCancelled,        ///< the job was live and cancellation will take effect
+    kAlreadyTerminal,  ///< known id, but the job already finished
+    kUnknown,          ///< no such id was ever assigned
   };
 
   SolverService() : SolverService(Options{}) {}
@@ -184,33 +217,33 @@ class SolverService {
   SolverService(const SolverService&) = delete;
   SolverService& operator=(const SolverService&) = delete;
 
-  /// Validate and enqueue `request`.  Throws std::invalid_argument on a
-  /// malformed request (unknown problem / unusable size — the message lists
-  /// the valid names); admission itself never blocks.  After shutdown()
-  /// every submission — malformed or not — throws std::runtime_error
-  /// ("submit after shutdown"): the shutdown check runs *before*
-  /// validation, so a closed service never misreports itself as a parse
-  /// error.
+  /// Validate and enqueue `request` in the normal lane.
   [[nodiscard]] JobHandle submit(SolveRequest request) {
-    return submit(std::move(request), JobStream{});
+    return submit(std::move(request), Priority::kNormal, JobCallbacks{});
   }
 
-  /// Same, with a streaming subscription: `stream.on_sample` is invoked
-  /// from walker threads while the job's attempts run.  The callback must
-  /// be thread-safe and must stay valid until the job is terminal.
-  [[nodiscard]] JobHandle submit(SolveRequest request, JobStream stream);
+  /// Validate and enqueue `request` in `priority`'s lane.  Throws
+  /// std::invalid_argument on a malformed request (unknown problem,
+  /// unusable size — the message lists the valid names — degenerate pool
+  /// options or retry policy) and OverloadedError at a full lane; neither
+  /// enqueues anything.  After shutdown() every submission — malformed or
+  /// not — throws std::runtime_error ("submit after shutdown"): the
+  /// shutdown check runs *before* validation, so a closed service never
+  /// misreports itself as a parse error.  By return, on_accepted has fired.
+  [[nodiscard]] JobHandle submit(SolveRequest request, Priority priority,
+                                 JobCallbacks callbacks);
 
-  /// Validate and enqueue a whole batch under one lock (one dispatcher
-  /// wake-up).  All-or-nothing: every request is validated before any is
-  /// enqueued, so a malformed member throws with no sibling submitted.
-  /// Adjacent small members of the batch are natural fusion candidates —
-  /// the dispatcher fuses runs of single-lease jobs at the FIFO head into
-  /// one parallel::FusedRun launch (see ServiceStats::fused_batches).
-  [[nodiscard]] std::vector<JobHandle> submit_batch(
-      std::vector<SolveRequest> requests);
+  /// Cancel by id (JobHandle::cancel for callers that kept only the id).
+  CancelResult cancel(std::uint64_t id);
+
+  /// Admission pre-check for transports that must answer before streaming
+  /// (HTTP's 429): true when `priority`'s lane is at its depth bound.  The
+  /// rejection is counted (ServiceStats::rejected), so a caller returning
+  /// the error to its client must not also call submit().
+  [[nodiscard]] bool reject_overloaded(Priority priority);
 
   /// Stop accepting submissions, cancel every queued and running job and
-  /// join all workers (blocking).  Idempotent; also run by the destructor.
+  /// join the workers (blocking).  Idempotent; also run by the destructor.
   /// Outstanding JobHandles stay valid and observe kCancelled.
   void shutdown();
 
@@ -224,11 +257,9 @@ class SolverService {
   [[nodiscard]] ServiceStats stats() const;
 
  private:
-  void dispatch_loop();
-
   std::size_t budget_ = 1;
-  std::size_t per_job_cap_ = 0;
   std::shared_ptr<detail::ServiceCore> core_;
+  std::vector<std::jthread> workers_;  ///< guarded by core_->m
 };
 
 }  // namespace cspls::api

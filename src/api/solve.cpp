@@ -171,17 +171,8 @@ RetryPolicy retry_from_json(const util::Json& json) {
       get_u64(json, "base_backoff_ms", retry.base_backoff_ms);
   retry.multiplier = get_double(json, "multiplier", retry.multiplier);
   retry.jitter = get_double(json, "jitter", retry.jitter);
-  // Mirror Solver::solve's validation at the wire boundary, so a malformed
-  // policy is rejected where it is decoded, not attempts later.
-  if (retry.max_attempts == 0) {
-    bad_member("retry", "max_attempts must be >= 1 (the first attempt counts)");
-  }
-  if (!(retry.multiplier >= 1.0)) {
-    bad_member("retry", "multiplier must be >= 1 (backoff never shrinks)");
-  }
-  if (!(retry.jitter >= 0.0 && retry.jitter <= 1.0)) {
-    bad_member("retry", "jitter must be in [0, 1]");
-  }
+  // Rejected where it is decoded, not attempts later.
+  retry.validate();
   return retry;
 }
 
@@ -190,6 +181,23 @@ RetryPolicy retry_from_json(const util::Json& json) {
 // ---------------------------------------------------------------------------
 // SolveRequest
 // ---------------------------------------------------------------------------
+
+void RetryPolicy::validate() const {
+  if (max_attempts == 0) {
+    throw std::invalid_argument(
+        "SolveRequest: retry.max_attempts must be at least 1 (the first "
+        "attempt counts)");
+  }
+  if (!(multiplier >= 1.0)) {
+    throw std::invalid_argument(
+        "SolveRequest: retry.multiplier must be >= 1 (backoff never "
+        "shrinks)");
+  }
+  if (!(jitter >= 0.0 && jitter <= 1.0)) {
+    throw std::invalid_argument(
+        "SolveRequest: retry.jitter must be in [0, 1]");
+  }
+}
 
 parallel::WalkerPoolOptions SolveRequest::to_pool_options() const {
   parallel::WalkerPoolOptions options;

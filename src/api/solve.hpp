@@ -65,6 +65,12 @@ struct RetryPolicy {
   double multiplier = 2.0;            ///< exponential growth per retry
   double jitter = 0.0;                ///< uniform jitter fraction in [0, 1]
 
+  /// Throws std::invalid_argument naming the offending member: zero
+  /// max_attempts, a multiplier below 1 or a jitter outside [0, 1].  The
+  /// one check behind SolverService::submit, Solver::solve and the JSON
+  /// decoder.
+  void validate() const;
+
   [[nodiscard]] bool operator==(const RetryPolicy&) const = default;
 };
 
@@ -193,10 +199,11 @@ struct SolveReport {
   /// reached (the anytime contract).
   bool deadline_expired = false;
   /// The run was suspended at a safe point by a preemption request and a
-  /// PoolCheckpoint was captured (handed out-of-band — via
-  /// SolveCallbacks::checkpoint_out or the service job handle — never
-  /// embedded here).  A preemption whose capture failed degrades to a plain
-  /// cancel: `cancelled` is set instead and no checkpoint exists.
+  /// PoolCheckpoint was captured (handed out-of-band via
+  /// SolveCallbacks::checkpoint_out, never embedded here; the service
+  /// requeues the job with it and reports only the resumed run).  A
+  /// preemption whose capture failed degrades to a plain cancel:
+  /// `cancelled` is set instead and no checkpoint exists.
   bool preempted = false;
 
   /// Winning walker id, or parallel::kNoWinner.

@@ -2,11 +2,9 @@
 
 #include <chrono>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 
 #include "core/stop_token.hpp"
-#include "parallel/fused.hpp"
 #include "problems/spec.hpp"
 
 namespace cspls::api {
@@ -32,9 +30,6 @@ WalkerReport walker_report_of(const parallel::WalkerOutcome& outcome) {
   return report;
 }
 
-/// MultiWalkReport -> SolveReport conversion shared by the solo and fused
-/// paths (identical interpretation is what makes the fused byte-identity
-/// guarantee meaningful at this layer).
 SolveReport report_of(const problems::ProblemSpec& spec,
                       const parallel::MultiWalkReport& pool_report) {
   SolveReport report;
@@ -66,28 +61,11 @@ SolveReport report_of(const problems::ProblemSpec& spec,
   return report;
 }
 
-void validate_retry(const RetryPolicy& retry) {
-  if (retry.max_attempts == 0) {
-    throw std::invalid_argument(
-        "SolveRequest: retry.max_attempts must be at least 1 (the first "
-        "attempt counts)");
-  }
-  if (!(retry.multiplier >= 1.0)) {
-    throw std::invalid_argument(
-        "SolveRequest: retry.multiplier must be >= 1 (backoff never "
-        "shrinks)");
-  }
-  if (!(retry.jitter >= 0.0 && retry.jitter <= 1.0)) {
-    throw std::invalid_argument(
-        "SolveRequest: retry.jitter must be in [0, 1]");
-  }
-}
-
 }  // namespace
 
 SolveReport Solver::solve(const SolveRequest& request, core::StopToken token,
                           const SolveCallbacks& callbacks) {
-  validate_retry(request.retry);
+  request.retry.validate();
   const problems::ProblemSpec spec = problems::parse_spec(request.problem);
   const std::unique_ptr<csp::Problem> problem = problems::instantiate(spec);
 
@@ -108,54 +86,6 @@ SolveReport Solver::solve(const SolveRequest& request, core::StopToken token,
   const parallel::WalkerPool pool(std::move(options));
   const parallel::MultiWalkReport pool_report = pool.run(*problem, token);
   return report_of(spec, pool_report);
-}
-
-std::vector<std::size_t> Solver::solve_fused(
-    std::span<const FusedSolveJob> jobs, const FusedSolveOptions& options,
-    const FusedSolveSink& sink) {
-  // Validate and instantiate the whole batch before any member runs: a
-  // malformed request throws here, with no sibling half-solved.  The
-  // instances must outlive the fused run (prototypes are borrowed).
-  std::vector<problems::ProblemSpec> specs;
-  std::vector<std::unique_ptr<csp::Problem>> problems;
-  std::vector<parallel::FusedJob> fused;
-  specs.reserve(jobs.size());
-  problems.reserve(jobs.size());
-  fused.reserve(jobs.size());
-  const auto launch = core::StopToken::Clock::now();
-  for (const FusedSolveJob& job : jobs) {
-    validate_retry(job.request.retry);
-    specs.push_back(problems::parse_spec(job.request.problem));
-    problems.push_back(problems::instantiate(specs.back()));
-
-    parallel::FusedJob member;
-    member.prototype = problems.back().get();
-    member.options = job.request.to_pool_options();
-    member.options.heartbeat = job.callbacks.heartbeat;
-    if (job.callbacks.sample_sink && job.callbacks.sample_period != 0) {
-      member.options.sample_sink = job.callbacks.sample_sink;
-      member.options.sample_sink_period = job.callbacks.sample_period;
-    }
-    member.options.preempt = job.callbacks.preempt;
-    member.options.checkpoint_out = job.callbacks.checkpoint_out;
-    // Each member's time budget runs from the batch launch — the fused
-    // analogue of the solo path stamping the deadline at solve() entry.
-    member.stop = job.request.deadline_ms != 0
-                      ? job.token.expiring_at(
-                            launch + std::chrono::milliseconds(
-                                         job.request.deadline_ms))
-                      : job.token;
-    fused.push_back(std::move(member));
-  }
-
-  parallel::FusedOptions fused_options;
-  fused_options.num_threads = options.num_threads;
-  fused_options.admit = options.admit;
-  const parallel::FusedRun runner(std::move(fused_options));
-  return runner.run(
-      fused, [&](std::size_t member, parallel::MultiWalkReport pool_report) {
-        if (sink) sink(member, report_of(specs[member], pool_report));
-      });
 }
 
 }  // namespace cspls::api

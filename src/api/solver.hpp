@@ -7,8 +7,7 @@
 
 #include <atomic>
 #include <functional>
-#include <span>
-#include <vector>
+#include <optional>
 
 #include "api/solve.hpp"
 
@@ -59,42 +58,6 @@ class Solver {
   [[nodiscard]] static SolveReport solve(const SolveRequest& request,
                                          core::StopToken token,
                                          const SolveCallbacks& callbacks);
-
-  /// One member of a fused batch solve: a complete request plus its own
-  /// stop token and observation channels, exactly what the solo overload
-  /// takes.
-  struct FusedSolveJob {
-    SolveRequest request;
-    core::StopToken token;
-    SolveCallbacks callbacks;
-  };
-
-  struct FusedSolveOptions {
-    /// Resident team size shared by the whole batch (0 = hardware
-    /// concurrency, 1 = run the batch inline on the calling thread).
-    std::size_t num_threads = 0;
-    /// Admission gate consulted once per member just before its first
-    /// walker runs (see parallel::FusedOptions::admit); returning false
-    /// withdraws the member without running it.  Null admits everything.
-    std::function<bool(std::size_t member)> admit;
-  };
-
-  /// Per-member completion callback: called exactly once per admitted
-  /// member, from a team thread, while sibling members may still be
-  /// running.  Must be thread-safe.
-  using FusedSolveSink = std::function<void(std::size_t, SolveReport)>;
-
-  /// Batch entry point over parallel::FusedRun: every member is validated
-  /// and instantiated up front (throwing std::invalid_argument before any
-  /// work), then the whole batch executes on one resident thread team —
-  /// one launch instead of N.  Each member's fixed-seed SolveReport is
-  /// byte-identical to its solo solve() (timing fields excepted); each
-  /// member's deadline_ms is applied from the moment the batch launches.
-  /// Blocks until every admitted member's sink has returned; returns the
-  /// indices of withdrawn members in ascending order.
-  static std::vector<std::size_t> solve_fused(
-      std::span<const FusedSolveJob> jobs, const FusedSolveOptions& options,
-      const FusedSolveSink& sink);
 };
 
 }  // namespace cspls::api

@@ -27,8 +27,8 @@
 //   * Late withdrawal.  `FusedOptions::admit` is consulted exactly once per
 //     member, right before its first walker would run.  Returning false
 //     withdraws the member: no walker runs, no sink fires, and the index is
-//     returned from run() — this is what lets a warm worker give unstarted
-//     batch members back to the scheduler after claiming them.  (A member
+//     returned from run(), so a caller can hand unstarted members back to
+//     wherever it claimed them from.  (A member
 //     whose StopToken is already cancelled is admitted and reports
 //     interrupted-kCancel through the normal path: it was *started* and
 //     owes its caller a report.)

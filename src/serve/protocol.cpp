@@ -4,25 +4,6 @@
 
 namespace cspls::serve {
 
-std::string_view name_of(Priority priority) noexcept {
-  switch (priority) {
-    case Priority::kHigh:
-      return "high";
-    case Priority::kNormal:
-      return "normal";
-    case Priority::kLow:
-      return "low";
-  }
-  return "normal";
-}
-
-std::optional<Priority> priority_from_name(std::string_view name) noexcept {
-  if (name == "high") return Priority::kHigh;
-  if (name == "normal") return Priority::kNormal;
-  if (name == "low") return Priority::kLow;
-  return std::nullopt;
-}
-
 namespace {
 
 [[noreturn]] void bad_envelope(const std::string& message) {

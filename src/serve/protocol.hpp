@@ -40,18 +40,16 @@
 #include <string_view>
 #include <variant>
 
-#include "api/solve.hpp"
+#include "api/service.hpp"
 #include "util/json.hpp"
 
 namespace cspls::serve {
 
-/// Admission lanes, strongest first (the numeric value is the lane index).
-enum class Priority : std::uint8_t { kHigh = 0, kNormal = 1, kLow = 2 };
-inline constexpr std::size_t kNumLanes = 3;
-
-[[nodiscard]] std::string_view name_of(Priority priority) noexcept;
-[[nodiscard]] std::optional<Priority> priority_from_name(
-    std::string_view name) noexcept;
+/// Admission lanes, strongest first: the serving engine's own.
+using api::kNumLanes;
+using api::name_of;
+using api::Priority;
+using api::priority_from_name;
 
 // Stable error codes of the `error` event.
 inline constexpr std::string_view kErrOversized = "oversized";

@@ -5,8 +5,11 @@
 // HTTP/1.1 listener (see http_server.hpp); with it, stdin EOF does not
 // end the process — the listener keeps serving until SIGINT/SIGTERM, so
 // `cspls_serve --http &` works as a daemon even where background jobs
-// get /dev/null stdin.  Run `cspls_serve --help` for the knobs; with no
-// arguments it serves stdio with production defaults, so
+// get /dev/null stdin.  Every job runs on one engine (api::SolverService):
+// three priority lanes feeding --threads resident workers under one
+// walker-thread budget, with running preemption.  Run `cspls_serve --help`
+// for the knobs; with no arguments it serves stdio with production
+// defaults, so
 //
 //   printf '%s\n' '{"op":"solve","request":{"problem":"costas:8"}}' \
 //     | cspls_serve
@@ -27,15 +30,8 @@ int main(int argc, char** argv) {
   util::ArgParser args("cspls_serve",
                        "JSON-lines solve server (stdio, optional HTTP)");
   args.add_uint64("threads", 0,
-                  "walker-thread budget of the service path (0 = hardware "
-                  "concurrency)");
-  args.add_uint64("warm-workers", 2, "warm-pool worker threads");
-  args.add_uint64("warm-threshold", 1,
-                  "thread-lease estimate at or below which a job runs on "
-                  "the warm path");
-  args.add_uint64("batch", 8, "most jobs a warm worker claims per visit");
-  args.add_uint64("inflight", 4,
-                  "most service-path jobs inside the service at once");
+                  "walker-thread budget shared by every job, and the "
+                  "number of resident workers (0 = hardware concurrency)");
   args.add_uint64("sample-period", 256,
                   "default sample period (iterations) for streaming jobs");
   args.add_uint64("max-line-bytes", 1 << 20, "request line/body size limit");
@@ -60,12 +56,6 @@ int main(int argc, char** argv) {
   }
 
   serve::SchedulerOptions options;
-  options.warm_workers = static_cast<std::size_t>(args.get_uint64("warm-workers"));
-  options.warm_lease_threshold =
-      static_cast<std::size_t>(args.get_uint64("warm-threshold"));
-  options.warm_batch_max = static_cast<std::size_t>(args.get_uint64("batch"));
-  options.service_inflight =
-      static_cast<std::size_t>(args.get_uint64("inflight"));
   options.default_sample_period = args.get_uint64("sample-period");
   options.service.thread_budget =
       static_cast<std::size_t>(args.get_uint64("threads"));

@@ -45,7 +45,7 @@ TEST(SelfHealing, RetriesCrashedAttemptsAndSucceeds) {
   if (!util::fault::kCompiledIn) {
     GTEST_SKIP() << "build without CSPLS_FAULT_INJECTION";
   }
-  SolverService service(SolverService::Options{2, 0});
+  SolverService service(SolverService::Options{2});
   SolveRequest request = quick_request(17);
   request.faults = {dispatch_crash(1), dispatch_crash(2)};
   request.retry.max_attempts = 3;
@@ -64,7 +64,7 @@ TEST(SelfHealing, ExhaustedRetriesResolveAsFailedNotAsAHang) {
   if (!util::fault::kCompiledIn) {
     GTEST_SKIP() << "build without CSPLS_FAULT_INJECTION";
   }
-  SolverService service(SolverService::Options{2, 0});
+  SolverService service(SolverService::Options{2});
   SolveRequest request = quick_request(18);
   request.faults = {dispatch_crash(1), dispatch_crash(2)};
   request.retry.max_attempts = 2;
@@ -88,7 +88,7 @@ TEST(SelfHealing, AllWalkersCrashingIsRetriedWithBackoffAndResolves) {
   // The ISSUE's acceptance scenario: every walker of every attempt crashes;
   // with max_attempts = 3 the service retries with exponential backoff and
   // resolves the job — without hanging and without terminating the process.
-  SolverService service(SolverService::Options{2, 0});
+  SolverService service(SolverService::Options{2});
   SolveRequest request = quick_request(23);
   FaultPlan kill_all;
   kill_all.site = Site::kWalkerIteration;
@@ -118,7 +118,7 @@ TEST(SelfHealing, WatchdogDegradesAStalledJobInsteadOfHanging) {
   if (!util::fault::kCompiledIn) {
     GTEST_SKIP() << "build without CSPLS_FAULT_INJECTION";
   }
-  SolverService service(SolverService::Options{2, 0});
+  SolverService service(SolverService::Options{2});
   // Unsolvable instance, every walker wedged for 1 s early in the walk: the
   // only ways out are the watchdog or an hours-long budget.
   SolveRequest request;
@@ -204,7 +204,7 @@ TEST(SelfHealing, StatusTaxonomyNamesTheHealingStates) {
 }
 
 TEST(SelfHealing, ReportAccessorThrowsWhileTheJobIsLive) {
-  SolverService service(SolverService::Options{1, 0});
+  SolverService service(SolverService::Options{1});
   SolveRequest request;
   request.problem = "langford:5";
   request.walkers = 1;
@@ -298,42 +298,6 @@ TEST(SelfHealingJson, FailureDetailsRoundTripThroughTheReport) {
   EXPECT_FALSE(decoded.walkers[1].failed);
   EXPECT_TRUE(decoded.walkers[1].error.empty());
   EXPECT_EQ(decoded.to_json_string(), encoded);
-}
-
-TEST(SelfHealing, FusedMemberDispatchCrashFailsOnlyThatJob) {
-  if (!util::fault::kCompiledIn) {
-    GTEST_SKIP() << "build without CSPLS_FAULT_INJECTION";
-  }
-  // The fused path keeps the solo path's failure model: each member gets
-  // its own service_dispatch probe, so an injected dispatch crash fails
-  // exactly the member that carries the plan while its fused siblings
-  // solve normally.
-  SolverService service(SolverService::Options{4, 0});
-  std::vector<SolveRequest> batch;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    SolveRequest request = quick_request(seed);
-    request.scheduling = parallel::Scheduling::kSequential;  // fusible
-    batch.push_back(request);
-  }
-  batch[1].faults = {dispatch_crash(1)};
-
-  const std::vector<JobHandle> jobs = service.submit_batch(batch);
-  ASSERT_TRUE(jobs[1].wait_for(milliseconds(30'000)));
-  EXPECT_EQ(jobs[1].status(), JobStatus::kFailed);
-  EXPECT_NE(jobs[1].error().find("injected fault"), std::string::npos);
-  EXPECT_EQ(jobs[1].report().attempts, 1u);
-
-  for (const std::size_t sibling : {std::size_t{0}, std::size_t{2}}) {
-    ASSERT_TRUE(jobs[sibling].wait_for(milliseconds(30'000)));
-    EXPECT_EQ(jobs[sibling].status(), JobStatus::kDone);
-    EXPECT_TRUE(jobs[sibling].report().solved);
-  }
-
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.fused_batches, 1u);
-  EXPECT_EQ(stats.fused_jobs, 3u);
-  EXPECT_EQ(stats.failed, 1u);
-  EXPECT_EQ(stats.completed, 2u);
 }
 
 }  // namespace

@@ -1,14 +1,20 @@
-// api::SolverService: concurrent jobs under a bounded thread budget, FIFO
-// admission, cancellation of queued and running jobs, failure surfacing
-// and shutdown semantics.
+// api::SolverService, the one serving engine: concurrent jobs under a
+// bounded thread budget, strongest-first lanes, admission, running
+// preemption with byte-identical resume, per-job callbacks, cancellation
+// of queued and running jobs, failure surfacing and shutdown semantics.
 #include "api/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <map>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -46,8 +52,52 @@ SolveRequest endless_request(std::uint64_t seed) {
   return request;
 }
 
+SolveRequest tiny_request(std::uint64_t seed) {
+  SolveRequest request = quick_request(seed);
+  request.walkers = 1;
+  request.scheduling = parallel::Scheduling::kSequential;
+  return request;
+}
+
+/// The order in which jobs start walking.  Every walk samples at
+/// iteration 0, so a job's first sample marks its start.
+class StartLog {
+ public:
+  /// Callbacks that log job `label`'s start.
+  JobCallbacks track(int label) {
+    JobCallbacks callbacks;
+    callbacks.sample_period = 1 << 20;
+    callbacks.on_sample = [this, label](std::size_t, std::uint64_t,
+                                        csp::Cost) {
+      std::lock_guard lock(m_);
+      if (std::find(order_.begin(), order_.end(), label) == order_.end()) {
+        order_.push_back(label);
+        cv_.notify_all();
+      }
+    };
+    return callbacks;
+  }
+
+  bool wait_started(int label) {
+    std::unique_lock lock(m_);
+    return cv_.wait_for(lock, milliseconds(30'000), [&] {
+      return std::find(order_.begin(), order_.end(), label) != order_.end();
+    });
+  }
+
+  std::vector<int> order() {
+    std::lock_guard lock(m_);
+    return order_;
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable cv_;
+  std::vector<int> order_;
+};
+
 TEST(SolverService, RunsConcurrentJobsUnderAThreadBudget) {
-  SolverService service(SolverService::Options{2, 0});
+  SolverService service(SolverService::Options{2});
   EXPECT_EQ(service.thread_budget(), 2u);
 
   std::vector<JobHandle> jobs;
@@ -64,7 +114,7 @@ TEST(SolverService, RunsConcurrentJobsUnderAThreadBudget) {
 }
 
 TEST(SolverService, BudgetOfOneStillCompletesEveryJob) {
-  SolverService service(SolverService::Options{1, 0});
+  SolverService service(SolverService::Options{1});
   std::vector<JobHandle> jobs;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     jobs.push_back(service.submit(quick_request(seed)));
@@ -81,7 +131,7 @@ TEST(SolverService, ResultsAreDeterministicUnderQueueing) {
   request.termination = parallel::Termination::kBestAfterBudget;
   const SolveReport direct = Solver::solve(request);
 
-  SolverService service(SolverService::Options{1, 0});
+  SolverService service(SolverService::Options{1});
   std::vector<JobHandle> jobs;
   for (int i = 0; i < 3; ++i) jobs.push_back(service.submit(request));
   for (const JobHandle& job : jobs) {
@@ -95,7 +145,7 @@ TEST(SolverService, ResultsAreDeterministicUnderQueueing) {
 }
 
 TEST(SolverService, CancelStopsARunningThreadsJob) {
-  SolverService service(SolverService::Options{2, 0});
+  SolverService service(SolverService::Options{2});
   const JobHandle job = service.submit(endless_request(5));
 
   // Wait for admission, then let the walkers actually run a bit.
@@ -118,7 +168,7 @@ TEST(SolverService, CancelStopsARunningThreadsJob) {
 }
 
 TEST(SolverService, CancelAQueuedJobBeforeItRuns) {
-  SolverService service(SolverService::Options{1, 0});
+  SolverService service(SolverService::Options{1});
   const JobHandle running = service.submit(endless_request(6));
   const JobHandle queued = service.submit(quick_request(1));
 
@@ -133,7 +183,7 @@ TEST(SolverService, CancelAQueuedJobBeforeItRuns) {
 }
 
 TEST(SolverService, DeadlinesWorkThroughTheService) {
-  SolverService service(SolverService::Options{2, 0});
+  SolverService service(SolverService::Options{2});
   SolveRequest request = endless_request(7);
   request.deadline_ms = 100;
   const JobHandle job = service.submit(request);
@@ -146,7 +196,7 @@ TEST(SolverService, DeadlinesWorkThroughTheService) {
 }
 
 TEST(SolverService, SubmitRejectsBadSpecsSynchronously) {
-  SolverService service(SolverService::Options{1, 0});
+  SolverService service(SolverService::Options{1});
   SolveRequest request = quick_request(1);
   request.problem = "knapsack:10";
   try {
@@ -161,7 +211,7 @@ TEST(SolverService, SubmitRejectsBadSpecsSynchronously) {
 TEST(SolverService, SubmitRejectsDegeneratePoolOptionsSynchronously) {
   // Degenerate WalkerPool configurations fail at the submission site (the
   // submit contract), not as an asynchronously kFailed job.
-  SolverService service(SolverService::Options{1, 0});
+  SolverService service(SolverService::Options{1});
   SolveRequest zero_walkers = quick_request(1);
   zero_walkers.walkers = 0;
   EXPECT_THROW((void)service.submit(zero_walkers), std::invalid_argument);
@@ -178,7 +228,7 @@ TEST(SolverService, SubmitAfterShutdownReportsShutdownNotValidation) {
   // shutdown flag, so a malformed request submitted after shutdown was
   // misreported as a parse/validation error.  Shutdown wins: every
   // post-shutdown submission fails the same way, malformed or not.
-  SolverService service(SolverService::Options{1, 0});
+  SolverService service(SolverService::Options{1});
   service.shutdown();
 
   SolveRequest malformed = quick_request(1);
@@ -200,7 +250,7 @@ TEST(SolverService, SubmitAfterShutdownReportsShutdownNotValidation) {
 }
 
 TEST(SolverService, ShutdownIsIdempotentAndCancelsOutstandingJobs) {
-  SolverService service(SolverService::Options{1, 0});
+  SolverService service(SolverService::Options{1});
   const JobHandle running = service.submit(endless_request(11));
   const JobHandle queued = service.submit(endless_request(12));
   service.shutdown();
@@ -213,7 +263,7 @@ TEST(SolverService, ShutdownIsIdempotentAndCancelsOutstandingJobs) {
 TEST(SolverService, DestructionCancelsOutstandingJobs) {
   JobHandle survivor;
   {
-    SolverService service(SolverService::Options{1, 0});
+    SolverService service(SolverService::Options{1});
     survivor = service.submit(endless_request(8));
     (void)service.submit(endless_request(9));  // stays queued behind it
     // Service destructor: cancels both, joins workers.
@@ -236,7 +286,7 @@ TEST(SolverService, InvalidHandleThrowsInsteadOfCrashing) {
 TEST(SolverService, DeepQueueDrainsWithoutThreadGrowth) {
   // Submission only enqueues (no thread per queued job): a queue much
   // deeper than the budget must drain completely.
-  SolverService service(SolverService::Options{2, 0});
+  SolverService service(SolverService::Options{2});
   std::vector<JobHandle> jobs;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     SolveRequest request = quick_request(seed);
@@ -256,7 +306,7 @@ TEST(SolverServiceRaces, ShutdownWithJobsStillQueued) {
   // kCancelled exactly once, with no handle left hanging — regardless of
   // how far the dispatcher got with admissions.
   for (int round = 0; round < 4; ++round) {
-    SolverService service(SolverService::Options{1, 0});
+    SolverService service(SolverService::Options{1});
     std::vector<JobHandle> jobs;
     jobs.push_back(service.submit(endless_request(100 + round)));
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
@@ -277,7 +327,7 @@ TEST(SolverServiceRaces, CancelRacingNaturalCompletion) {
   // own: whichever side wins, the job lands in exactly one terminal state
   // and the report matches it (a late cancel must never wrap a solved,
   // uncancelled report in a kCancelled status).
-  SolverService service(SolverService::Options{2, 0});
+  SolverService service(SolverService::Options{2});
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const JobHandle job = service.submit(quick_request(seed));
     std::jthread canceller([&job] { (void)job.cancel(); });
@@ -301,7 +351,7 @@ TEST(SolverServiceRaces, ConcurrentWaitersAllObserveTheSameReport) {
   // Several threads in wait() plus repeated wait() on one handle: every
   // waiter must return the same terminal report object (wait() after
   // terminal is a pure read, never a second consume).
-  SolverService service(SolverService::Options{2, 0});
+  SolverService service(SolverService::Options{2});
   const JobHandle job = service.submit(quick_request(5));
   const SolveReport* seen[3] = {nullptr, nullptr, nullptr};
   {
@@ -321,7 +371,7 @@ TEST(SolverServiceRaces, ConcurrentWaitersAllObserveTheSameReport) {
 }
 
 TEST(SolverService, SequentialJobsLeaseOneSlotAndFinish) {
-  SolverService service(SolverService::Options{2, 0});
+  SolverService service(SolverService::Options{2});
   SolveRequest request = quick_request(3);
   request.scheduling = parallel::Scheduling::kSequential;
   request.termination = parallel::Termination::kBestAfterBudget;
@@ -330,7 +380,7 @@ TEST(SolverService, SequentialJobsLeaseOneSlotAndFinish) {
 }
 
 TEST(SolverService, StatsSnapshotTracksLifecycleAndEncodesToJson) {
-  SolverService service(SolverService::Options{2, 0});
+  SolverService service(SolverService::Options{2});
   const ServiceStats fresh = service.stats();
   EXPECT_EQ(fresh.submitted, 0u);
   EXPECT_EQ(fresh.thread_budget, 2u);
@@ -347,7 +397,7 @@ TEST(SolverService, StatsSnapshotTracksLifecycleAndEncodesToJson) {
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(stats.failed, 0u);
-  EXPECT_EQ(stats.queued, 0u);
+  EXPECT_EQ(stats.queued, (std::array<std::size_t, kNumLanes>{}));
   EXPECT_EQ(stats.running, 0u);
   EXPECT_EQ(stats.free_threads, stats.thread_budget);
 
@@ -363,22 +413,24 @@ TEST(SolverService, StatsSnapshotTracksLifecycleAndEncodesToJson) {
 }
 
 TEST(SolverService, StreamedSamplesArriveWhileMultiplexingWithWaitFor) {
-  SolverService service(SolverService::Options{2, 0});
+  SolverService service(SolverService::Options{2});
   SolveRequest request = quick_request(7);
   request.walkers = 1;
   request.scheduling = parallel::Scheduling::kSequential;
 
   std::mutex m;
   std::vector<std::pair<std::uint64_t, csp::Cost>> samples;
-  JobStream stream;
-  stream.sample_period = 1;
-  stream.on_sample = [&m, &samples](std::size_t walker,
-                                    std::uint64_t iteration, csp::Cost cost) {
+  JobCallbacks callbacks;
+  callbacks.sample_period = 1;
+  callbacks.on_sample = [&m, &samples](std::size_t walker,
+                                       std::uint64_t iteration,
+                                       csp::Cost cost) {
     EXPECT_EQ(walker, 0u);
     std::lock_guard lock(m);
     samples.emplace_back(iteration, cost);
   };
-  const JobHandle job = service.submit(std::move(request), std::move(stream));
+  const JobHandle job = service.submit(std::move(request), Priority::kNormal,
+                                       std::move(callbacks));
 
   // Multiplex idiom: bounded waits instead of a blocking wait(), leaving
   // the loop free to service other work between polls.
@@ -396,203 +448,185 @@ TEST(SolverService, StreamedSamplesArriveWhileMultiplexingWithWaitFor) {
   }
 }
 
-SolveRequest fusible_request(std::uint64_t seed) {
-  // Single-lease (sequential), no retry, no watchdog: exactly what the
-  // dispatcher's fusion scan admits into one fused launch.
-  SolveRequest request;
-  request.problem = "costas:9";
-  request.walkers = 2;
-  request.seed = seed;
-  request.scheduling = parallel::Scheduling::kSequential;
-  request.termination = parallel::Termination::kBestAfterBudget;
-  return request;
-}
-
-TEST(SolverService, SubmitBatchFusesSmallJobsWithSoloIdenticalReports) {
-  SolverService service(SolverService::Options{4, 0});
-  std::vector<SolveRequest> batch;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    batch.push_back(fusible_request(seed));
+TEST(SolverService, SubmitRejectsABadRetryPolicySynchronously) {
+  // Regression: submit() validated the spec and the pool options but not
+  // the retry policy, so a shrinking multiplier was accepted, ran every
+  // attempt and only then failed.  The one validator runs at submit.
+  SolverService service(SolverService::Options{1});
+  SolveRequest shrinking = quick_request(1);
+  shrinking.retry.max_attempts = 3;
+  shrinking.retry.multiplier = 0.5;
+  try {
+    (void)service.submit(shrinking);
+    FAIL() << "shrinking retry multiplier accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("retry.multiplier"),
+              std::string::npos)
+        << e.what();
   }
-  const std::vector<JobHandle> jobs = service.submit_batch(batch);
-  ASSERT_EQ(jobs.size(), batch.size());
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const SolveReport& fused = jobs[i].wait();
-    EXPECT_EQ(jobs[i].status(), JobStatus::kDone);
-    EXPECT_EQ(fused.attempts, 1u);
-    // Trajectory-identical to the same request solved directly.
-    const SolveReport solo = Solver::solve(batch[i]);
-    EXPECT_EQ(fused.solved, solo.solved);
-    EXPECT_EQ(fused.winner, solo.winner);
-    EXPECT_EQ(fused.cost, solo.cost);
-    EXPECT_EQ(fused.solution, solo.solution);
-    EXPECT_EQ(fused.total_iterations, solo.total_iterations);
-  }
-
-  // The whole batch was enqueued under one lock with the budget free, so
-  // the dispatcher saw all four at the FIFO head and fused them as one.
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.fused_batches, 1u);
-  EXPECT_EQ(stats.fused_jobs, 4u);
-  EXPECT_EQ(stats.completed, 4u);
-  EXPECT_EQ(stats.submitted, 4u);
-  const util::Json json = stats.to_json();
-  EXPECT_EQ(json.at("fused_batches").as_uint64(), 1u);
-  EXPECT_EQ(json.at("fused_jobs").as_uint64(), 4u);
-}
-
-TEST(SolverService, SubmitBatchValidationIsAllOrNothing) {
-  SolverService service(SolverService::Options{2, 0});
-  std::vector<SolveRequest> batch;
-  batch.push_back(fusible_request(1));
-  batch.push_back(fusible_request(2));
-  batch[1].problem = "no-such-problem:9";
-  EXPECT_THROW((void)service.submit_batch(batch), std::invalid_argument);
+  SolveRequest zero_attempts = quick_request(1);
+  zero_attempts.retry.max_attempts = 0;
+  EXPECT_THROW((void)service.submit(zero_attempts), std::invalid_argument);
+  SolveRequest wild_jitter = quick_request(1);
+  wild_jitter.retry.jitter = 2.0;
+  EXPECT_THROW((void)service.submit(wild_jitter), std::invalid_argument);
   EXPECT_EQ(service.stats().submitted, 0u);
   EXPECT_EQ(service.pending_jobs(), 0u);
-
-  service.shutdown();
-  batch[1] = fusible_request(2);
-  EXPECT_THROW((void)service.submit_batch(batch), std::runtime_error);
 }
 
-TEST(SolverService, NonFusibleJobsStayOnTheSoloPath) {
-  // Multi-thread leases never fuse: the scan stops at the first job whose
-  // desired lease exceeds one, so kThreads jobs keep their solo workers.
-  SolverService service(SolverService::Options{4, 0});
-  std::vector<SolveRequest> batch;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    batch.push_back(quick_request(seed));  // kThreads, walkers = 2
-  }
-  const std::vector<JobHandle> jobs = service.submit_batch(batch);
+TEST(SolverService, LanesRunStrongestFirstUnderABudgetOfOne) {
+  SolverService service(SolverService::Options{1});
+  StartLog log;
+  // A high blocker holds the only slot; nothing is stronger, so nothing
+  // preempts it while the other lanes fill up behind it.
+  const JobHandle blocker =
+      service.submit(endless_request(1), Priority::kHigh, log.track(0));
+  ASSERT_TRUE(log.wait_started(0));
+  std::vector<JobHandle> jobs;
+  jobs.push_back(service.submit(tiny_request(2), Priority::kLow, log.track(1)));
+  jobs.push_back(
+      service.submit(tiny_request(3), Priority::kNormal, log.track(2)));
+  jobs.push_back(service.submit(tiny_request(4), Priority::kLow, log.track(3)));
+  jobs.push_back(
+      service.submit(tiny_request(5), Priority::kHigh, log.track(4)));
+  jobs.push_back(
+      service.submit(tiny_request(6), Priority::kNormal, log.track(5)));
+  EXPECT_EQ(service.stats().queued,
+            (std::array<std::size_t, kNumLanes>{1, 2, 2}));
+
+  EXPECT_TRUE(blocker.cancel());
   for (const JobHandle& job : jobs) {
     EXPECT_TRUE(job.wait().solved);
+    EXPECT_EQ(job.status(), JobStatus::kDone);
   }
+  // Strongest lane first, FIFO within a lane: the late high job and both
+  // normals overtake the earlier lows.
+  EXPECT_EQ(log.order(), (std::vector<int>{0, 4, 2, 5, 1, 3}));
+  EXPECT_EQ(service.stats().preempted, 0u);
+}
+
+TEST(SolverService, AFullLaneThrowsBeforeAnyCallbackFires) {
+  SolverService service(
+      SolverService::Options{.thread_budget = 1, .max_lane_depth = 1});
+  const JobHandle blocker =
+      service.submit(endless_request(1), Priority::kHigh, JobCallbacks{});
+  const JobHandle queued =
+      service.submit(tiny_request(2), Priority::kNormal, JobCallbacks{});
+
+  std::atomic<int> fired{0};
+  JobCallbacks counting;
+  counting.on_accepted = [&](std::uint64_t) { ++fired; };
+  counting.sample_period = 1;
+  counting.on_sample = [&](std::size_t, std::uint64_t, csp::Cost) {
+    ++fired;
+  };
+  counting.on_preempted = [&] { ++fired; };
+  counting.on_done = [&](JobStatus, const SolveReport&, std::string_view) {
+    ++fired;
+  };
+  EXPECT_THROW(
+      (void)service.submit(tiny_request(3), Priority::kNormal, counting),
+      OverloadedError);
+  EXPECT_EQ(fired.load(), 0);
+  EXPECT_EQ(service.stats().rejected, 1u);
+  EXPECT_EQ(service.stats().submitted, 2u);
+
+  // The transports' pre-check counts the same way; another lane admits.
+  EXPECT_TRUE(service.reject_overloaded(Priority::kNormal));
+  EXPECT_FALSE(service.reject_overloaded(Priority::kLow));
+  EXPECT_EQ(service.stats().rejected, 2u);
+
+  // Draining the lane readmits.
+  EXPECT_TRUE(queued.cancel());
+  const JobHandle admitted =
+      service.submit(tiny_request(4), Priority::kNormal, counting);
+  EXPECT_EQ(fired.load(), 1);  // accepted
+  EXPECT_TRUE(blocker.cancel());
+  EXPECT_TRUE(admitted.wait().solved);
+}
+
+TEST(SolverService, DoneFiresOnceAfterTheTerminalStatusOutsideTheLock) {
+  SolverService service(SolverService::Options{1});
+  std::mutex m;
+  std::map<std::string, JobHandle> handles;
+  std::vector<std::string> calls;
+  const auto watch = [&](const std::string& name) {
+    JobCallbacks callbacks;
+    callbacks.on_done = [&, name](JobStatus status, const SolveReport& report,
+                                  std::string_view) {
+      // Calling back into the service would deadlock under its lock.
+      const std::size_t pending = service.pending_jobs();
+      std::lock_guard lock(m);
+      calls.push_back(name);
+      const JobHandle& handle = handles.at(name);
+      EXPECT_TRUE(is_terminal(status));
+      EXPECT_EQ(handle.status(), status);
+      EXPECT_EQ(&handle.report(), &report);
+      EXPECT_LT(pending, handles.size());  // no longer counted as pending
+    };
+    return callbacks;
+  };
+
+  {
+    // Each job sits behind the high blocker until its handle is stored.
+    std::lock_guard lock(m);
+    handles["blocker"] =
+        service.submit(endless_request(1), Priority::kHigh, watch("blocker"));
+    handles["done"] =
+        service.submit(tiny_request(2), Priority::kNormal, watch("done"));
+    handles["queued"] =
+        service.submit(tiny_request(3), Priority::kNormal, watch("queued"));
+  }
+  EXPECT_TRUE(handles.at("queued").cancel());  // finishes on this thread
+  EXPECT_TRUE(handles.at("blocker").cancel());
+  EXPECT_TRUE(handles.at("done").wait().solved);
+  service.shutdown();  // joins the workers: nothing can still fire
+
+  std::lock_guard lock(m);
+  std::sort(calls.begin(), calls.end());
+  EXPECT_EQ(calls, (std::vector<std::string>{"blocker", "done", "queued"}));
+  EXPECT_EQ(handles.at("blocker").status(), JobStatus::kCancelled);
+  EXPECT_EQ(handles.at("queued").status(), JobStatus::kCancelled);
+}
+
+TEST(SolverService, PreemptedJobResumesToTheUninterruptedReport) {
+  // Byte-identity through the engine's preemption: a fixed-budget low job
+  // suspended for a high arrival and resumed from its checkpoint reports
+  // exactly what the uninterrupted Solver::solve reports (timing fields
+  // aside).
+  SolveRequest low = endless_request(77);
+  low.scheduling = parallel::Scheduling::kSequential;
+  low.params->restart_limit = 1'000'000;
+  const SolveReport direct = Solver::solve(low);
+
+  SolverService service(SolverService::Options{1});
+  StartLog log;
+  std::atomic<int> preempted{0};
+  JobCallbacks low_callbacks = log.track(0);
+  low_callbacks.on_preempted = [&] { ++preempted; };
+  const JobHandle low_job =
+      service.submit(low, Priority::kLow, std::move(low_callbacks));
+  ASSERT_TRUE(log.wait_started(0));
+  const JobHandle high =
+      service.submit(tiny_request(5), Priority::kHigh, log.track(1));
+
+  // Under a budget of one the high job can only finish first if the low
+  // job gave up its slot.
+  EXPECT_TRUE(high.wait().solved);
+  SolveReport resumed = low_job.wait();
+  EXPECT_EQ(preempted.load(), 1);
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.fused_batches, 0u);
-  EXPECT_EQ(stats.fused_jobs, 0u);
-  EXPECT_EQ(stats.completed, 3u);
-}
+  EXPECT_EQ(stats.preempted, 1u);
+  EXPECT_EQ(stats.resumed, 1u);
+  EXPECT_EQ(log.order(), (std::vector<int>{0, 1}));
 
-TEST(SolverService, CancelCutsAFusedMemberAndSparesItsSiblings) {
-  // A fused member's cancel flag is its own stop token: cancelling one
-  // member of a fused launch reports that member cancelled while siblings
-  // run to completion.
-  SolverService service(SolverService::Options{4, 0});
-  std::vector<SolveRequest> batch;
-  batch.push_back(fusible_request(1));
-  SolveRequest endless = endless_request(2);
-  endless.scheduling = parallel::Scheduling::kSequential;
-  endless.walkers = 1;
-  batch.push_back(endless);
-  batch.push_back(fusible_request(3));
-
-  const std::vector<JobHandle> jobs = service.submit_batch(batch);
-  ASSERT_TRUE(jobs[0].wait_for(milliseconds(30'000)));
-  ASSERT_TRUE(jobs[2].wait_for(milliseconds(30'000)));
-  EXPECT_TRUE(jobs[0].report().solved);
-  EXPECT_TRUE(jobs[2].report().solved);
-  EXPECT_FALSE(jobs[1].wait_for(milliseconds(0)));  // still walking
-
-  EXPECT_TRUE(jobs[1].cancel());
-  ASSERT_TRUE(jobs[1].wait_for(milliseconds(30'000)));
-  EXPECT_EQ(jobs[1].status(), JobStatus::kCancelled);
-  EXPECT_TRUE(jobs[1].report().cancelled);
-
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.fused_batches, 1u);
-  EXPECT_EQ(stats.fused_jobs, 3u);
-  EXPECT_EQ(stats.completed, 2u);
-  EXPECT_EQ(stats.cancelled, 1u);
-}
-
-TEST(SolverService, SuspendARunningJobYieldsItsCheckpoint) {
-  SolverService service(SolverService::Options{2, 0});
-  const JobHandle job = service.submit(endless_request(5));
-
-  util::Stopwatch watch;
-  while (job.status() == JobStatus::kQueued && watch.elapsed_seconds() < 10.0) {
-    std::this_thread::sleep_for(milliseconds(1));
+  SolveReport expected = direct;
+  for (SolveReport* report : {&resumed, &expected}) {
+    report->wall_seconds = 0.0;
+    report->time_to_solution_seconds = 0.0;
+    for (WalkerReport& walker : report->walkers) walker.seconds = 0.0;
   }
-  ASSERT_EQ(job.status(), JobStatus::kRunning);
-  std::this_thread::sleep_for(milliseconds(50));
-
-  // take_checkpoint on a live job is a caller bug, not a race to tolerate.
-  EXPECT_THROW((void)job.take_checkpoint(), std::logic_error);
-
-  EXPECT_TRUE(job.suspend());
-  ASSERT_TRUE(job.wait_for(milliseconds(30'000)));
-  EXPECT_EQ(job.status(), JobStatus::kPreempted);
-  EXPECT_TRUE(job.wait().preempted);
-  EXPECT_FALSE(job.wait().cancelled);
-
-  const std::optional<parallel::PoolCheckpoint> checkpoint =
-      job.take_checkpoint();
-  ASSERT_TRUE(checkpoint.has_value());
-  EXPECT_EQ(checkpoint->walkers.size(), 2u);
-  // The slot is emptied on take; a second take finds nothing.
-  EXPECT_FALSE(job.take_checkpoint().has_value());
-  EXPECT_FALSE(job.suspend());  // already terminal
-
-  // Resubmission with the checkpoint resumes the walk; it is still endless,
-  // so cancel ends it.
-  SolveRequest resumed = endless_request(5);
-  resumed.resume_from = checkpoint;
-  const JobHandle second = service.submit(resumed);
-  EXPECT_TRUE(second.cancel());
-  ASSERT_TRUE(second.wait_for(milliseconds(30'000)));
-
-  EXPECT_EQ(service.stats().preempted, 1u);
-  EXPECT_TRUE(service.stats().to_json().contains("preempted"));
-}
-
-TEST(SolverService, SuspendAQueuedJobPreemptsItWithoutACheckpoint) {
-  SolverService service(SolverService::Options{1, 0});
-  const JobHandle running = service.submit(endless_request(6));
-  const JobHandle queued = service.submit(endless_request(7));
-
-  // The budget of one is held by `running`; the queued job never started,
-  // so there is no walker state to capture.
-  EXPECT_TRUE(queued.suspend());
-  ASSERT_TRUE(queued.wait_for(milliseconds(30'000)));
-  EXPECT_EQ(queued.status(), JobStatus::kPreempted);
-  EXPECT_FALSE(queued.take_checkpoint().has_value());
-
-  EXPECT_TRUE(running.cancel());
-  ASSERT_TRUE(running.wait_for(milliseconds(30'000)));
-}
-
-TEST(SolverService, SuspendAndResumeReproducesTheUninterruptedReport) {
-  // Byte-identity through the whole service path: a job suspended to a
-  // checkpoint and resubmitted with resume_from reports exactly what the
-  // uninterrupted run reports (trajectory, winner, counters).
-  SolveRequest request = quick_request(77);
-  request.walkers = 2;
-  request.scheduling = parallel::Scheduling::kSequential;
-  request.termination = parallel::Termination::kBestAfterBudget;
-  const SolveReport direct = Solver::solve(request);
-
-  SolverService service(SolverService::Options{2, 0});
-  const JobHandle job = service.submit(request);
-  (void)job.suspend();  // may land while queued, running, or done — all fine
-  ASSERT_TRUE(job.wait_for(milliseconds(30'000)));
-
-  SolveReport resumed;
-  if (job.status() == JobStatus::kPreempted) {
-    SolveRequest rest = request;
-    rest.resume_from = job.take_checkpoint();  // nullopt = start over
-    resumed = service.submit(rest).wait();
-  } else {
-    // The job outran the suspension: its own report is the resumed run.
-    ASSERT_EQ(job.status(), JobStatus::kDone);
-    resumed = job.wait();
-  }
-  EXPECT_EQ(resumed.solved, direct.solved);
-  EXPECT_EQ(resumed.winner, direct.winner);
-  EXPECT_EQ(resumed.cost, direct.cost);
-  EXPECT_EQ(resumed.solution, direct.solution);
-  EXPECT_EQ(resumed.total_iterations, direct.total_iterations);
+  EXPECT_EQ(resumed.to_json_string(), expected.to_json_string());
 }
 
 }  // namespace

@@ -308,8 +308,8 @@ TEST(ServeHttp, PipelinedRequestsAreNotDropped) {
 
 TEST(ServeHttp, AFullLaneAnswers429BeforeTheStreamHeader) {
   SchedulerOptions options;
-  options.warm_workers = 1;
-  options.max_lane_depth = 1;
+  options.service.thread_budget = 1;
+  options.service.max_lane_depth = 1;
   Scheduler scheduler(options);
   HttpServer server(scheduler);
   server.start();
@@ -327,10 +327,10 @@ TEST(ServeHttp, AFullLaneAnswers429BeforeTheStreamHeader) {
   params.max_restarts = 0;
   endless.request.params = params;
   const std::uint64_t blocker = scheduler.submit(endless, JobEvents{});
-  for (int i = 0; i < 30'000 && scheduler.started_order().empty(); ++i) {
+  for (int i = 0; i < 30'000 && scheduler.stats().inflight == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_FALSE(scheduler.started_order().empty());
+  ASSERT_EQ(scheduler.stats().inflight, 1u);
   const std::uint64_t queued = scheduler.submit(endless, JobEvents{});
 
   // The admission pre-check answers before any chunked header: a plain 429

@@ -1,6 +1,8 @@
-// serve::Scheduler: lane priority on the warm path, batch give-back
-// preemption, service-queued preemption with correct terminal statuses,
-// cancellation semantics and shutdown.
+// serve::Scheduler over the one serving engine: lane priority, running
+// preemption with checkpoint resume, admission control, cancellation
+// semantics, shutdown, and stats panes that agree with the events a
+// client saw.  Start order is observed the way a client sees it: every
+// walk samples at iteration 0, so a job's first `sample` marks its start.
 #include "serve/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -34,6 +36,19 @@ bool eventually(const std::function<bool()>& predicate,
   return predicate();
 }
 
+/// One resident worker, so jobs start one at a time in claim order.
+SchedulerOptions one_worker() {
+  SchedulerOptions options;
+  options.service.thread_budget = 1;
+  return options;
+}
+
+SolveCommand streaming(SolveCommand command) {
+  command.stream = true;
+  command.sample_period = 1 << 20;  // in practice: the start sample only
+  return command;
+}
+
 SolveCommand quick(Priority priority, std::uint64_t seed) {
   SolveCommand command;
   command.request.problem = "costas:7";
@@ -41,7 +56,7 @@ SolveCommand quick(Priority priority, std::uint64_t seed) {
   command.request.seed = seed;
   command.request.scheduling = parallel::Scheduling::kSequential;
   command.priority = priority;
-  return command;
+  return streaming(command);
 }
 
 SolveCommand endless(Priority priority, std::uint64_t seed) {
@@ -58,17 +73,31 @@ SolveCommand endless(Priority priority, std::uint64_t seed) {
   params.max_restarts = 0;
   command.request.params = params;
   command.priority = priority;
-  return command;
+  return streaming(command);
 }
 
-/// Collects terminal statuses keyed by job id.
+/// Collects what a client sees per job: acceptance, start order (first
+/// sample), preemption notices and the terminal status.
 struct Recorder {
   std::mutex m;
+  std::vector<std::uint64_t> accepted;
+  std::vector<std::uint64_t> starts;
   std::map<std::uint64_t, std::string> status;
   std::map<std::uint64_t, int> preempted;
 
   JobEvents events() {
     JobEvents events;
+    events.on_accepted = [this](std::uint64_t id) {
+      std::lock_guard lock(m);
+      accepted.push_back(id);
+    };
+    events.on_sample = [this](std::uint64_t id, std::size_t, std::uint64_t,
+                              csp::Cost) {
+      std::lock_guard lock(m);
+      if (std::find(starts.begin(), starts.end(), id) == starts.end()) {
+        starts.push_back(id);
+      }
+    };
     events.on_preempted = [this](std::uint64_t id) {
       std::lock_guard lock(m);
       ++preempted[id];
@@ -76,9 +105,20 @@ struct Recorder {
     events.on_report = [this](std::uint64_t id, std::string_view status_name,
                               const api::SolveReport&, std::string_view) {
       std::lock_guard lock(m);
-      status.emplace(id, std::string(status_name));
+      EXPECT_TRUE(status.emplace(id, std::string(status_name)).second)
+          << "second report for job " << id;
     };
     return events;
+  }
+
+  [[nodiscard]] bool started(std::uint64_t id) {
+    std::lock_guard lock(m);
+    return std::find(starts.begin(), starts.end(), id) != starts.end();
+  }
+
+  [[nodiscard]] std::vector<std::uint64_t> start_order() {
+    std::lock_guard lock(m);
+    return starts;
   }
 
   [[nodiscard]] int preemptions_of(std::uint64_t id) {
@@ -97,42 +137,23 @@ struct Recorder {
     std::lock_guard lock(m);
     return status.size();
   }
+
+  [[nodiscard]] std::size_t reported_as(std::string_view name) {
+    std::lock_guard lock(m);
+    return static_cast<std::size_t>(
+        std::count_if(status.begin(), status.end(),
+                      [&](const auto& entry) { return entry.second == name; }));
+  }
 };
 
-bool started(Scheduler& scheduler, std::uint64_t id) {
-  const std::vector<std::uint64_t> order = scheduler.started_order();
-  return std::find(order.begin(), order.end(), id) != order.end();
-}
-
-TEST(ServeScheduler, StartedOrderKeepsOnlyTheRecentWindow) {
-  SchedulerOptions options;
-  options.warm_workers = 1;
-  Scheduler scheduler(options);
-  Recorder recorder;
-
-  // One worker runs the jobs one at a time, in submission order.
-  constexpr std::size_t kJobs = Scheduler::kStartedWindow + 10;
-  std::vector<std::uint64_t> ids;
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    ids.push_back(scheduler.submit(quick(Priority::kNormal, i + 1),
-                                   recorder.events()));
-  }
-  ASSERT_TRUE(eventually([&] { return recorder.reported() == kJobs; }));
-  const std::vector<std::uint64_t> order = scheduler.started_order();
-  EXPECT_EQ(order, std::vector<std::uint64_t>(
-                       ids.end() - Scheduler::kStartedWindow, ids.end()));
-}
-
-TEST(ServeScheduler, WarmLanesRunStrongestFirst) {
-  SchedulerOptions options;
-  options.warm_workers = 1;
-  Scheduler scheduler(options);
+TEST(ServeScheduler, LanesRunStrongestFirst) {
+  Scheduler scheduler(one_worker());
   Recorder recorder;
 
   // Occupy the single worker, then queue low jobs and a late high job.
   const std::uint64_t blocker =
       scheduler.submit(endless(Priority::kLow, 1), recorder.events());
-  ASSERT_TRUE(eventually([&] { return started(scheduler, blocker); }));
+  ASSERT_TRUE(eventually([&] { return recorder.started(blocker); }));
   const std::uint64_t low1 =
       scheduler.submit(quick(Priority::kLow, 2), recorder.events());
   const std::uint64_t low2 =
@@ -142,30 +163,51 @@ TEST(ServeScheduler, WarmLanesRunStrongestFirst) {
   EXPECT_EQ(scheduler.cancel(blocker), Scheduler::CancelResult::kCancelled);
 
   ASSERT_TRUE(eventually([&] { return recorder.reported() == 4; }));
-  const std::vector<std::uint64_t> order = scheduler.started_order();
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], blocker);
-  EXPECT_EQ(order[1], high);  // jumped both queued lows
-  EXPECT_EQ(order[2], low1);
-  EXPECT_EQ(order[3], low2);
+  EXPECT_EQ(recorder.start_order(),
+            (std::vector<std::uint64_t>{blocker, high, low1, low2}));
   EXPECT_EQ(recorder.status_of(blocker), "cancelled");
   EXPECT_EQ(recorder.status_of(high), "done");
   EXPECT_EQ(recorder.status_of(low1), "done");
   EXPECT_EQ(recorder.status_of(low2), "done");
 }
 
-TEST(ServeScheduler, WarmBatchGivesBackUnstartedJobsToAStrongerArrival) {
-  SchedulerOptions options;
-  options.warm_workers = 1;
-  options.warm_batch_max = 8;
-  Scheduler scheduler(options);
+TEST(ServeScheduler, AStrongerArrivalStartsBeforeEarlierQueuedWeakerJobs) {
+  Scheduler scheduler(one_worker());
   Recorder recorder;
 
-  // Worker busy on blocker0; the low lane then fills so the next claim is
-  // one batch [blocker1, low1, low2].
+  // A high blocker: nothing is stronger, so nothing preempts it while
+  // lows queue behind it and a normal job arrives after them.
+  const std::uint64_t blocker =
+      scheduler.submit(endless(Priority::kHigh, 1), recorder.events());
+  ASSERT_TRUE(eventually([&] { return recorder.started(blocker); }));
+  const std::uint64_t low1 =
+      scheduler.submit(quick(Priority::kLow, 2), recorder.events());
+  const std::uint64_t low2 =
+      scheduler.submit(quick(Priority::kLow, 3), recorder.events());
+  const std::uint64_t normal =
+      scheduler.submit(quick(Priority::kNormal, 4), recorder.events());
+  EXPECT_EQ(scheduler.stats().queued[1], 1u);
+  EXPECT_EQ(scheduler.stats().queued[2], 2u);
+  EXPECT_EQ(scheduler.cancel(blocker), Scheduler::CancelResult::kCancelled);
+
+  ASSERT_TRUE(eventually([&] { return recorder.reported() == 4; }));
+  EXPECT_EQ(recorder.start_order(),
+            (std::vector<std::uint64_t>{blocker, normal, low1, low2}));
+  // Overtaken jobs still terminate with their real status.
+  EXPECT_EQ(recorder.status_of(normal), "done");
+  EXPECT_EQ(recorder.status_of(low1), "done");
+  EXPECT_EQ(recorder.status_of(low2), "done");
+  EXPECT_EQ(scheduler.stats().preempted_running, 0u);
+}
+
+TEST(ServeScheduler, AStrongerArrivalOvertakesAQueuedLaneAndARunningJob) {
+  Scheduler scheduler(one_worker());
+  Recorder recorder;
+
+  // blocker0 runs; blocker1, low1 and low2 queue in the low lane.
   const std::uint64_t blocker0 =
       scheduler.submit(endless(Priority::kLow, 1), recorder.events());
-  ASSERT_TRUE(eventually([&] { return started(scheduler, blocker0); }));
+  ASSERT_TRUE(eventually([&] { return recorder.started(blocker0); }));
   const std::uint64_t blocker1 =
       scheduler.submit(endless(Priority::kLow, 2), recorder.events());
   const std::uint64_t low1 =
@@ -173,147 +215,68 @@ TEST(ServeScheduler, WarmBatchGivesBackUnstartedJobsToAStrongerArrival) {
   const std::uint64_t low2 =
       scheduler.submit(quick(Priority::kLow, 4), recorder.events());
   EXPECT_EQ(scheduler.cancel(blocker0), Scheduler::CancelResult::kCancelled);
-  ASSERT_TRUE(eventually([&] { return started(scheduler, blocker1); }));
+  ASSERT_TRUE(eventually([&] { return recorder.started(blocker1); }));
 
-  // The worker now holds [low1, low2] claimed but unstarted.  A high
-  // arrival must take them back to the lane, not wait behind them.
+  // A high arrival neither waits behind the queued lows nor behind the
+  // running blocker1, which is suspended to make room.
   const std::uint64_t high =
       scheduler.submit(quick(Priority::kHigh, 5), recorder.events());
+  ASSERT_TRUE(eventually([&] { return recorder.status_of(high) == "done"; }));
+  EXPECT_EQ(recorder.preemptions_of(blocker1), 1);
   EXPECT_EQ(scheduler.cancel(blocker1), Scheduler::CancelResult::kCancelled);
 
   ASSERT_TRUE(eventually([&] { return recorder.reported() == 5; }));
-  const std::vector<std::uint64_t> order = scheduler.started_order();
-  ASSERT_EQ(order.size(), 5u);
-  EXPECT_EQ(order[0], blocker0);
-  EXPECT_EQ(order[1], blocker1);
-  EXPECT_EQ(order[2], high);
-  EXPECT_EQ(order[3], low1);  // give-back preserved lane order
-  EXPECT_EQ(order[4], low2);
-  EXPECT_EQ(scheduler.stats().givebacks, 2u);
+  EXPECT_EQ(recorder.start_order(),
+            (std::vector<std::uint64_t>{blocker0, blocker1, high, low1, low2}));
   EXPECT_EQ(recorder.status_of(low1), "done");
   EXPECT_EQ(recorder.status_of(low2), "done");
-}
-
-TEST(ServeScheduler, ServiceQueuedJobsArePreemptedAndStillFinish) {
-  SchedulerOptions options;
-  options.warm_lease_threshold = 0;  // everything takes the service path
-  options.service_inflight = 3;
-  options.service.thread_budget = 1;
-  Scheduler scheduler(options);
-  Recorder recorder;
-
-  // One endless job saturates the walker budget; two quick lows queue
-  // inside the service behind it.
-  const std::uint64_t blocker =
-      scheduler.submit(endless(Priority::kLow, 1), recorder.events());
-  ASSERT_TRUE(eventually([&] { return started(scheduler, blocker); }));
-  const std::uint64_t low1 =
-      scheduler.submit(quick(Priority::kLow, 2), recorder.events());
-  const std::uint64_t low2 =
-      scheduler.submit(quick(Priority::kLow, 3), recorder.events());
-  ASSERT_TRUE(eventually(
-      [&] { return scheduler.service_stats().queued == 2; }));
-
-  // A high submit under a saturated budget: the queued lows are preempted
-  // back to their lane so the high job is next in the service.
-  const std::uint64_t high =
-      scheduler.submit(quick(Priority::kHigh, 4), recorder.events());
-  ASSERT_TRUE(
-      eventually([&] { return scheduler.stats().preempted_queued >= 2; }));
-  EXPECT_EQ(scheduler.cancel(blocker), Scheduler::CancelResult::kCancelled);
-
-  ASSERT_TRUE(eventually([&] { return recorder.reported() == 4; }));
-  const std::vector<std::uint64_t> order = scheduler.started_order();
-  ASSERT_GE(order.size(), 4u);
-  EXPECT_EQ(order[0], blocker);
-  EXPECT_EQ(order[1], high);  // started before the earlier-queued lows
-  // Preempted jobs still terminate with their real status.
-  EXPECT_EQ(recorder.status_of(low1), "done");
-  EXPECT_EQ(recorder.status_of(low2), "done");
-  EXPECT_EQ(recorder.status_of(high), "done");
-  EXPECT_EQ(recorder.status_of(blocker), "cancelled");
-  EXPECT_EQ(scheduler.stats().preempted_queued, 2u);
+  EXPECT_EQ(recorder.status_of(blocker1), "cancelled");
 }
 
 TEST(ServeScheduler, ARunningLowJobIsSuspendedToACheckpointForAHighArrival) {
-  SchedulerOptions options;
-  options.warm_lease_threshold = 0;  // everything takes the service path
-  options.service_inflight = 1;      // the running low job fills the service
-  options.service.thread_budget = 1;
-  Scheduler scheduler(options);
+  Scheduler scheduler(one_worker());
   Recorder recorder;
 
   const std::uint64_t low =
       scheduler.submit(endless(Priority::kLow, 1), recorder.events());
-  ASSERT_TRUE(eventually([&] { return started(scheduler, low); }));
+  ASSERT_TRUE(eventually([&] { return recorder.started(low); }));
 
-  // No queued victim exists, the service is at its in-flight cap, and a
-  // stronger job waits: the running low job is suspended to a checkpoint
-  // and requeued at the front of its lane carrying it.
+  // No slot is free and a stronger job waits: the running low job is
+  // suspended to a checkpoint and requeued at the front of its lane
+  // carrying it.
   const std::uint64_t high =
       scheduler.submit(quick(Priority::kHigh, 2), recorder.events());
-  ASSERT_TRUE(
-      eventually([&] { return scheduler.stats().preempted_running >= 1; }));
   ASSERT_TRUE(eventually([&] { return recorder.status_of(high) == "done"; }));
+  EXPECT_GE(scheduler.stats().preempted_running, 1u);
 
   // The suspended job is still live (no report yet) and resumes from its
-  // checkpoint once the high job released the service slot.
+  // checkpoint once the high job released the slot.
   EXPECT_EQ(recorder.status_of(low), "");
   ASSERT_TRUE(eventually([&] { return scheduler.stats().resumed >= 1; }));
-  ASSERT_TRUE(eventually([&] { return recorder.preemptions_of(low) >= 1; }));
+  EXPECT_EQ(recorder.preemptions_of(low), 1);
 
   EXPECT_EQ(scheduler.cancel(low), Scheduler::CancelResult::kCancelled);
   ASSERT_TRUE(eventually([&] { return recorder.reported() == 2; }));
   EXPECT_EQ(recorder.status_of(low), "cancelled");
 
   const SchedulerStats stats = scheduler.stats();
-  EXPECT_GE(stats.preempted_running, 1u);
-  EXPECT_GE(stats.resumed, 1u);
-  EXPECT_EQ(stats.preempted_queued, 0u);
+  EXPECT_EQ(stats.preempted_running, 1u);
+  EXPECT_EQ(stats.resumed, 1u);
   const util::Json json = stats.to_json();
-  EXPECT_GE(json.at("preempted_running").as_uint64(), 1u);
-  EXPECT_GE(json.at("resumed").as_uint64(), 1u);
-  scheduler.shutdown();
-}
-
-TEST(ServeScheduler, RunningPreemptionCanBeDisabled) {
-  SchedulerOptions options;
-  options.warm_lease_threshold = 0;
-  options.service_inflight = 1;
-  options.service.thread_budget = 1;
-  options.preempt_running = false;
-  Scheduler scheduler(options);
-  Recorder recorder;
-
-  const std::uint64_t low =
-      scheduler.submit(endless(Priority::kLow, 1), recorder.events());
-  ASSERT_TRUE(eventually([&] { return started(scheduler, low); }));
-  const std::uint64_t high =
-      scheduler.submit(quick(Priority::kHigh, 2), recorder.events());
-
-  // The high job waits out the running low job instead of suspending it.
-  EXPECT_FALSE(eventually(
-      [&] { return scheduler.stats().preempted_running > 0; },
-      milliseconds(200)));
-  EXPECT_EQ(recorder.status_of(high), "");
-
-  EXPECT_EQ(scheduler.cancel(low), Scheduler::CancelResult::kCancelled);
-  ASSERT_TRUE(eventually([&] { return recorder.reported() == 2; }));
-  EXPECT_EQ(recorder.status_of(high), "done");
-  EXPECT_EQ(scheduler.stats().preempted_running, 0u);
+  EXPECT_EQ(json.at("preempted_running").as_uint64(), 1u);
+  EXPECT_EQ(json.at("resumed").as_uint64(), 1u);
   scheduler.shutdown();
 }
 
 TEST(ServeScheduler, AFullLaneRejectsSubmissionsAsOverloaded) {
-  SchedulerOptions options;
-  options.warm_workers = 1;
-  options.max_lane_depth = 1;
+  SchedulerOptions options = one_worker();
+  options.service.max_lane_depth = 1;
   Scheduler scheduler(options);
   Recorder recorder;
 
   const std::uint64_t blocker =
       scheduler.submit(endless(Priority::kNormal, 1), recorder.events());
-  ASSERT_TRUE(eventually([&] { return started(scheduler, blocker); }));
+  ASSERT_TRUE(eventually([&] { return recorder.started(blocker); }));
   const std::uint64_t queued =
       scheduler.submit(endless(Priority::kNormal, 2), recorder.events());
 
@@ -325,6 +288,7 @@ TEST(ServeScheduler, AFullLaneRejectsSubmissionsAsOverloaded) {
   } catch (const ProtocolError& error) {
     EXPECT_EQ(error.code(), kErrOverloaded);
   }
+  EXPECT_EQ(recorder.accepted.size(), 2u);
   EXPECT_EQ(scheduler.stats().rejected_overload, 1u);
   EXPECT_EQ(scheduler.stats().submitted, 2u);
 
@@ -347,16 +311,14 @@ TEST(ServeScheduler, AFullLaneRejectsSubmissionsAsOverloaded) {
 }
 
 TEST(ServeScheduler, CancelSemanticsAndStatsCounters) {
-  SchedulerOptions options;
-  options.warm_workers = 1;
-  Scheduler scheduler(options);
+  Scheduler scheduler(one_worker());
   Recorder recorder;
 
   EXPECT_EQ(scheduler.cancel(77), Scheduler::CancelResult::kUnknown);
 
   const std::uint64_t blocker =
       scheduler.submit(endless(Priority::kNormal, 1), recorder.events());
-  ASSERT_TRUE(eventually([&] { return started(scheduler, blocker); }));
+  ASSERT_TRUE(eventually([&] { return recorder.started(blocker); }));
   const std::uint64_t queued =
       scheduler.submit(quick(Priority::kNormal, 2), recorder.events());
 
@@ -364,10 +326,10 @@ TEST(ServeScheduler, CancelSemanticsAndStatsCounters) {
   EXPECT_EQ(scheduler.cancel(queued), Scheduler::CancelResult::kCancelled);
   EXPECT_EQ(recorder.status_of(queued), "cancelled");
   EXPECT_EQ(scheduler.cancel(queued), Scheduler::CancelResult::kAlreadyTerminal);
+  EXPECT_FALSE(recorder.started(queued));
 
   const std::uint64_t done =
       scheduler.submit(quick(Priority::kHigh, 3), recorder.events());
-  // Cancelling the running blocker frees the only worker for the high job.
   EXPECT_EQ(scheduler.cancel(blocker), Scheduler::CancelResult::kCancelled);
   ASSERT_TRUE(eventually([&] { return recorder.reported() == 3; }));
   EXPECT_EQ(recorder.status_of(done), "done");
@@ -378,7 +340,6 @@ TEST(ServeScheduler, CancelSemanticsAndStatsCounters) {
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.cancelled, 2u);
   EXPECT_EQ(stats.failed, 0u);
-  EXPECT_GE(stats.batches, 1u);
   // The JSON snapshot mirrors the struct, member for member.
   const util::Json json = stats.to_json();
   EXPECT_EQ(json.at("submitted").as_uint64(), 3u);
@@ -387,52 +348,13 @@ TEST(ServeScheduler, CancelSemanticsAndStatsCounters) {
   EXPECT_EQ(json.at("queued_high").as_uint64(), 0u);
 }
 
-TEST(ServeScheduler, FusedBatchCountersTrackFusedLaunches) {
-  SchedulerOptions options;
-  options.warm_workers = 1;
-  Scheduler scheduler(options);
-  Recorder recorder;
-
-  // Fill the lane while the single worker is pinned, so the next claim is
-  // one batch of four — which the default configuration runs as one fused
-  // launch.
-  const std::uint64_t blocker =
-      scheduler.submit(endless(Priority::kNormal, 1), recorder.events());
-  ASSERT_TRUE(eventually([&] { return started(scheduler, blocker); }));
-  std::vector<std::uint64_t> ids;
-  for (std::uint64_t seed = 2; seed <= 5; ++seed) {
-    ids.push_back(
-        scheduler.submit(quick(Priority::kNormal, seed), recorder.events()));
-  }
-  EXPECT_EQ(scheduler.cancel(blocker), Scheduler::CancelResult::kCancelled);
-
-  ASSERT_TRUE(eventually([&] { return recorder.reported() == 5; }));
-  for (const std::uint64_t id : ids) {
-    EXPECT_EQ(recorder.status_of(id), "done");
-  }
-  const SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.fused_batches, 1u);
-  EXPECT_EQ(stats.fused_jobs, 4u);
-  EXPECT_EQ(stats.completed, 4u);
-  const util::Json json = stats.to_json();
-  EXPECT_EQ(json.at("fused_batches").as_uint64(), 1u);
-  EXPECT_EQ(json.at("fused_jobs").as_uint64(), 4u);
-}
-
-/// Shutdown racing a claimed warm batch: the member already running stops
-/// and reports "cancelled"; claimed-but-unstarted members get a terminal
-/// cancel event WITHOUT running — no start record, no walker start-up.
-void shutdown_while_batch_claimed(bool fuse) {
-  SchedulerOptions options;
-  options.warm_workers = 1;
-  options.warm_batch_max = 8;
-  options.fuse_warm_batches = fuse;
-  Scheduler scheduler(options);
+TEST(ServeScheduler, ShutdownCancelsQueuedJobsWithoutStartingThem) {
+  Scheduler scheduler(one_worker());
   Recorder recorder;
 
   const std::uint64_t blocker0 =
       scheduler.submit(endless(Priority::kNormal, 1), recorder.events());
-  ASSERT_TRUE(eventually([&] { return started(scheduler, blocker0); }));
+  ASSERT_TRUE(eventually([&] { return recorder.started(blocker0); }));
   const std::uint64_t blocker1 =
       scheduler.submit(endless(Priority::kNormal, 2), recorder.events());
   const std::uint64_t q1 =
@@ -440,9 +362,7 @@ void shutdown_while_batch_claimed(bool fuse) {
   const std::uint64_t q2 =
       scheduler.submit(quick(Priority::kNormal, 4), recorder.events());
   EXPECT_EQ(scheduler.cancel(blocker0), Scheduler::CancelResult::kCancelled);
-  // The worker now holds the claimed batch [blocker1, q1, q2] and is
-  // running blocker1; q1 and q2 are claimed but unstarted.
-  ASSERT_TRUE(eventually([&] { return started(scheduler, blocker1); }));
+  ASSERT_TRUE(eventually([&] { return recorder.started(blocker1); }));
 
   scheduler.shutdown();
 
@@ -451,19 +371,10 @@ void shutdown_while_batch_claimed(bool fuse) {
   EXPECT_EQ(recorder.status_of(q1), "cancelled");
   EXPECT_EQ(recorder.status_of(q2), "cancelled");
   EXPECT_EQ(recorder.reported(), 4u);
-  // The unstarted claims were returned, not run.
-  const std::vector<std::uint64_t> order = scheduler.started_order();
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{blocker0, blocker1}));
+  // The queued jobs were cancelled, not run.
+  EXPECT_EQ(recorder.start_order(),
+            (std::vector<std::uint64_t>{blocker0, blocker1}));
   EXPECT_EQ(scheduler.stats().cancelled, 4u);
-}
-
-TEST(ServeScheduler, ShutdownWhileBatchClaimedCancelsUnstartedWithoutRunning) {
-  shutdown_while_batch_claimed(/*fuse=*/true);
-}
-
-TEST(ServeScheduler,
-     ShutdownWhileBatchClaimedCancelsUnstartedWithoutRunningUnfused) {
-  shutdown_while_batch_claimed(/*fuse=*/false);
 }
 
 TEST(ServeScheduler, AnInvalidRequestIsRejectedAtSubmission) {
@@ -473,18 +384,23 @@ TEST(ServeScheduler, AnInvalidRequestIsRejectedAtSubmission) {
   command.request.problem = "no-such-problem:9";
   EXPECT_THROW((void)scheduler.submit(std::move(command), recorder.events()),
                std::invalid_argument);
+  // The retry policy is part of the request the submit validates.
+  SolveCommand shrinking = quick(Priority::kNormal, 2);
+  shrinking.request.retry.max_attempts = 3;
+  shrinking.request.retry.multiplier = 0.5;
+  EXPECT_THROW((void)scheduler.submit(std::move(shrinking), recorder.events()),
+               std::invalid_argument);
   EXPECT_EQ(scheduler.stats().submitted, 0u);
+  EXPECT_TRUE(recorder.accepted.empty());
 }
 
 TEST(ServeScheduler, ShutdownCancelsQueuedAndRunningJobs) {
-  SchedulerOptions options;
-  options.warm_workers = 1;
-  Scheduler scheduler(options);
+  Scheduler scheduler(one_worker());
   Recorder recorder;
 
   const std::uint64_t running =
       scheduler.submit(endless(Priority::kNormal, 1), recorder.events());
-  ASSERT_TRUE(eventually([&] { return started(scheduler, running); }));
+  ASSERT_TRUE(eventually([&] { return recorder.started(running); }));
   const std::uint64_t queued =
       scheduler.submit(endless(Priority::kNormal, 2), recorder.events());
 
@@ -494,6 +410,65 @@ TEST(ServeScheduler, ShutdownCancelsQueuedAndRunningJobs) {
   EXPECT_THROW(
       (void)scheduler.submit(quick(Priority::kNormal, 3), recorder.events()),
       std::runtime_error);
+}
+
+TEST(ServeScheduler, StatsPanesAgreeWithEachOtherAndWithTheEvents) {
+  SchedulerOptions options = one_worker();
+  options.service.max_lane_depth = 2;
+  Scheduler scheduler(options);
+  Recorder recorder;
+
+  // Preempted and resumed: a running low job makes room for a high one.
+  const std::uint64_t blocker =
+      scheduler.submit(endless(Priority::kLow, 1), recorder.events());
+  ASSERT_TRUE(eventually([&] { return recorder.started(blocker); }));
+  const std::uint64_t high =
+      scheduler.submit(quick(Priority::kHigh, 2), recorder.events());
+  ASSERT_TRUE(eventually([&] { return recorder.status_of(high) == "done"; }));
+  ASSERT_TRUE(eventually([&] { return scheduler.stats().resumed == 1; }));
+
+  // Failed: a warm start the instance cannot take passes submission and
+  // fails when it runs.  Cancelled: a queued job.  Rejected: a full lane.
+  SolveCommand doomed = quick(Priority::kLow, 3);
+  doomed.request.warm_start = std::vector<int>{1, 2, 3};
+  const std::uint64_t failed =
+      scheduler.submit(std::move(doomed), recorder.events());
+  const std::uint64_t victim =
+      scheduler.submit(quick(Priority::kLow, 4), recorder.events());
+  EXPECT_THROW(
+      (void)scheduler.submit(quick(Priority::kLow, 5), recorder.events()),
+      ProtocolError);
+  EXPECT_EQ(scheduler.cancel(victim), Scheduler::CancelResult::kCancelled);
+  EXPECT_EQ(scheduler.cancel(blocker), Scheduler::CancelResult::kCancelled);
+  ASSERT_TRUE(eventually([&] { return recorder.reported() == 4; }));
+  EXPECT_EQ(recorder.status_of(failed), "failed");
+
+  const SchedulerStats panel = scheduler.stats();
+  const api::ServiceStats service = scheduler.service_stats();
+  // The scheduler pane against the events the client saw.
+  EXPECT_EQ(panel.submitted, recorder.accepted.size());
+  EXPECT_EQ(panel.completed, recorder.reported_as("done"));
+  EXPECT_EQ(panel.cancelled, recorder.reported_as("cancelled"));
+  EXPECT_EQ(panel.failed, recorder.reported_as("failed"));
+  EXPECT_EQ(panel.preempted_running,
+            static_cast<std::uint64_t>(recorder.preemptions_of(blocker)));
+  EXPECT_EQ(panel.preempted_running, 1u);
+  EXPECT_EQ(panel.resumed, 1u);
+  EXPECT_EQ(panel.rejected_overload, 1u);
+  EXPECT_EQ(panel.queued, (std::array<std::size_t, kNumLanes>{}));
+  EXPECT_EQ(panel.inflight, 0u);
+  // ... and against the service pane.
+  EXPECT_EQ(service.submitted, panel.submitted);
+  EXPECT_EQ(service.completed, panel.completed);
+  EXPECT_EQ(service.cancelled, panel.cancelled);
+  EXPECT_EQ(service.failed, panel.failed);
+  EXPECT_EQ(service.preempted, panel.preempted_running);
+  EXPECT_EQ(service.running, panel.inflight);
+  const util::Json service_json = service.to_json();
+  EXPECT_EQ(service_json.at("preempted").as_uint64(), 1u);
+  EXPECT_EQ(service_json.at("queued").as_uint64(), 0u);
+  EXPECT_EQ(service_json.at("free_threads").as_uint64(), 1u);
+  EXPECT_FALSE(service_json.contains("fused_batches"));
 }
 
 }  // namespace

@@ -98,8 +98,8 @@ TEST(ServeSession, StreamsAcceptedThenNonincreasingSamplesThenReport) {
 }
 
 TEST(ServeSession, FixedSeedReportIsByteIdenticalToInProcessSolver) {
-  // Warm path (sequential) and a threaded pool forced onto the warm path:
-  // the transport must add naming and framing, never behaviour.
+  // A sequential and a threaded pool through the default scheduler: the
+  // transport must add naming and framing, never behaviour.
   // kBestAfterBudget so per-walker trajectories are deterministic even on
   // real threads (kFirstFinisher's winner would race wall-clock).
   api::SolveRequest threaded = small_request(99);
@@ -110,10 +110,7 @@ TEST(ServeSession, FixedSeedReportIsByteIdenticalToInProcessSolver) {
 
   for (const api::SolveRequest& request :
        {small_request(123), threaded}) {
-    SchedulerOptions options;
-    options.warm_lease_threshold = 8;  // keep both on the Solver-direct path
-    const auto events =
-        serve_lines({solve_line(request, false, 0)}, options);
+    const auto events = serve_lines({solve_line(request, false, 0)});
     ASSERT_EQ(events.size(), 2u);
     ASSERT_EQ(events.back().at("event").as_string(), "report");
 
