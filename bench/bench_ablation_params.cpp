@@ -10,6 +10,7 @@
 
 #include "common.hpp"
 #include "core/adaptive_search.hpp"
+#include "parallel/policy_names.hpp"
 #include "parallel/walker_pool.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
@@ -138,8 +139,7 @@ int main(int argc, char** argv) {
         ++solved;
         iters.push_back(static_cast<double>(w.result.stats.iterations));
       }
-      table.add_row({schedule == core::RestartSchedule::kLuby ? "luby"
-                                                              : "fixed",
+      table.add_row({std::string(parallel::name_of(schedule)),
                      "2000",
                      std::to_string(solved) + "/" +
                          std::to_string(options->samples),

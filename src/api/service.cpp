@@ -17,25 +17,6 @@
 
 namespace cspls::api {
 
-std::string_view name_of(Priority priority) noexcept {
-  switch (priority) {
-    case Priority::kHigh:
-      return "high";
-    case Priority::kNormal:
-      return "normal";
-    case Priority::kLow:
-      return "low";
-  }
-  return "normal";
-}
-
-std::optional<Priority> priority_from_name(std::string_view name) noexcept {
-  if (name == "high") return Priority::kHigh;
-  if (name == "normal") return Priority::kNormal;
-  if (name == "low") return Priority::kLow;
-  return std::nullopt;
-}
-
 util::Json ServiceStats::to_json() const {
   util::Json json = util::Json::object();
   json.set("queued", static_cast<std::uint64_t>(std::accumulate(
@@ -51,26 +32,6 @@ util::Json ServiceStats::to_json() const {
   json.set("thread_budget", static_cast<std::uint64_t>(thread_budget));
   json.set("free_threads", static_cast<std::uint64_t>(free_threads));
   return json;
-}
-
-std::string_view name_of(JobStatus status) {
-  switch (status) {
-    case JobStatus::kQueued:
-      return "queued";
-    case JobStatus::kRunning:
-      return "running";
-    case JobStatus::kRetrying:
-      return "retrying";
-    case JobStatus::kDegraded:
-      return "degraded";
-    case JobStatus::kDone:
-      return "done";
-    case JobStatus::kCancelled:
-      return "cancelled";
-    case JobStatus::kFailed:
-      return "failed";
-  }
-  return "unknown";
 }
 
 namespace detail {

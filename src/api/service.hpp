@@ -11,7 +11,11 @@
 // (walkers beyond it run in waves, WalkerPoolOptions::max_threads
 // semantics); sequential and emulated-race jobs lease one slot.  Every
 // running job holds at least one slot, so running jobs never outnumber the
-// workers, and submission only enqueues: no thread starts per job.
+// workers, and submission only enqueues.  A job holding one slot runs
+// inline on its worker and starts no thread; a threaded job leased L >= 2
+// slots starts L walker threads per attempt (WalkerPool::run), and a
+// request with watchdog_stall_ms adds one watchdog thread per attempt
+// (the ROADMAP's resident walker team would start none).
 //
 // Admission: `max_lane_depth` bounds each lane's queue (running jobs are
 // not counted).  A submit to a full lane throws OverloadedError before
@@ -64,17 +68,23 @@
 
 #include "api/solve.hpp"
 #include "api/solver.hpp"
+#include "util/names.hpp"
 
 namespace cspls::api {
 
 /// Admission lanes, strongest first (the numeric value is the lane index).
 enum class Priority : std::uint8_t { kHigh = 0, kNormal = 1, kLow = 2 };
-inline constexpr std::size_t kNumLanes = 3;
+inline constexpr util::NameTable<Priority, Priority::kLow> kPriorityNames(
+    "high", "normal", "low");
+inline constexpr std::size_t kNumLanes = kPriorityNames.kSize;
 
-/// "high" | "normal" | "low", the wire names.
-[[nodiscard]] std::string_view name_of(Priority priority) noexcept;
-[[nodiscard]] std::optional<Priority> priority_from_name(
-    std::string_view name) noexcept;
+[[nodiscard]] inline std::string_view name_of(Priority priority) noexcept {
+  return kPriorityNames.name(priority);
+}
+[[nodiscard]] inline std::optional<Priority> priority_from_name(
+    std::string_view name) noexcept {
+  return kPriorityNames.parse(name);
+}
 
 /// Thrown by SolverService::submit when the job's lane is at its depth
 /// bound; nothing was enqueued and no callback fired.
@@ -121,12 +131,18 @@ enum class JobStatus {
                ///< the structured last-attempt report
 };
 
+inline constexpr util::NameTable<JobStatus, JobStatus::kFailed>
+    kJobStatusNames("queued", "running", "retrying", "degraded", "done",
+                    "cancelled", "failed");
+
 [[nodiscard]] constexpr bool is_terminal(JobStatus status) noexcept {
   return status == JobStatus::kDone || status == JobStatus::kCancelled ||
          status == JobStatus::kFailed;
 }
 
-[[nodiscard]] std::string_view name_of(JobStatus status);
+[[nodiscard]] inline std::string_view name_of(JobStatus status) {
+  return kJobStatusNames.name(status);
+}
 
 /// Per-job subscription; every member is optional (see the header comment
 /// for when each fires).

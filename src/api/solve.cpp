@@ -4,97 +4,9 @@
 
 namespace cspls::api {
 
-// ---------------------------------------------------------------------------
-// Decode helpers — every accessor names the member it was decoding so a
-// malformed document fails with an actionable message.
-// ---------------------------------------------------------------------------
-
 namespace {
 
-[[noreturn]] void bad_member(std::string_view member,
-                             const std::string& detail) {
-  throw std::invalid_argument("bad \"" + std::string(member) +
-                              "\": " + detail);
-}
-
-/// Unknown members are rejected, not ignored: a misspelled "deadline-ms"
-/// silently degrading to "no deadline" is exactly the failure a wire
-/// format must not have.
-void require_known_members(
-    const util::Json& json,
-    std::initializer_list<std::string_view> allowed,
-    std::string_view context) {
-  for (const auto& member : json.members()) {
-    bool known = false;
-    for (const std::string_view name : allowed) {
-      if (member.first == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      throw std::invalid_argument(std::string(context) +
-                                  ": unknown member \"" + member.first +
-                                  "\"");
-    }
-  }
-}
-
-std::uint64_t get_u64(const util::Json& json, std::string_view member,
-                      std::uint64_t fallback) {
-  const util::Json* found = json.find(member);
-  if (found == nullptr) return fallback;
-  try {
-    return found->as_uint64();
-  } catch (const std::exception& e) {
-    bad_member(member, e.what());
-  }
-}
-
-double get_double(const util::Json& json, std::string_view member,
-                  double fallback) {
-  const util::Json* found = json.find(member);
-  if (found == nullptr) return fallback;
-  try {
-    return found->as_double();
-  } catch (const std::exception& e) {
-    bad_member(member, e.what());
-  }
-}
-
-bool get_bool(const util::Json& json, std::string_view member, bool fallback) {
-  const util::Json* found = json.find(member);
-  if (found == nullptr) return fallback;
-  try {
-    return found->as_bool();
-  } catch (const std::exception& e) {
-    bad_member(member, e.what());
-  }
-}
-
-std::string get_string(const util::Json& json, std::string_view member,
-                       const std::string& fallback) {
-  const util::Json* found = json.find(member);
-  if (found == nullptr) return fallback;
-  try {
-    return found->as_string();
-  } catch (const std::exception& e) {
-    bad_member(member, e.what());
-  }
-}
-
-template <typename Enum>
-Enum get_policy(const util::Json& json, std::string_view member,
-                std::optional<Enum> (*parse)(std::string_view),
-                Enum fallback) {
-  const std::string name = get_string(json, member, std::string(name_of(fallback)));
-  const std::optional<Enum> value = parse(name);
-  if (!value.has_value()) {
-    bad_member(member, "unknown policy name \"" + name + "\" (" +
-                           policy_names_hint() + ")");
-  }
-  return *value;
-}
+// The `params` and `retry` sub-values, which only a SolveRequest carries.
 
 util::Json params_to_json(const core::Params& params) {
   util::Json json = util::Json::object();
@@ -111,42 +23,28 @@ util::Json params_to_json(const core::Params& params) {
   return json;
 }
 
-core::Params params_from_json(const util::Json& json) {
-  if (!json.is_object()) bad_member("params", "expected an object");
-  require_known_members(
-      json,
+core::Params params_from_json(const util::Json& json,
+                             const util::JsonPath& path) {
+  const util::JsonReader in(
+      json, path,
       {"target_cost", "restart_limit", "restart_schedule", "max_restarts",
        "freeze_loc_min", "freeze_swap", "reset_limit", "reset_fraction",
-       "prob_accept_plateau", "prob_accept_local_min"},
-      "SolveRequest.params");
+       "prob_accept_plateau", "prob_accept_local_min"});
   core::Params params;
-  const util::Json* target = json.find("target_cost");
-  if (target != nullptr) {
-    try {
-      params.target_cost = target->as_int64();
-    } catch (const std::exception& e) {
-      bad_member("params.target_cost", e.what());
-    }
-  }
-  params.restart_limit =
-      get_u64(json, "restart_limit", params.restart_limit);
-  params.restart_schedule =
-      get_policy(json, "restart_schedule", restart_schedule_from_name,
-                 params.restart_schedule);
-  params.max_restarts = static_cast<std::uint32_t>(
-      get_u64(json, "max_restarts", params.max_restarts));
-  params.freeze_loc_min = static_cast<std::uint32_t>(
-      get_u64(json, "freeze_loc_min", params.freeze_loc_min));
-  params.freeze_swap = static_cast<std::uint32_t>(
-      get_u64(json, "freeze_swap", params.freeze_swap));
-  params.reset_limit = static_cast<std::uint32_t>(
-      get_u64(json, "reset_limit", params.reset_limit));
-  params.reset_fraction =
-      get_double(json, "reset_fraction", params.reset_fraction);
+  params.target_cost = in.get("target_cost", params.target_cost);
+  params.restart_limit = in.get("restart_limit", params.restart_limit);
+  params.restart_schedule = in.get("restart_schedule",
+                              parallel::kRestartScheduleNames,
+                              params.restart_schedule);
+  params.max_restarts = in.get("max_restarts", params.max_restarts);
+  params.freeze_loc_min = in.get("freeze_loc_min", params.freeze_loc_min);
+  params.freeze_swap = in.get("freeze_swap", params.freeze_swap);
+  params.reset_limit = in.get("reset_limit", params.reset_limit);
+  params.reset_fraction = in.get("reset_fraction", params.reset_fraction);
   params.prob_accept_plateau =
-      get_double(json, "prob_accept_plateau", params.prob_accept_plateau);
+      in.get("prob_accept_plateau", params.prob_accept_plateau);
   params.prob_accept_local_min =
-      get_double(json, "prob_accept_local_min", params.prob_accept_local_min);
+      in.get("prob_accept_local_min", params.prob_accept_local_min);
   return params;
 }
 
@@ -159,18 +57,15 @@ util::Json retry_to_json(const RetryPolicy& retry) {
   return json;
 }
 
-RetryPolicy retry_from_json(const util::Json& json) {
-  if (!json.is_object()) bad_member("retry", "expected an object");
-  require_known_members(
-      json, {"max_attempts", "base_backoff_ms", "multiplier", "jitter"},
-      "SolveRequest.retry");
+RetryPolicy retry_from_json(const util::Json& json,
+                            const util::JsonPath& path) {
+  const util::JsonReader in(
+      json, path, {"max_attempts", "base_backoff_ms", "multiplier", "jitter"});
   RetryPolicy retry;
-  retry.max_attempts = static_cast<std::uint32_t>(
-      get_u64(json, "max_attempts", retry.max_attempts));
-  retry.base_backoff_ms =
-      get_u64(json, "base_backoff_ms", retry.base_backoff_ms);
-  retry.multiplier = get_double(json, "multiplier", retry.multiplier);
-  retry.jitter = get_double(json, "jitter", retry.jitter);
+  retry.max_attempts = in.get("max_attempts", retry.max_attempts);
+  retry.base_backoff_ms = in.get("base_backoff_ms", retry.base_backoff_ms);
+  retry.multiplier = in.get("multiplier", retry.multiplier);
+  retry.jitter = in.get("jitter", retry.jitter);
   // Rejected where it is decoded, not attempts later.
   retry.validate();
   return retry;
@@ -241,9 +136,7 @@ util::Json SolveRequest::to_json() const {
   json.set("retry", retry_to_json(retry))
       .set("watchdog_stall_ms", watchdog_stall_ms);
   if (warm_start.has_value()) {
-    util::Json values = util::Json::array();
-    for (const int v : *warm_start) values.push_back(v);
-    json.set("warm_start", std::move(values));
+    json.set("warm_start", util::Json::array_of(*warm_start));
   }
   if (!faults.empty()) {
     util::Json plans = util::Json::array();
@@ -263,90 +156,64 @@ std::string SolveRequest::to_json_string(int indent) const {
 }
 
 SolveRequest SolveRequest::from_json(const util::Json& json) {
-  if (!json.is_object()) {
-    throw std::invalid_argument("SolveRequest: expected a JSON object");
-  }
-  require_known_members(
-      json,
+  const util::JsonReader in(
+      json, util::JsonPath{"SolveRequest"},
       {"problem", "walkers", "seed", "scheduling", "neighborhood", "exchange",
-       "comm_mode", "termination", "comm_period",
-       "comm_adopt_probability", "comm_decay", "max_threads", "deadline_ms",
-       "params", "trace", "trace_sample_period", "retry", "watchdog_stall_ms",
-       "warm_start", "faults", "resume_from"},
-      "SolveRequest");
+       "comm_mode", "termination", "comm_period", "comm_adopt_probability",
+       "comm_decay", "max_threads", "deadline_ms", "params", "trace",
+       "trace_sample_period", "retry", "watchdog_stall_ms", "warm_start",
+       "faults", "resume_from"});
   SolveRequest request;
-  request.problem = get_string(json, "problem", "");
+  request.problem = in.get<std::string>("problem");
   if (request.problem.empty()) {
-    bad_member("problem", "missing or empty instance spec "
-                          "(e.g. \"costas:18\")");
+    in.fail("problem", "empty instance spec (e.g. \"costas:18\")");
   }
-  request.walkers = static_cast<std::size_t>(
-      get_u64(json, "walkers", request.walkers));
-  request.seed = get_u64(json, "seed", request.seed);
-  request.scheduling = get_policy(json, "scheduling", scheduling_from_name,
-                                  request.scheduling);
-  request.neighborhood = get_policy(json, "neighborhood",
-                                    neighborhood_from_name,
-                                    request.neighborhood);
+  request.walkers = in.get("walkers", request.walkers);
+  request.seed = in.get("seed", request.seed);
+  request.scheduling =
+      in.get("scheduling", parallel::kSchedulingNames, request.scheduling);
+  request.neighborhood = in.get("neighborhood", parallel::kNeighborhoodNames,
+                                request.neighborhood);
   request.exchange =
-      get_policy(json, "exchange", exchange_from_name, request.exchange);
-  request.comm_mode = get_policy(json, "comm_mode", comm_mode_from_name,
-                                 request.comm_mode);
-  request.termination = get_policy(json, "termination", termination_from_name,
-                                   request.termination);
-  request.comm_period = get_u64(json, "comm_period", request.comm_period);
-  request.comm_adopt_probability = get_double(
-      json, "comm_adopt_probability", request.comm_adopt_probability);
-  request.comm_decay = get_u64(json, "comm_decay", request.comm_decay);
-  request.max_threads = static_cast<std::size_t>(
-      get_u64(json, "max_threads", request.max_threads));
-  request.deadline_ms = get_u64(json, "deadline_ms", request.deadline_ms);
-  if (const util::Json* params = json.find("params"); params != nullptr) {
-    request.params = params_from_json(*params);
+      in.get("exchange", parallel::kExchangeNames, request.exchange);
+  request.comm_mode =
+      in.get("comm_mode", parallel::kCommModeNames, request.comm_mode);
+  request.termination =
+      in.get("termination", parallel::kTerminationNames, request.termination);
+  request.comm_period = in.get("comm_period", request.comm_period);
+  request.comm_adopt_probability =
+      in.get("comm_adopt_probability", request.comm_adopt_probability);
+  request.comm_decay = in.get("comm_decay", request.comm_decay);
+  request.max_threads = in.get("max_threads", request.max_threads);
+  request.deadline_ms = in.get("deadline_ms", request.deadline_ms);
+  if (in.find("params") != nullptr) {
+    request.params = params_from_json(in.at("params"), in.path("params"));
   }
-  request.trace = get_bool(json, "trace", request.trace);
+  request.trace = in.get("trace", request.trace);
   request.trace_sample_period =
-      get_u64(json, "trace_sample_period", request.trace_sample_period);
-  if (const util::Json* retry = json.find("retry"); retry != nullptr) {
-    request.retry = retry_from_json(*retry);
+      in.get("trace_sample_period", request.trace_sample_period);
+  if (in.find("retry") != nullptr) {
+    request.retry = retry_from_json(in.at("retry"), in.path("retry"));
   }
   request.watchdog_stall_ms =
-      get_u64(json, "watchdog_stall_ms", request.watchdog_stall_ms);
-  if (const util::Json* warm = json.find("warm_start"); warm != nullptr) {
-    if (!warm->is_array()) bad_member("warm_start", "expected an array");
-    std::vector<int> values;
-    values.reserve(warm->size());
-    for (const util::Json& v : warm->elements()) {
-      try {
-        values.push_back(static_cast<int>(v.as_int64()));
-      } catch (const std::exception& e) {
-        bad_member("warm_start", e.what());
-      }
-    }
-    request.warm_start = std::move(values);
+      in.get("watchdog_stall_ms", request.watchdog_stall_ms);
+  if (in.find("warm_start") != nullptr) {
+    request.warm_start = in.get<std::vector<int>>("warm_start");
   }
-  if (const util::Json* faults = json.find("faults"); faults != nullptr) {
-    if (!faults->is_array()) bad_member("faults", "expected an array");
-    request.faults.reserve(faults->size());
-    for (const util::Json& plan : faults->elements()) {
-      try {
-        request.faults.push_back(util::fault::FaultPlan::from_json(plan));
-      } catch (const std::exception& e) {
-        bad_member("faults", e.what());
-      }
+  if (in.find("faults") != nullptr) {
+    const std::vector<util::Json>& plans = in.elements("faults");
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      request.faults.push_back(util::fault::FaultPlan::from_json(
+          plans[i], in.path("faults", i)));
     }
   }
-  if (const util::Json* resume = json.find("resume_from");
-      resume != nullptr) {
-    try {
-      request.resume_from = parallel::PoolCheckpoint::from_json(*resume);
-    } catch (const std::exception& e) {
-      bad_member("resume_from", e.what());
-    }
+  if (in.find("resume_from") != nullptr) {
+    request.resume_from = parallel::PoolCheckpoint::from_json(
+        in.at("resume_from"), in.path("resume_from"));
     if (request.warm_start.has_value()) {
-      bad_member("resume_from",
-                 "mutually exclusive with warm_start (a checkpoint already "
-                 "fixes every walker's configuration)");
+      in.fail("resume_from",
+              "mutually exclusive with warm_start (a checkpoint already "
+              "fixes every walker's configuration)");
     }
   }
   return request;
@@ -386,9 +253,7 @@ util::Json SolveReport::to_json() const {
       .set("failed_walkers", static_cast<std::uint64_t>(failed_walkers))
       .set("attempts", static_cast<std::uint64_t>(attempts))
       .set("degraded", degraded);
-  util::Json solution_json = util::Json::array();
-  for (const int v : solution) solution_json.push_back(v);
-  json.set("solution", std::move(solution_json));
+  json.set("solution", util::Json::array_of(solution));
   util::Json walkers_json = util::Json::array();
   for (const WalkerReport& w : walkers) {
     util::Json wj = util::Json::object();
@@ -417,83 +282,58 @@ std::string SolveReport::to_json_string(int indent) const {
 }
 
 SolveReport SolveReport::from_json(const util::Json& json) {
-  if (!json.is_object()) {
-    throw std::invalid_argument("SolveReport: expected a JSON object");
-  }
-  require_known_members(
-      json,
+  const util::JsonReader in(
+      json, util::JsonPath{"SolveReport"},
       {"problem", "solved", "cancelled", "deadline_expired", "preempted",
-       "winner", "cost",
-       "wall_seconds", "time_to_solution_seconds", "total_iterations",
-       "comm_publishes", "elite_accepted", "comm_adoptions", "failed_walkers",
-       "attempts", "degraded", "solution", "walkers"},
-      "SolveReport");
+       "winner", "cost", "wall_seconds", "time_to_solution_seconds",
+       "total_iterations", "comm_publishes", "elite_accepted",
+       "comm_adoptions", "failed_walkers", "attempts", "degraded", "solution",
+       "walkers"});
   SolveReport report;
-  report.problem = get_string(json, "problem", "");
-  report.solved = get_bool(json, "solved", false);
-  report.cancelled = get_bool(json, "cancelled", false);
-  report.deadline_expired = get_bool(json, "deadline_expired", false);
-  report.preempted = get_bool(json, "preempted", false);
-  try {
-    const std::int64_t winner = json.at("winner").as_int64();
-    report.winner = winner < 0 ? parallel::kNoWinner
-                               : static_cast<std::size_t>(winner);
-  } catch (const std::exception& e) {
-    bad_member("winner", e.what());
-  }
-  try {
-    report.cost = json.at("cost").as_int64();
-  } catch (const std::exception& e) {
-    bad_member("cost", e.what());
-  }
-  report.wall_seconds = get_double(json, "wall_seconds", 0.0);
+  report.problem = in.get("problem", report.problem);
+  report.solved = in.get("solved", report.solved);
+  report.cancelled = in.get("cancelled", report.cancelled);
+  report.deadline_expired = in.get("deadline_expired", report.deadline_expired);
+  report.preempted = in.get("preempted", report.preempted);
+  const std::int64_t winner = in.get<std::int64_t>("winner");
+  report.winner = winner < 0 ? parallel::kNoWinner
+                        : static_cast<std::size_t>(winner);
+  report.cost = in.get<csp::Cost>("cost");
+  report.wall_seconds = in.get("wall_seconds", report.wall_seconds);
   report.time_to_solution_seconds =
-      get_double(json, "time_to_solution_seconds", 0.0);
-  report.total_iterations = get_u64(json, "total_iterations", 0);
-  report.comm_publishes = get_u64(json, "comm_publishes", 0);
-  report.elite_accepted = get_u64(json, "elite_accepted", 0);
-  report.comm_adoptions = get_u64(json, "comm_adoptions", 0);
-  report.failed_walkers =
-      static_cast<std::size_t>(get_u64(json, "failed_walkers", 0));
-  report.attempts = static_cast<std::uint32_t>(get_u64(json, "attempts", 1));
-  report.degraded = get_bool(json, "degraded", false);
-  if (const util::Json* solution = json.find("solution");
-      solution != nullptr) {
-    if (!solution->is_array()) bad_member("solution", "expected an array");
-    report.solution.reserve(solution->size());
-    for (const util::Json& v : solution->elements()) {
-      try {
-        report.solution.push_back(static_cast<int>(v.as_int64()));
-      } catch (const std::exception& e) {
-        bad_member("solution", e.what());
-      }
-    }
-  }
-  if (const util::Json* walkers = json.find("walkers"); walkers != nullptr) {
-    if (!walkers->is_array()) bad_member("walkers", "expected an array");
-    report.walkers.reserve(walkers->size());
-    for (const util::Json& wj : walkers->elements()) {
-      if (!wj.is_object()) bad_member("walkers", "expected objects");
+      in.get("time_to_solution_seconds", report.time_to_solution_seconds);
+  report.total_iterations = in.get("total_iterations", report.total_iterations);
+  report.comm_publishes = in.get("comm_publishes", report.comm_publishes);
+  report.elite_accepted = in.get("elite_accepted", report.elite_accepted);
+  report.comm_adoptions = in.get("comm_adoptions", report.comm_adoptions);
+  report.failed_walkers = in.get("failed_walkers", report.failed_walkers);
+  report.attempts = in.get("attempts", report.attempts);
+  report.degraded = in.get("degraded", report.degraded);
+  report.solution = in.get("solution", report.solution);
+  if (in.find("walkers") != nullptr) {
+    const std::vector<util::Json>& walkers = in.elements("walkers");
+    for (std::size_t i = 0; i < walkers.size(); ++i) {
+      const util::JsonReader wj(
+          walkers[i], in.path("walkers", i),
+          {"id", "solved", "interrupted", "cost", "iterations", "swaps",
+           "plateau_moves", "local_minima", "resets", "restarts",
+           "cost_evaluations", "seconds", "failed", "error"});
       WalkerReport w;
-      w.id = static_cast<std::size_t>(get_u64(wj, "id", 0));
-      w.solved = get_bool(wj, "solved", false);
-      w.interrupted = get_bool(wj, "interrupted", false);
-      try {
-        w.cost = wj.at("cost").as_int64();
-      } catch (const std::exception& e) {
-        bad_member("walkers[].cost", e.what());
-      }
-      w.iterations = get_u64(wj, "iterations", 0);
-      w.swaps = get_u64(wj, "swaps", 0);
-      w.plateau_moves = get_u64(wj, "plateau_moves", 0);
-      w.local_minima = get_u64(wj, "local_minima", 0);
-      w.resets = get_u64(wj, "resets", 0);
-      w.restarts = get_u64(wj, "restarts", 0);
-      w.cost_evaluations = get_u64(wj, "cost_evaluations", 0);
-      w.seconds = get_double(wj, "seconds", 0.0);
-      w.failed = get_bool(wj, "failed", false);
-      w.error = get_string(wj, "error", "");
-      report.walkers.push_back(w);
+      w.id = wj.get("id", w.id);
+      w.solved = wj.get("solved", w.solved);
+      w.interrupted = wj.get("interrupted", w.interrupted);
+      w.cost = wj.get<csp::Cost>("cost");
+      w.iterations = wj.get("iterations", w.iterations);
+      w.swaps = wj.get("swaps", w.swaps);
+      w.plateau_moves = wj.get("plateau_moves", w.plateau_moves);
+      w.local_minima = wj.get("local_minima", w.local_minima);
+      w.resets = wj.get("resets", w.resets);
+      w.restarts = wj.get("restarts", w.restarts);
+      w.cost_evaluations = wj.get("cost_evaluations", w.cost_evaluations);
+      w.seconds = wj.get("seconds", w.seconds);
+      w.failed = wj.get("failed", w.failed);
+      w.error = wj.get("error", w.error);
+      report.walkers.push_back(std::move(w));
     }
   }
   return report;

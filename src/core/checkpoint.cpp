@@ -1,74 +1,13 @@
 #include "core/checkpoint.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 #include <string>
 
 namespace cspls::core {
 
-namespace {
-
-[[noreturn]] void bad(const std::string& message) {
-  throw std::invalid_argument("core::Checkpoint: " + message);
-}
-
-void require_known_members(const util::Json& json,
-                           std::initializer_list<std::string_view> allowed,
-                           std::string_view where) {
-  for (const auto& [key, value] : json.members()) {
-    (void)value;
-    bool known = false;
-    for (const std::string_view name : allowed) {
-      if (key == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      bad("unknown member '" + key + "' in " + std::string(where));
-    }
-  }
-}
-
-const util::Json& member(const util::Json& json, std::string_view name) {
-  const util::Json* value = json.find(name);
-  if (value == nullptr) bad("missing member '" + std::string(name) + "'");
-  return *value;
-}
-
-std::vector<int> int_vector(const util::Json& json, std::string_view name) {
-  std::vector<int> out;
-  out.reserve(json.elements().size());
-  for (const util::Json& element : json.elements()) {
-    out.push_back(static_cast<int>(element.as_int64()));
-  }
-  (void)name;
-  return out;
-}
-
-util::Json to_json_array(const std::vector<int>& values) {
-  util::Json array = util::Json::array();
-  for (const int v : values) array.push_back(static_cast<std::int64_t>(v));
-  return array;
-}
-
-}  // namespace
-
-util::Json Checkpoint::to_json() const {
+util::Json to_json(const RunStats& stats) {
   util::Json json = util::Json::object();
-  json.set("schema", kSchema);
-  json.set("values", to_json_array(values));
-  json.set("cost", static_cast<std::int64_t>(cost));
-  json.set("best", to_json_array(best));
-  json.set("best_cost", static_cast<std::int64_t>(best_cost));
-  util::Json tabu = util::Json::array();
-  for (const std::uint64_t t : tabu_until) tabu.push_back(t);
-  json.set("tabu_until", std::move(tabu));
-  json.set("marks_since_reset", static_cast<std::uint64_t>(marks_since_reset));
-  util::Json rng = util::Json::array();
-  for (const std::uint64_t word : rng_state) rng.push_back(word);
-  json.set("rng_state", std::move(rng));
-  util::Json stats_json = util::Json::object();
-  stats_json.set("iterations", stats.iterations)
+  json.set("iterations", stats.iterations)
       .set("swaps", stats.swaps)
       .set("plateau_moves", stats.plateau_moves)
       .set("local_minima", stats.local_minima)
@@ -76,82 +15,118 @@ util::Json Checkpoint::to_json() const {
       .set("restarts", stats.restarts)
       .set("cost_evaluations", stats.cost_evaluations)
       .set("seconds", stats.seconds);
-  json.set("stats", std::move(stats_json));
-  json.set("iter_in_walk", iter_in_walk);
-  json.set("restarts_done", static_cast<std::uint64_t>(restarts_done));
-  util::Json samples = util::Json::array();
-  for (const TraceSample& sample : trace_samples) {
+  return json;
+}
+
+RunStats run_stats_from_json(const util::Json& json,
+                             const util::JsonPath& path) {
+  const util::JsonReader in(json, path,
+                            {"iterations", "swaps", "plateau_moves",
+                             "local_minima", "resets", "restarts",
+                             "cost_evaluations", "seconds"});
+  RunStats stats;
+  stats.iterations = in.get<std::uint64_t>("iterations");
+  stats.swaps = in.get<std::uint64_t>("swaps");
+  stats.plateau_moves = in.get<std::uint64_t>("plateau_moves");
+  stats.local_minima = in.get<std::uint64_t>("local_minima");
+  stats.resets = in.get<std::uint64_t>("resets");
+  stats.restarts = in.get<std::uint64_t>("restarts");
+  stats.cost_evaluations = in.get<std::uint64_t>("cost_evaluations");
+  stats.seconds = in.get<double>("seconds");
+  return stats;
+}
+
+util::Json to_json(const std::vector<TraceSample>& samples) {
+  util::Json array = util::Json::array();
+  for (const TraceSample& sample : samples) {
     util::Json pair = util::Json::array();
     pair.push_back(sample.iteration);
-    pair.push_back(static_cast<std::int64_t>(sample.cost));
-    samples.push_back(std::move(pair));
+    pair.push_back(sample.cost);
+    array.push_back(std::move(pair));
   }
-  json.set("trace_samples", std::move(samples));
+  return array;
+}
+
+std::vector<TraceSample> trace_samples_from_json(const util::Json& json,
+                                                 const util::JsonPath& path) {
+  const std::vector<util::Json>& pairs = util::read_json_array(json, path);
+  std::vector<TraceSample> samples;
+  samples.reserve(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const util::JsonPath at{path.value, path.member, i};
+    const std::vector<util::Json>& pair = util::read_json_array(pairs[i], at);
+    if (pair.size() != 2) at.fail("expected [iteration, cost]");
+    samples.push_back(TraceSample{util::read_json<std::uint64_t>(pair[0], at),
+                                  util::read_json<csp::Cost>(pair[1], at)});
+  }
+  return samples;
+}
+
+util::Json Checkpoint::to_json() const {
+  util::Json json = util::Json::object();
+  json.set("schema", kSchema)
+      .set("values", util::Json::array_of(values))
+      .set("cost", cost)
+      .set("best", util::Json::array_of(best))
+      .set("best_cost", best_cost)
+      .set("tabu_until", util::Json::array_of(tabu_until))
+      .set("marks_since_reset", static_cast<std::uint64_t>(marks_since_reset))
+      .set("rng_state", util::Json::array_of(rng_state))
+      .set("stats", core::to_json(stats))
+      .set("iter_in_walk", iter_in_walk)
+      .set("restarts_done", static_cast<std::uint64_t>(restarts_done))
+      .set("trace_samples", core::to_json(trace_samples));
   return json;
 }
 
 Checkpoint Checkpoint::from_json(const util::Json& json) {
-  if (!json.is_object()) bad("document is not an object");
-  require_known_members(json,
-                        {"schema", "values", "cost", "best", "best_cost",
-                         "tabu_until", "marks_since_reset", "rng_state",
-                         "stats", "iter_in_walk", "restarts_done",
-                         "trace_samples"},
-                        "checkpoint");
-  if (member(json, "schema").as_string() != kSchema) {
-    bad("unsupported schema '" + member(json, "schema").as_string() + "'");
-  }
+  return from_json(json, util::JsonPath{"core::Checkpoint"});
+}
 
+Checkpoint Checkpoint::from_json(const util::Json& json,
+                                 const util::JsonPath& path) {
+  const util::JsonReader in(json, path,
+                            {"schema", "values", "cost", "best", "best_cost",
+                             "tabu_until", "marks_since_reset", "rng_state",
+                             "stats", "iter_in_walk", "restarts_done",
+                             "trace_samples"});
+  if (const std::string schema = in.get<std::string>("schema");
+      schema != kSchema) {
+    in.fail("schema", "unsupported schema \"" + schema + "\"");
+  }
   Checkpoint cp;
-  cp.values = int_vector(member(json, "values"), "values");
-  cp.cost = member(json, "cost").as_int64();
-  cp.best = int_vector(member(json, "best"), "best");
-  cp.best_cost = member(json, "best_cost").as_int64();
-  for (const util::Json& t : member(json, "tabu_until").elements()) {
-    cp.tabu_until.push_back(t.as_uint64());
+  cp.values = in.get<std::vector<int>>("values");
+  cp.cost = in.get<csp::Cost>("cost");
+  cp.best = in.get<std::vector<int>>("best");
+  cp.best_cost = in.get<csp::Cost>("best_cost");
+  cp.tabu_until = in.get<std::vector<std::uint64_t>>("tabu_until");
+  cp.marks_since_reset = in.get<std::uint32_t>("marks_since_reset");
+  const auto rng = in.get<std::vector<std::uint64_t>>("rng_state");
+  if (rng.size() != cp.rng_state.size()) {
+    in.fail("rng_state", "must hold 4 words");
   }
-  cp.marks_since_reset =
-      static_cast<std::uint32_t>(member(json, "marks_since_reset").as_uint64());
-  const auto& rng = member(json, "rng_state").elements();
-  if (rng.size() != cp.rng_state.size()) bad("rng_state must hold 4 words");
-  for (std::size_t i = 0; i < cp.rng_state.size(); ++i) {
-    cp.rng_state[i] = rng[i].as_uint64();
+  // xoshiro256** never reaches the all-zero state, and from_state would
+  // silently substitute the default stream: the "resumed" walk would be
+  // another walk.
+  if (std::all_of(rng.begin(), rng.end(), [](auto w) { return w == 0; })) {
+    in.fail("rng_state", "all-zero is not a xoshiro256** state");
   }
-
-  const util::Json& stats = member(json, "stats");
-  if (!stats.is_object()) bad("stats is not an object");
-  require_known_members(stats,
-                        {"iterations", "swaps", "plateau_moves",
-                         "local_minima", "resets", "restarts",
-                         "cost_evaluations", "seconds"},
-                        "stats");
-  cp.stats.iterations = member(stats, "iterations").as_uint64();
-  cp.stats.swaps = member(stats, "swaps").as_uint64();
-  cp.stats.plateau_moves = member(stats, "plateau_moves").as_uint64();
-  cp.stats.local_minima = member(stats, "local_minima").as_uint64();
-  cp.stats.resets = member(stats, "resets").as_uint64();
-  cp.stats.restarts = member(stats, "restarts").as_uint64();
-  cp.stats.cost_evaluations = member(stats, "cost_evaluations").as_uint64();
-  cp.stats.seconds = member(stats, "seconds").as_double();
-
-  cp.iter_in_walk = member(json, "iter_in_walk").as_uint64();
-  cp.restarts_done =
-      static_cast<std::uint32_t>(member(json, "restarts_done").as_uint64());
-  for (const util::Json& pair : member(json, "trace_samples").elements()) {
-    if (pair.elements().size() != 2) bad("trace sample must be [iter, cost]");
-    cp.trace_samples.push_back(TraceSample{pair.elements()[0].as_uint64(),
-                                           pair.elements()[1].as_int64()});
-  }
+  std::copy(rng.begin(), rng.end(), cp.rng_state.begin());
+  cp.stats = run_stats_from_json(in.at("stats"), in.path("stats"));
+  cp.iter_in_walk = in.get<std::uint64_t>("iter_in_walk");
+  cp.restarts_done = in.get<std::uint32_t>("restarts_done");
+  cp.trace_samples =
+      trace_samples_from_json(in.at("trace_samples"), in.path("trace_samples"));
 
   // Internal consistency: both configurations exist and the tabu vector
   // covers the same variables — a checkpoint never describes a run that
   // the engine could not actually have been in.
-  if (cp.values.empty()) bad("empty configuration");
+  if (cp.values.empty()) in.fail("values", "empty configuration");
   if (cp.best.size() != cp.values.size()) {
-    bad("best/values size mismatch");
+    in.fail("best", "size differs from values");
   }
   if (cp.tabu_until.size() != cp.values.size()) {
-    bad("tabu_until/values size mismatch");
+    in.fail("tabu_until", "size differs from values");
   }
   return cp;
 }

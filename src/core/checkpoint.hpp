@@ -13,8 +13,9 @@
 // the values the scan sees are identical either way.
 //
 // The JSON schema is strict and versioned ("cspls-checkpoint/1"): unknown
-// members reject, missing members reject, and sizes must be mutually
-// consistent.  This is the unit the parallel layer aggregates into a
+// members reject, missing members reject, sizes must be mutually
+// consistent, and an all-zero RNG state (which xoshiro256** cannot be in)
+// rejects.  This is the unit the parallel layer aggregates into a
 // PoolCheckpoint and the serving tier round-trips through a SolveRequest's
 // `resume_from` member — the migration payload of the distributed-pool
 // roadmap item.
@@ -50,11 +51,26 @@ struct Checkpoint {
   std::vector<TraceSample> trace_samples;
 
   [[nodiscard]] util::Json to_json() const;
-  /// Strict decode: rejects a wrong/missing schema tag, unknown members,
-  /// missing members, and internally inconsistent sizes.
+  /// Strict decode: rejects a wrong/missing schema tag, unknown, missing or
+  /// mistyped members, out-of-range integers, internally inconsistent sizes
+  /// and an all-zero rng_state, throwing std::invalid_argument that names
+  /// the member.  The second form decodes a checkpoint nested at `path`.
   [[nodiscard]] static Checkpoint from_json(const util::Json& json);
+  [[nodiscard]] static Checkpoint from_json(const util::Json& json,
+                                            const util::JsonPath& path);
 
   [[nodiscard]] bool operator==(const Checkpoint&) const = default;
 };
+
+// The codecs of the sub-values more than one document carries: RunStats
+// (`stats` here and in a finished walker's result) and the [iteration,
+// cost] series (`trace_samples` here, `cost_samples` in a finished walker's
+// trace).  The decoders name failures under `path`.
+[[nodiscard]] util::Json to_json(const RunStats& stats);
+[[nodiscard]] RunStats run_stats_from_json(const util::Json& json,
+                                           const util::JsonPath& path);
+[[nodiscard]] util::Json to_json(const std::vector<TraceSample>& samples);
+[[nodiscard]] std::vector<TraceSample> trace_samples_from_json(
+    const util::Json& json, const util::JsonPath& path);
 
 }  // namespace cspls::core

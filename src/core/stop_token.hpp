@@ -22,6 +22,8 @@
 #include <chrono>
 #include <cstdint>
 
+#include "util/names.hpp"
+
 namespace cspls::core {
 
 /// What ended a walk early.  Recorded by the poll that observed the stop,
@@ -40,6 +42,11 @@ enum class StopCause : std::uint8_t {
                ///< recorded by the pool's crash containment with the
                ///< exception message in Result::error
 };
+
+/// Wire names ("stop_cause" of a finished walker in a PoolCheckpoint).
+inline constexpr util::NameTable<StopCause, StopCause::kFailed>
+    kStopCauseNames("none", "cancel", "chained", "preempted", "deadline",
+                    "failed");
 
 class StopToken {
  public:

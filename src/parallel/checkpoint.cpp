@@ -1,183 +1,36 @@
 #include "parallel/checkpoint.hpp"
 
-#include <stdexcept>
 #include <string>
-
-#include "parallel/elite_pool.hpp"
 
 namespace cspls::parallel {
 
 namespace {
 
-[[noreturn]] void bad(const std::string& message) {
-  throw std::invalid_argument("parallel::PoolCheckpoint: " + message);
-}
-
-void require_known_members(const util::Json& json,
-                           std::initializer_list<std::string_view> allowed,
-                           std::string_view where) {
-  for (const auto& [key, value] : json.members()) {
-    (void)value;
-    bool known = false;
-    for (const std::string_view name : allowed) {
-      if (key == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      bad("unknown member '" + key + "' in " + std::string(where));
-    }
-  }
-}
-
-const util::Json& member(const util::Json& json, std::string_view name) {
-  const util::Json* value = json.find(name);
-  if (value == nullptr) bad("missing member '" + std::string(name) + "'");
-  return *value;
-}
-
-std::string_view stage_name(PoolCheckpoint::WalkerStage stage) {
-  switch (stage) {
-    case PoolCheckpoint::WalkerStage::kPending:
-      return "pending";
-    case PoolCheckpoint::WalkerStage::kRunning:
-      return "running";
-    case PoolCheckpoint::WalkerStage::kDone:
-      return "done";
-  }
-  return "pending";
-}
-
-PoolCheckpoint::WalkerStage stage_from_name(const std::string& name) {
-  if (name == "pending") return PoolCheckpoint::WalkerStage::kPending;
-  if (name == "running") return PoolCheckpoint::WalkerStage::kRunning;
-  if (name == "done") return PoolCheckpoint::WalkerStage::kDone;
-  bad("unknown walker stage '" + name + "'");
-}
-
-std::string_view cause_name(core::StopCause cause) {
-  switch (cause) {
-    case core::StopCause::kNone:
-      return "none";
-    case core::StopCause::kCancel:
-      return "cancel";
-    case core::StopCause::kChained:
-      return "chained";
-    case core::StopCause::kPreempted:
-      return "preempted";
-    case core::StopCause::kDeadline:
-      return "deadline";
-    case core::StopCause::kFailed:
-      return "failed";
-  }
-  return "none";
-}
-
-core::StopCause cause_from_name(const std::string& name) {
-  if (name == "none") return core::StopCause::kNone;
-  if (name == "cancel") return core::StopCause::kCancel;
-  if (name == "chained") return core::StopCause::kChained;
-  if (name == "preempted") return core::StopCause::kPreempted;
-  if (name == "deadline") return core::StopCause::kDeadline;
-  if (name == "failed") return core::StopCause::kFailed;
-  bad("unknown stop cause '" + name + "'");
-}
-
-util::Json int_array(const std::vector<int>& values) {
-  util::Json array = util::Json::array();
-  for (const int v : values) array.push_back(static_cast<std::int64_t>(v));
-  return array;
-}
-
-std::vector<int> int_vector(const util::Json& json) {
-  std::vector<int> out;
-  out.reserve(json.elements().size());
-  for (const util::Json& element : json.elements()) {
-    out.push_back(static_cast<int>(element.as_int64()));
-  }
-  return out;
-}
-
-util::Json stats_to_json(const core::RunStats& stats) {
-  util::Json json = util::Json::object();
-  json.set("iterations", stats.iterations)
-      .set("swaps", stats.swaps)
-      .set("plateau_moves", stats.plateau_moves)
-      .set("local_minima", stats.local_minima)
-      .set("resets", stats.resets)
-      .set("restarts", stats.restarts)
-      .set("cost_evaluations", stats.cost_evaluations)
-      .set("seconds", stats.seconds);
-  return json;
-}
-
-core::RunStats stats_from_json(const util::Json& json) {
-  if (!json.is_object()) bad("stats is not an object");
-  require_known_members(json,
-                        {"iterations", "swaps", "plateau_moves",
-                         "local_minima", "resets", "restarts",
-                         "cost_evaluations", "seconds"},
-                        "stats");
-  core::RunStats stats;
-  stats.iterations = member(json, "iterations").as_uint64();
-  stats.swaps = member(json, "swaps").as_uint64();
-  stats.plateau_moves = member(json, "plateau_moves").as_uint64();
-  stats.local_minima = member(json, "local_minima").as_uint64();
-  stats.resets = member(json, "resets").as_uint64();
-  stats.restarts = member(json, "restarts").as_uint64();
-  stats.cost_evaluations = member(json, "cost_evaluations").as_uint64();
-  stats.seconds = member(json, "seconds").as_double();
-  return stats;
-}
-
-util::Json samples_to_json(const std::vector<core::TraceSample>& samples) {
-  util::Json array = util::Json::array();
-  for (const core::TraceSample& sample : samples) {
-    util::Json pair = util::Json::array();
-    pair.push_back(sample.iteration);
-    pair.push_back(static_cast<std::int64_t>(sample.cost));
-    array.push_back(std::move(pair));
-  }
-  return array;
-}
-
-std::vector<core::TraceSample> samples_from_json(const util::Json& json) {
-  std::vector<core::TraceSample> samples;
-  for (const util::Json& pair : json.elements()) {
-    if (pair.elements().size() != 2) bad("trace sample must be [iter, cost]");
-    samples.push_back(core::TraceSample{pair.elements()[0].as_uint64(),
-                                        pair.elements()[1].as_int64()});
-  }
-  return samples;
-}
-
 util::Json result_to_json(const core::Result& result) {
   util::Json json = util::Json::object();
   json.set("solved", result.solved)
-      .set("cost", static_cast<std::int64_t>(result.cost))
-      .set("solution", int_array(result.solution))
-      .set("stats", stats_to_json(result.stats))
+      .set("cost", result.cost)
+      .set("solution", util::Json::array_of(result.solution))
+      .set("stats", core::to_json(result.stats))
       .set("interrupted", result.interrupted)
-      .set("stop_cause", cause_name(result.stop_cause))
+      .set("stop_cause", core::kStopCauseNames.name(result.stop_cause))
       .set("error", result.error);
   return json;
 }
 
-core::Result result_from_json(const util::Json& json) {
-  if (!json.is_object()) bad("result is not an object");
-  require_known_members(json,
-                        {"solved", "cost", "solution", "stats", "interrupted",
-                         "stop_cause", "error"},
-                        "result");
+core::Result result_from_json(const util::Json& json,
+                              const util::JsonPath& path) {
+  const util::JsonReader in(json, path,
+                            {"solved", "cost", "solution", "stats",
+                             "interrupted", "stop_cause", "error"});
   core::Result result;
-  result.solved = member(json, "solved").as_bool();
-  result.cost = member(json, "cost").as_int64();
-  result.solution = int_vector(member(json, "solution"));
-  result.stats = stats_from_json(member(json, "stats"));
-  result.interrupted = member(json, "interrupted").as_bool();
-  result.stop_cause = cause_from_name(member(json, "stop_cause").as_string());
-  result.error = member(json, "error").as_string();
+  result.solved = in.get<bool>("solved");
+  result.cost = in.get<csp::Cost>("cost");
+  result.solution = in.get<std::vector<int>>("solution");
+  result.stats = core::run_stats_from_json(in.at("stats"), in.path("stats"));
+  result.interrupted = in.get<bool>("interrupted");
+  result.stop_cause = in.get("stop_cause", core::kStopCauseNames);
+  result.error = in.get<std::string>("error");
   return result;
 }
 
@@ -191,42 +44,40 @@ util::Json trace_to_json(const core::WalkerTrace& trace) {
       .set("restarts", trace.restarts)
       .set("local_minima", trace.local_minima)
       .set("seconds", trace.seconds)
-      .set("best_cost", static_cast<std::int64_t>(trace.best_cost))
-      .set("cost_samples", samples_to_json(trace.cost_samples));
+      .set("best_cost", trace.best_cost)
+      .set("cost_samples", core::to_json(trace.cost_samples));
   return json;
 }
 
-core::WalkerTrace trace_from_json(const util::Json& json) {
-  if (!json.is_object()) bad("trace is not an object");
-  require_known_members(json,
-                        {"walker_id", "solved", "interrupted", "iterations",
-                         "resets", "restarts", "local_minima", "seconds",
-                         "best_cost", "cost_samples"},
-                        "trace");
+core::WalkerTrace trace_from_json(const util::Json& json,
+                                  const util::JsonPath& path) {
+  const util::JsonReader in(json, path,
+                            {"walker_id", "solved", "interrupted",
+                             "iterations", "resets", "restarts",
+                             "local_minima", "seconds", "best_cost",
+                             "cost_samples"});
   core::WalkerTrace trace;
-  trace.walker_id =
-      static_cast<std::size_t>(member(json, "walker_id").as_uint64());
-  trace.solved = member(json, "solved").as_bool();
-  trace.interrupted = member(json, "interrupted").as_bool();
-  trace.iterations = member(json, "iterations").as_uint64();
-  trace.resets = member(json, "resets").as_uint64();
-  trace.restarts = member(json, "restarts").as_uint64();
-  trace.local_minima = member(json, "local_minima").as_uint64();
-  trace.seconds = member(json, "seconds").as_double();
-  trace.best_cost = member(json, "best_cost").as_int64();
-  trace.cost_samples = samples_from_json(member(json, "cost_samples"));
+  trace.walker_id = in.get<std::size_t>("walker_id");
+  trace.solved = in.get<bool>("solved");
+  trace.interrupted = in.get<bool>("interrupted");
+  trace.iterations = in.get<std::uint64_t>("iterations");
+  trace.resets = in.get<std::uint64_t>("resets");
+  trace.restarts = in.get<std::uint64_t>("restarts");
+  trace.local_minima = in.get<std::uint64_t>("local_minima");
+  trace.seconds = in.get<double>("seconds");
+  trace.best_cost = in.get<csp::Cost>("best_cost");
+  trace.cost_samples = core::trace_samples_from_json(in.at("cost_samples"),
+                                                     in.path("cost_samples"));
   return trace;
 }
 
 }  // namespace
 
 util::Json PoolCheckpoint::to_json() const {
-  util::Json json = util::Json::object();
-  json.set("schema", kSchema);
   util::Json walkers_json = util::Json::array();
   for (const WalkerEntry& entry : walkers) {
     util::Json entry_json = util::Json::object();
-    entry_json.set("stage", stage_name(entry.stage));
+    entry_json.set("stage", kStageNames.name(entry.stage));
     switch (entry.stage) {
       case WalkerStage::kPending:
         break;
@@ -234,88 +85,92 @@ util::Json PoolCheckpoint::to_json() const {
         entry_json.set("checkpoint", entry.checkpoint.to_json());
         break;
       case WalkerStage::kDone:
-        entry_json.set("result", result_to_json(entry.result));
-        entry_json.set("trace", trace_to_json(entry.trace));
-        entry_json.set("injected_faults", entry.injected_faults);
+        entry_json.set("result", result_to_json(entry.result))
+            .set("trace", trace_to_json(entry.trace))
+            .set("injected_faults", entry.injected_faults);
         break;
     }
     walkers_json.push_back(std::move(entry_json));
   }
-  json.set("walkers", std::move(walkers_json));
   util::Json elite_json = util::Json::array();
   for (const EliteSlot& slot : elite) {
     util::Json slot_json = util::Json::object();
     slot_json.set("has_entry", slot.has_entry)
-        .set("cost", static_cast<std::int64_t>(slot.cost))
-        .set("values", int_array(slot.values))
+        .set("cost", slot.cost)
+        .set("values", util::Json::array_of(slot.values))
         .set("tick", slot.tick)
         .set("publisher", slot.publisher)
         .set("publishes", slot.publishes)
         .set("accepted", slot.accepted);
     elite_json.push_back(std::move(slot_json));
   }
-  json.set("elite", std::move(elite_json));
-  json.set("comm_clock", comm_clock);
-  json.set("comm_adoptions", comm_adoptions);
+  util::Json json = util::Json::object();
+  json.set("schema", kSchema)
+      .set("walkers", std::move(walkers_json))
+      .set("elite", std::move(elite_json))
+      .set("comm_clock", comm_clock)
+      .set("comm_adoptions", comm_adoptions);
   return json;
 }
 
 PoolCheckpoint PoolCheckpoint::from_json(const util::Json& json) {
-  if (!json.is_object()) bad("document is not an object");
-  require_known_members(
-      json, {"schema", "walkers", "elite", "comm_clock", "comm_adoptions"},
-      "pool checkpoint");
-  if (member(json, "schema").as_string() != kSchema) {
-    bad("unsupported schema '" + member(json, "schema").as_string() + "'");
+  return from_json(json, util::JsonPath{"parallel::PoolCheckpoint"});
+}
+
+PoolCheckpoint PoolCheckpoint::from_json(const util::Json& json,
+                                         const util::JsonPath& path) {
+  const util::JsonReader in(json, path,
+                            {"schema", "walkers", "elite", "comm_clock",
+                             "comm_adoptions"});
+  if (const std::string schema = in.get<std::string>("schema");
+      schema != kSchema) {
+    in.fail("schema", "unsupported schema \"" + schema + "\"");
   }
 
   PoolCheckpoint cp;
-  for (const util::Json& entry_json : member(json, "walkers").elements()) {
-    if (!entry_json.is_object()) bad("walker entry is not an object");
+  const std::vector<util::Json>& walkers = in.elements("walkers");
+  if (walkers.empty()) in.fail("walkers", "no walker entries");
+  for (std::size_t i = 0; i < walkers.size(); ++i) {
+    const util::JsonPath at = in.path("walkers", i);
     WalkerEntry entry;
-    entry.stage = stage_from_name(member(entry_json, "stage").as_string());
-    switch (entry.stage) {
-      case WalkerStage::kPending:
-        require_known_members(entry_json, {"stage"}, "pending walker");
-        break;
-      case WalkerStage::kRunning:
-        require_known_members(entry_json, {"stage", "checkpoint"},
-                              "running walker");
-        entry.checkpoint =
-            core::Checkpoint::from_json(member(entry_json, "checkpoint"));
-        break;
-      case WalkerStage::kDone:
-        require_known_members(
-            entry_json, {"stage", "result", "trace", "injected_faults"},
-            "done walker");
-        entry.result = result_from_json(member(entry_json, "result"));
-        entry.trace = trace_from_json(member(entry_json, "trace"));
-        entry.injected_faults =
-            member(entry_json, "injected_faults").as_uint64();
-        break;
+    // Each stage admits exactly its own members.
+    entry.stage = util::JsonReader(walkers[i], at, {"stage", "checkpoint",
+                                                    "result", "trace",
+                                                    "injected_faults"})
+                      .get("stage", kStageNames);
+    if (entry.stage == WalkerStage::kPending) {
+      (void)util::JsonReader(walkers[i], at, {"stage"});
+    } else if (entry.stage == WalkerStage::kRunning) {
+      const util::JsonReader w(walkers[i], at, {"stage", "checkpoint"});
+      entry.checkpoint = core::Checkpoint::from_json(w.at("checkpoint"),
+                                                     w.path("checkpoint"));
+    } else {
+      const util::JsonReader w(
+          walkers[i], at, {"stage", "result", "trace", "injected_faults"});
+      entry.result = result_from_json(w.at("result"), w.path("result"));
+      entry.trace = trace_from_json(w.at("trace"), w.path("trace"));
+      entry.injected_faults = w.get<std::uint64_t>("injected_faults");
     }
     cp.walkers.push_back(std::move(entry));
   }
-  if (cp.walkers.empty()) bad("no walker entries");
 
-  for (const util::Json& slot_json : member(json, "elite").elements()) {
-    if (!slot_json.is_object()) bad("elite slot is not an object");
-    require_known_members(slot_json,
-                          {"has_entry", "cost", "values", "tick", "publisher",
-                           "publishes", "accepted"},
-                          "elite slot");
+  const std::vector<util::Json>& elite = in.elements("elite");
+  for (std::size_t i = 0; i < elite.size(); ++i) {
+    const util::JsonReader s(elite[i], in.path("elite", i),
+                             {"has_entry", "cost", "values", "tick",
+                              "publisher", "publishes", "accepted"});
     EliteSlot slot;
-    slot.has_entry = member(slot_json, "has_entry").as_bool();
-    slot.cost = member(slot_json, "cost").as_int64();
-    slot.values = int_vector(member(slot_json, "values"));
-    slot.tick = member(slot_json, "tick").as_uint64();
-    slot.publisher = member(slot_json, "publisher").as_uint64();
-    slot.publishes = member(slot_json, "publishes").as_uint64();
-    slot.accepted = member(slot_json, "accepted").as_uint64();
+    slot.has_entry = s.get<bool>("has_entry");
+    slot.cost = s.get<csp::Cost>("cost");
+    slot.values = s.get<std::vector<int>>("values");
+    slot.tick = s.get<std::uint64_t>("tick");
+    slot.publisher = s.get<std::uint64_t>("publisher");
+    slot.publishes = s.get<std::uint64_t>("publishes");
+    slot.accepted = s.get<std::uint64_t>("accepted");
     cp.elite.push_back(std::move(slot));
   }
-  cp.comm_clock = member(json, "comm_clock").as_uint64();
-  cp.comm_adoptions = member(json, "comm_adoptions").as_uint64();
+  cp.comm_clock = in.get<std::uint64_t>("comm_clock");
+  cp.comm_adoptions = in.get<std::uint64_t>("comm_adoptions");
   return cp;
 }
 

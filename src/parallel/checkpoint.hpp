@@ -18,7 +18,8 @@
 // run that was never preempted — the property the serving tier's
 // running-job preemption and the distributed pool's walker migration both
 // build on.  The JSON schema is strict and versioned
-// ("cspls-pool-checkpoint/1"): unknown members reject.
+// ("cspls-pool-checkpoint/1"): unknown, missing and mistyped members
+// reject, naming the member.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +42,8 @@ struct PoolCheckpoint {
     kRunning,  ///< suspended mid-run; `checkpoint` is its exact-resume state
     kDone,     ///< finished before the preemption; `result`/`trace` are final
   };
+  static constexpr util::NameTable<WalkerStage, WalkerStage::kDone>
+      kStageNames{"pending", "running", "done"};
 
   struct WalkerEntry {
     WalkerStage stage = WalkerStage::kPending;
@@ -71,9 +74,13 @@ struct PoolCheckpoint {
   std::uint64_t comm_adoptions = 0;
 
   [[nodiscard]] util::Json to_json() const;
-  /// Strict decode: rejects a wrong/missing schema tag, unknown members,
-  /// missing members and malformed walker entries.
+  /// Strict decode: rejects a wrong/missing schema tag, unknown, missing or
+  /// mistyped members and malformed walker entries, throwing
+  /// std::invalid_argument that names the member.  The second form decodes
+  /// a checkpoint nested at `path` (a SolveRequest's `resume_from`).
   [[nodiscard]] static PoolCheckpoint from_json(const util::Json& json);
+  [[nodiscard]] static PoolCheckpoint from_json(const util::Json& json,
+                                                const util::JsonPath& path);
 
   [[nodiscard]] bool operator==(const PoolCheckpoint&) const = default;
 };

@@ -1,9 +1,12 @@
 #include "parallel/job_execution.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
+
+#include "csp/problem.hpp"
 
 namespace cspls::parallel {
 
@@ -114,16 +117,40 @@ JobExecution::JobExecution(const csp::Problem& prototype,
                           : util::fault::Schedule{}),
       threaded_(options.scheduling == Scheduling::kThreads),
       race_(threaded_ && options.termination == Termination::kFirstFinisher) {
-  if (options_.warm_start.has_value() &&
-      options_.warm_start->size() != prototype.num_variables()) {
-    throw std::invalid_argument(
-        "WalkerPoolOptions: warm_start has " +
-        std::to_string(options_.warm_start->size()) + " values but \"" +
-        std::string(prototype.name()) + "\" has " +
-        std::to_string(prototype.num_variables()) + " variables");
+  // Every configuration a caller hands in must be a permutation of the
+  // instance's values before any kernel reads it: kernels index their
+  // tables by value, so a foreign value reads out of bounds, and a repeated
+  // one walks a space that holds no solution.
+  const auto require_permutation = [&](std::span<const int> values,
+                                       const std::string& member) {
+    if (!csp::is_permutation_of(values, prototype.values())) {
+      throw std::invalid_argument(
+          "WalkerPoolOptions: " + member + " is not a permutation of the " +
+          std::to_string(prototype.num_variables()) + " values of \"" +
+          std::string(prototype.name()) + "\"");
+    }
+  };
+  if (options_.warm_start.has_value()) {
+    require_permutation(*options_.warm_start, "warm_start");
   }
   if (options_.resume.has_value()) {
     const PoolCheckpoint& resume = *options_.resume;
+    for (std::size_t i = 0; i < resume.walkers.size(); ++i) {
+      if (resume.walkers[i].stage != PoolCheckpoint::WalkerStage::kRunning) {
+        continue;
+      }
+      const std::string walker = "resume.walkers[" + std::to_string(i) + "]";
+      require_permutation(resume.walkers[i].checkpoint.values,
+                          walker + ".checkpoint.values");
+      require_permutation(resume.walkers[i].checkpoint.best,
+                          walker + ".checkpoint.best");
+    }
+    for (std::size_t i = 0; i < resume.elite.size(); ++i) {
+      if (resume.elite[i].has_entry) {
+        require_permutation(resume.elite[i].values,
+                            "resume.elite[" + std::to_string(i) + "].values");
+      }
+    }
     if (resume.walkers.size() != k_) {
       throw std::invalid_argument(
           "WalkerPoolOptions: resume checkpoint has " +

@@ -2,9 +2,8 @@
 //
 // Every layer that spells a WalkerPool policy on a wire or in a CSV — the
 // JSON solve API (api/solve.cpp), the bench harnesses and the README's
-// policy matrix — maps through these tables.  Adding an enumerator without
-// extending its table here is a compile error at the switch, not a silent
-// "?" leaking into a CSV.
+// policy matrix — maps through these tables (util/names.hpp): one table per
+// enum, read by `name_of`, its `*_from_name` parser and policy_names_hint.
 //
 // `name_of` is total; the `*_from_name` parsers return std::nullopt for
 // unknown names (callers attach the valid alternatives via
@@ -17,138 +16,77 @@
 
 #include "core/restart_policy.hpp"
 #include "parallel/walker_pool.hpp"
+#include "util/names.hpp"
 
 namespace cspls::parallel {
 
+inline constexpr util::NameTable<Scheduling, Scheduling::kEmulatedRace>
+    kSchedulingNames("threads", "sequential", "emulated-race");
+inline constexpr util::NameTable<Neighborhood, Neighborhood::kHypercube>
+    kNeighborhoodNames("isolated", "complete", "ring", "torus", "hypercube");
+inline constexpr util::NameTable<Exchange, Exchange::kDecayElite>
+    kExchangeNames("none", "elite", "migration", "decay-elite");
+inline constexpr util::NameTable<CommMode, CommMode::kAsync> kCommModeNames(
+    "on_reset", "async");
+inline constexpr util::NameTable<Termination, Termination::kBestAfterBudget>
+    kTerminationNames("first-finisher", "best-after-budget");
+inline constexpr util::NameTable<core::RestartSchedule,
+                                 core::RestartSchedule::kLuby>
+    kRestartScheduleNames("fixed", "luby");
+
 [[nodiscard]] constexpr std::string_view name_of(Scheduling scheduling) {
-  switch (scheduling) {
-    case Scheduling::kThreads:
-      return "threads";
-    case Scheduling::kSequential:
-      return "sequential";
-    case Scheduling::kEmulatedRace:
-      return "emulated-race";
-  }
-  return "threads";
+  return kSchedulingNames.name(scheduling);
 }
-
 [[nodiscard]] constexpr std::string_view name_of(Neighborhood neighborhood) {
-  switch (neighborhood) {
-    case Neighborhood::kIsolated:
-      return "isolated";
-    case Neighborhood::kComplete:
-      return "complete";
-    case Neighborhood::kRing:
-      return "ring";
-    case Neighborhood::kTorus:
-      return "torus";
-    case Neighborhood::kHypercube:
-      return "hypercube";
-  }
-  return "isolated";
+  return kNeighborhoodNames.name(neighborhood);
 }
-
 [[nodiscard]] constexpr std::string_view name_of(Exchange exchange) {
-  switch (exchange) {
-    case Exchange::kNone:
-      return "none";
-    case Exchange::kElite:
-      return "elite";
-    case Exchange::kMigration:
-      return "migration";
-    case Exchange::kDecayElite:
-      return "decay-elite";
-  }
-  return "none";
+  return kExchangeNames.name(exchange);
 }
-
 [[nodiscard]] constexpr std::string_view name_of(CommMode mode) {
-  switch (mode) {
-    case CommMode::kOnReset:
-      return "on_reset";
-    case CommMode::kAsync:
-      return "async";
-  }
-  return "on_reset";
+  return kCommModeNames.name(mode);
 }
-
 [[nodiscard]] constexpr std::string_view name_of(Termination termination) {
-  switch (termination) {
-    case Termination::kFirstFinisher:
-      return "first-finisher";
-    case Termination::kBestAfterBudget:
-      return "best-after-budget";
-  }
-  return "first-finisher";
+  return kTerminationNames.name(termination);
 }
-
 [[nodiscard]] constexpr std::string_view name_of(
     core::RestartSchedule schedule) {
-  switch (schedule) {
-    case core::RestartSchedule::kFixed:
-      return "fixed";
-    case core::RestartSchedule::kLuby:
-      return "luby";
-  }
-  return "fixed";
+  return kRestartScheduleNames.name(schedule);
 }
 
 [[nodiscard]] inline std::optional<Scheduling> scheduling_from_name(
     std::string_view name) {
-  if (name == "threads") return Scheduling::kThreads;
-  if (name == "sequential") return Scheduling::kSequential;
-  if (name == "emulated-race") return Scheduling::kEmulatedRace;
-  return std::nullopt;
+  return kSchedulingNames.parse(name);
 }
-
 [[nodiscard]] inline std::optional<Neighborhood> neighborhood_from_name(
     std::string_view name) {
-  if (name == "isolated") return Neighborhood::kIsolated;
-  if (name == "complete") return Neighborhood::kComplete;
-  if (name == "ring") return Neighborhood::kRing;
-  if (name == "torus") return Neighborhood::kTorus;
-  if (name == "hypercube") return Neighborhood::kHypercube;
-  return std::nullopt;
+  return kNeighborhoodNames.parse(name);
 }
-
 [[nodiscard]] inline std::optional<Exchange> exchange_from_name(
     std::string_view name) {
-  if (name == "none") return Exchange::kNone;
-  if (name == "elite") return Exchange::kElite;
-  if (name == "migration") return Exchange::kMigration;
-  if (name == "decay-elite") return Exchange::kDecayElite;
-  return std::nullopt;
+  return kExchangeNames.parse(name);
 }
-
 [[nodiscard]] inline std::optional<CommMode> comm_mode_from_name(
     std::string_view name) {
-  if (name == "on_reset") return CommMode::kOnReset;
-  if (name == "async") return CommMode::kAsync;
-  return std::nullopt;
+  return kCommModeNames.parse(name);
 }
-
 [[nodiscard]] inline std::optional<Termination> termination_from_name(
     std::string_view name) {
-  if (name == "first-finisher") return Termination::kFirstFinisher;
-  if (name == "best-after-budget") return Termination::kBestAfterBudget;
-  return std::nullopt;
+  return kTerminationNames.parse(name);
 }
-
 [[nodiscard]] inline std::optional<core::RestartSchedule>
 restart_schedule_from_name(std::string_view name) {
-  if (name == "fixed") return core::RestartSchedule::kFixed;
-  if (name == "luby") return core::RestartSchedule::kLuby;
-  return std::nullopt;
+  return kRestartScheduleNames.parse(name);
 }
 
 /// One line per policy axis, for error messages and --help text.
 [[nodiscard]] inline std::string policy_names_hint() {
-  return "scheduling: threads | sequential | emulated-race\n"
-         "neighborhood: isolated | complete | ring | torus | hypercube\n"
-         "exchange: none | elite | migration | decay-elite\n"
-         "comm_mode: on_reset | async\n"
-         "termination: first-finisher | best-after-budget\n"
-         "restart_schedule: fixed | luby";
+  return "scheduling: " + kSchedulingNames.joined() +
+         "\nneighborhood: " + kNeighborhoodNames.joined() +
+         "\nexchange: " + kExchangeNames.joined() +
+         "\ncomm_mode: " + kCommModeNames.joined() +
+         "\ntermination: " + kTerminationNames.joined() +
+         "\nrestart_schedule: " + kRestartScheduleNames.joined();
 }
 
 }  // namespace cspls::parallel

@@ -10,6 +10,18 @@ namespace {
   throw ProtocolError(kErrBadEnvelope, message);
 }
 
+/// One envelope member read as T: a wrong type or an out-of-range number is
+/// a bad_envelope error naming "<op>.<key>", never an escaping exception.
+template <typename T>
+T envelope_member(const util::Json& value, std::string_view op,
+                  std::string_view key) {
+  try {
+    return util::read_json<T>(value, util::JsonPath{op, key});
+  } catch (const std::invalid_argument& error) {
+    bad_envelope(error.what());
+  }
+}
+
 SolveCommand parse_solve(const util::Json& envelope) {
   SolveCommand command;
   bool saw_request = false;
@@ -24,31 +36,21 @@ SolveCommand parse_solve(const util::Json& envelope) {
       }
       saw_request = true;
     } else if (key == "priority") {
-      if (!value.is_string()) {
-        bad_envelope("solve: \"priority\" must be a string");
-      }
-      const std::optional<Priority> priority =
-          priority_from_name(value.as_string());
+      const std::string name =
+          envelope_member<std::string>(value, "solve", key);
+      const std::optional<Priority> priority = priority_from_name(name);
       if (!priority) {
-        bad_envelope("solve: unknown priority \"" + value.as_string() +
-                     "\" (valid: high | normal | low)");
+        bad_envelope("solve: unknown priority \"" + name + "\" (valid: " +
+                     api::kPriorityNames.joined() + ")");
       }
       command.priority = *priority;
     } else if (key == "stream") {
-      if (!value.is_bool()) {
-        bad_envelope("solve: \"stream\" must be a boolean");
-      }
-      command.stream = value.as_bool();
+      command.stream = envelope_member<bool>(value, "solve", key);
     } else if (key == "sample_period") {
-      if (!value.is_number()) {
-        bad_envelope("solve: \"sample_period\" must be a number");
-      }
-      command.sample_period = value.as_uint64();
+      command.sample_period =
+          envelope_member<std::uint64_t>(value, "solve", key);
     } else if (key == "tag") {
-      if (!value.is_string()) {
-        bad_envelope("solve: \"tag\" must be a string");
-      }
-      command.tag = value.as_string();
+      command.tag = envelope_member<std::string>(value, "solve", key);
     } else {
       bad_envelope("solve: unknown member \"" + key + "\"");
     }
@@ -66,10 +68,7 @@ CancelCommand parse_cancel(const util::Json& envelope) {
     if (key == "op") {
       continue;
     } else if (key == "id") {
-      if (!value.is_number()) {
-        bad_envelope("cancel: \"id\" must be a number");
-      }
-      command.id = value.as_uint64();
+      command.id = envelope_member<std::uint64_t>(value, "cancel", key);
       saw_id = true;
     } else {
       bad_envelope("cancel: unknown member \"" + key + "\"");

@@ -82,7 +82,7 @@ struct SolveCommand {
   api::SolveRequest request;
   Priority priority = Priority::kNormal;
   bool stream = false;            ///< push `sample` events while running
-  std::uint64_t sample_period = 0;  ///< 0 = transport default
+  std::uint64_t sample_period = 0;  ///< 0 = kDefaultSamplePeriod
   std::string tag;                ///< echoed verbatim in accepted/report
 };
 

@@ -22,17 +22,6 @@ struct ServeJob {
   csp::Cost best_seen = csp::kInfiniteCost;  ///< guarded by m
 };
 
-std::string_view status_name(api::JobStatus status) {
-  switch (status) {
-    case api::JobStatus::kDone:
-      return "done";
-    case api::JobStatus::kCancelled:
-      return "cancelled";
-    default:
-      return "failed";
-  }
-}
-
 }  // namespace
 
 util::Json SchedulerStats::to_json() const {
@@ -58,9 +47,7 @@ util::Json SchedulerStats::to_json() const {
   return json;
 }
 
-Scheduler::Scheduler(SchedulerOptions options)
-    : default_sample_period_(options.default_sample_period),
-      service_(options.service) {}
+Scheduler::Scheduler(SchedulerOptions options) : service_(options.service) {}
 
 std::uint64_t Scheduler::submit(SolveCommand command, JobEvents events) {
   const auto job = std::make_shared<ServeJob>(std::move(events));
@@ -72,7 +59,7 @@ std::uint64_t Scheduler::submit(SolveCommand command, JobEvents events) {
   if (command.stream) {
     callbacks.sample_period = command.sample_period != 0
                                   ? command.sample_period
-                                  : default_sample_period_;
+                                  : kDefaultSamplePeriod;
     callbacks.on_sample = [job](std::size_t walker, std::uint64_t iteration,
                                 csp::Cost cost) {
       std::lock_guard lock(job->m);
@@ -90,7 +77,7 @@ std::uint64_t Scheduler::submit(SolveCommand command, JobEvents events) {
                             const api::SolveReport& report,
                             std::string_view error) {
     if (job->events.on_report) {
-      job->events.on_report(job->id, status_name(status), report, error);
+      job->events.on_report(job->id, api::name_of(status), report, error);
     }
   };
   try {

@@ -29,12 +29,13 @@
 
 namespace cspls::serve {
 
+/// Sample period (iterations) for streaming jobs that did not pick one.
+inline constexpr std::uint64_t kDefaultSamplePeriod = 256;
+
 struct SchedulerOptions {
   /// The engine's walker-thread budget (= resident workers) and lane depth
   /// bound (0 = unbounded).
   api::SolverService::Options service;
-  /// Sample period for streaming jobs that did not pick one.
-  std::uint64_t default_sample_period = 256;
 };
 
 /// Per-job event sinks; all fired off the submitting thread (workers,
@@ -121,7 +122,6 @@ class Scheduler {
   void shutdown() { service_.shutdown(); }
 
  private:
-  std::uint64_t default_sample_period_;
   api::SolverService service_;
 };
 

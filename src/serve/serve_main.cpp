@@ -32,8 +32,6 @@ int main(int argc, char** argv) {
   args.add_uint64("threads", 0,
                   "walker-thread budget shared by every job, and the "
                   "number of resident workers (0 = hardware concurrency)");
-  args.add_uint64("sample-period", 256,
-                  "default sample period (iterations) for streaming jobs");
   args.add_uint64("max-line-bytes", 1 << 20, "request line/body size limit");
   args.add_flag("http", "also serve HTTP/1.1 on --port");
   args.add_uint64("port", 0, "HTTP port (0 = ephemeral, printed on stderr)");
@@ -56,7 +54,6 @@ int main(int argc, char** argv) {
   }
 
   serve::SchedulerOptions options;
-  options.default_sample_period = args.get_uint64("sample-period");
   options.service.thread_budget =
       static_cast<std::size_t>(args.get_uint64("threads"));
   serve::Scheduler scheduler(options);

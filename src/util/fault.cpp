@@ -1,6 +1,7 @@
 #include "util/fault.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <optional>
@@ -12,29 +13,8 @@ namespace cspls::util::fault {
 
 namespace {
 
-constexpr std::string_view kSiteNames[kNumSites] = {
-    "walker_iteration", "elite_publish", "elite_adopt", "service_dispatch",
-    "checkpoint_capture"};
-constexpr std::string_view kKindNames[3] = {"throw", "stall", "corrupt"};
-
-std::optional<Site> site_from_name(std::string_view name) noexcept {
-  for (std::size_t i = 0; i < kNumSites; ++i) {
-    if (kSiteNames[i] == name) return static_cast<Site>(i);
-  }
-  return std::nullopt;
-}
-
-std::optional<Kind> kind_from_name(std::string_view name) noexcept {
-  for (std::size_t i = 0; i < 3; ++i) {
-    if (kKindNames[i] == name) return static_cast<Kind>(i);
-  }
-  return std::nullopt;
-}
-
 std::string names_hint() {
-  return "sites: walker_iteration | elite_publish | elite_adopt | "
-         "service_dispatch | checkpoint_capture; "
-         "kinds: throw | stall | corrupt";
+  return "sites: " + kSiteNames.joined() + "; kinds: " + kKindNames.joined();
 }
 
 [[noreturn]] void bad_spec(std::string_view plan, const std::string& detail) {
@@ -44,18 +24,13 @@ std::string names_hint() {
 
 std::uint64_t parse_u64_field(std::string_view plan, std::string_view field,
                               std::string_view name) {
-  if (field.empty() || field.find_first_not_of("0123456789") !=
-                           std::string_view::npos) {
-    bad_spec(plan, "field \"" + std::string(name) +
-                       "\" must be a non-negative integer, got \"" +
-                       std::string(field) + "\"");
-  }
   std::uint64_t value = 0;
-  for (const char c : field) {
-    if (value > (UINT64_MAX - (c - '0')) / 10) {
-      bad_spec(plan, "field \"" + std::string(name) + "\" overflows");
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (field.empty() || ec != std::errc{} || ptr != end) {
+    bad_spec(plan, "field \"" + std::string(name) +
+                       "\" must be an integer in [0, 2^64), got \"" +
+                       std::string(field) + "\"");
   }
   return value;
 }
@@ -77,7 +52,7 @@ FaultPlan parse_plan(std::string_view text) {
     bad_spec(text, "expected site:walker:at_count:kind[:stall_ms]");
   }
   FaultPlan plan;
-  const std::optional<Site> site = site_from_name(fields[0]);
+  const std::optional<Site> site = kSiteNames.parse(fields[0]);
   if (!site.has_value()) {
     bad_spec(text, "unknown site \"" + std::string(fields[0]) + "\"");
   }
@@ -90,7 +65,7 @@ FaultPlan parse_plan(std::string_view text) {
   if (plan.at_count == 0) {
     bad_spec(text, "at_count is 1-based and must be >= 1");
   }
-  const std::optional<Kind> kind = kind_from_name(fields[3]);
+  const std::optional<Kind> kind = kKindNames.parse(fields[3]);
   if (!kind.has_value()) {
     bad_spec(text, "unknown kind \"" + std::string(fields[3]) + "\"");
   }
@@ -103,13 +78,9 @@ FaultPlan parse_plan(std::string_view text) {
 
 }  // namespace
 
-std::string_view name_of(Site site) noexcept {
-  return kSiteNames[static_cast<std::size_t>(site)];
-}
+std::string_view name_of(Site site) noexcept { return kSiteNames.name(site); }
 
-std::string_view name_of(Kind kind) noexcept {
-  return kKindNames[static_cast<std::size_t>(kind)];
-}
+std::string_view name_of(Kind kind) noexcept { return kKindNames.name(kind); }
 
 std::string FaultPlan::to_string() const {
   std::string out(name_of(site));
@@ -139,52 +110,20 @@ util::Json FaultPlan::to_json() const {
 }
 
 FaultPlan FaultPlan::from_json(const util::Json& json) {
-  if (!json.is_object()) {
-    throw std::invalid_argument("faults[]: expected an object");
-  }
-  for (const auto& member : json.members()) {
-    if (member.first != "site" && member.first != "walker" &&
-        member.first != "at" && member.first != "kind" &&
-        member.first != "stall_ms") {
-      throw std::invalid_argument("faults[]: unknown member \"" +
-                                  member.first + "\"");
-    }
-  }
+  return from_json(json, util::JsonPath{"FaultPlan"});
+}
+
+FaultPlan FaultPlan::from_json(const util::Json& json,
+                               const util::JsonPath& path) {
+  const util::JsonReader in(json, path,
+                            {"site", "walker", "at", "kind", "stall_ms"});
   FaultPlan plan;
-  const util::Json* site = json.find("site");
-  if (site == nullptr) {
-    throw std::invalid_argument("faults[]: missing \"site\" (" +
-                                names_hint() + ")");
-  }
-  const std::optional<Site> parsed_site = site_from_name(site->as_string());
-  if (!parsed_site.has_value()) {
-    throw std::invalid_argument("faults[]: unknown site \"" +
-                                site->as_string() + "\" (" + names_hint() +
-                                ")");
-  }
-  plan.site = *parsed_site;
-  if (const util::Json* walker = json.find("walker"); walker != nullptr) {
-    plan.walker = static_cast<std::size_t>(walker->as_uint64());
-  }
-  if (const util::Json* at = json.find("at"); at != nullptr) {
-    plan.at_count = at->as_uint64();
-    if (plan.at_count == 0) {
-      throw std::invalid_argument(
-          "faults[]: \"at\" is 1-based and must be >= 1");
-    }
-  }
-  if (const util::Json* kind = json.find("kind"); kind != nullptr) {
-    const std::optional<Kind> parsed_kind = kind_from_name(kind->as_string());
-    if (!parsed_kind.has_value()) {
-      throw std::invalid_argument("faults[]: unknown kind \"" +
-                                  kind->as_string() + "\" (" + names_hint() +
-                                  ")");
-    }
-    plan.kind = *parsed_kind;
-  }
-  if (const util::Json* stall = json.find("stall_ms"); stall != nullptr) {
-    plan.stall_ms = stall->as_uint64();
-  }
+  plan.site = in.get("site", kSiteNames);
+  plan.walker = in.get("walker", plan.walker);
+  plan.at_count = in.get("at", plan.at_count);
+  if (plan.at_count == 0) in.fail("at", "is 1-based and must be >= 1");
+  plan.kind = in.get("kind", kKindNames, plan.kind);
+  plan.stall_ms = in.get("stall_ms", plan.stall_ms);
   return plan;
 }
 

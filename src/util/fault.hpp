@@ -52,8 +52,11 @@
 #include <string_view>
 #include <vector>
 
+#include "util/names.hpp"
+
 namespace cspls::util {
 class Json;
+struct JsonPath;
 }  // namespace cspls::util
 
 namespace cspls::util::fault {
@@ -72,13 +75,19 @@ enum class Site : std::uint8_t {
   kServiceDispatch,    ///< once per SolverService job attempt
   kCheckpointCapture,  ///< at each preemption safe-point capture
 };
-inline constexpr std::size_t kNumSites = 5;
+inline constexpr util::NameTable<Site, Site::kCheckpointCapture> kSiteNames(
+    "walker_iteration", "elite_publish", "elite_adopt", "service_dispatch",
+    "checkpoint_capture");
+inline constexpr std::size_t kNumSites = kSiteNames.kSize;
 
 enum class Kind : std::uint8_t {
   kThrow,    ///< raise FaultInjected at the site
   kStall,    ///< bounded sleep of stall_ms
   kCorrupt,  ///< detected corruption: site discards/scrambles and reports
 };
+inline constexpr util::NameTable<Kind, Kind::kCorrupt> kKindNames("throw",
+                                                                  "stall",
+                                                                  "corrupt");
 
 [[nodiscard]] std::string_view name_of(Site site) noexcept;
 [[nodiscard]] std::string_view name_of(Kind kind) noexcept;
@@ -94,8 +103,11 @@ struct FaultPlan {
 
   [[nodiscard]] std::string to_string() const;
   [[nodiscard]] util::Json to_json() const;
-  /// Throws std::invalid_argument naming the offending member.
+  /// Throws std::invalid_argument naming the offending member.  The second
+  /// form decodes a plan nested at `path` (a SolveRequest's `faults[i]`).
   [[nodiscard]] static FaultPlan from_json(const util::Json& json);
+  [[nodiscard]] static FaultPlan from_json(const util::Json& json,
+                                           const util::JsonPath& path);
 
   [[nodiscard]] bool operator==(const FaultPlan&) const = default;
 };

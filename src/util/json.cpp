@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <stdexcept>
@@ -55,6 +56,19 @@ Json Json::object() {
   return j;
 }
 
+template <typename T>
+T Json::number_as(const char* wanted) const {
+  if (type_ != Type::kNumber) type_error("number", type_);
+  T value{};
+  const char* end = scalar_.data() + scalar_.size();
+  const auto [ptr, ec] = std::from_chars(scalar_.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::runtime_error("Json: number '" + scalar_ + "' is not " +
+                             wanted);
+  }
+  return value;
+}
+
 Json Json::number_from_text(std::string text) {
   Json j;
   j.type_ = Type::kNumber;
@@ -68,43 +82,14 @@ bool Json::as_bool() const {
 }
 
 std::int64_t Json::as_int64() const {
-  if (type_ != Type::kNumber) type_error("number", type_);
-  std::int64_t value = 0;
-  const char* begin = scalar_.data();
-  const char* end = begin + scalar_.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) {
-    throw std::runtime_error("Json: number '" + scalar_ +
-                             "' is not an int64");
-  }
-  return value;
+  return number_as<std::int64_t>("an int64");
 }
 
 std::uint64_t Json::as_uint64() const {
-  if (type_ != Type::kNumber) type_error("number", type_);
-  std::uint64_t value = 0;
-  const char* begin = scalar_.data();
-  const char* end = begin + scalar_.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) {
-    throw std::runtime_error("Json: number '" + scalar_ +
-                             "' is not a uint64");
-  }
-  return value;
+  return number_as<std::uint64_t>("a uint64");
 }
 
-double Json::as_double() const {
-  if (type_ != Type::kNumber) type_error("number", type_);
-  double value = 0.0;
-  const char* begin = scalar_.data();
-  const char* end = begin + scalar_.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) {
-    throw std::runtime_error("Json: number '" + scalar_ +
-                             "' is not a double");
-  }
-  return value;
-}
+double Json::as_double() const { return number_as<double>("a double"); }
 
 const std::string& Json::as_string() const {
   if (type_ != Type::kString) type_error("string", type_);
@@ -191,45 +176,114 @@ bool Json::operator==(const Json& other) const {
 }
 
 // ---------------------------------------------------------------------------
+// Strict reader
+// ---------------------------------------------------------------------------
+
+std::string JsonPath::str() const {
+  std::string out(value);
+  if (!member.empty()) {
+    out += '.';
+    out += member;
+  }
+  if (index != kNoIndex) out += '[' + std::to_string(index) + ']';
+  return out;
+}
+
+void JsonPath::fail(std::string_view detail) const {
+  throw std::invalid_argument(str() + ": " + std::string(detail));
+}
+
+namespace json_detail {
+
+void expect(const Json& json, Json::Type type, const JsonPath& path) {
+  // The JSON type as a message reads it: "got a string".
+  static constexpr const char* kTypes[] = {
+      "null", "a bool", "a number", "a string", "an array", "an object"};
+  if (json.type() != type) {
+    path.fail(std::string("expected ") + kTypes[static_cast<int>(type)] +
+              ", got " + kTypes[static_cast<int>(json.type())]);
+  }
+}
+
+std::int64_t read_int(const Json& json, const JsonPath& path, std::int64_t lo,
+                      std::int64_t hi) {
+  expect(json, Json::Type::kNumber, path);
+  try {
+    const std::int64_t value = json.as_int64();
+    if (value >= lo && value <= hi) return value;
+  } catch (const std::runtime_error&) {
+  }
+  path.fail("expected an integer in [" + std::to_string(lo) + ", " +
+            std::to_string(hi) + "], got " + json.dump());
+}
+
+std::uint64_t read_uint(const Json& json, const JsonPath& path,
+                        std::uint64_t hi) {
+  expect(json, Json::Type::kNumber, path);
+  try {
+    const std::uint64_t value = json.as_uint64();
+    if (value <= hi) return value;
+  } catch (const std::runtime_error&) {
+  }
+  path.fail("expected an integer in [0, " + std::to_string(hi) + "], got " +
+            json.dump());
+}
+
+double read_double(const Json& json, const JsonPath& path) {
+  expect(json, Json::Type::kNumber, path);
+  try {
+    return json.as_double();
+  } catch (const std::runtime_error&) {
+    path.fail("expected a double, got " + json.dump());
+  }
+}
+
+}  // namespace json_detail
+
+JsonReader::JsonReader(const Json& json, const JsonPath& where,
+                       std::initializer_list<std::string_view> allowed)
+    : json_(json), where_(where.str()) {
+  json_detail::expect(json, Json::Type::kObject, where);
+  for (const auto& member : json.members()) {
+    if (std::find(allowed.begin(), allowed.end(), member.first) ==
+        allowed.end()) {
+      path({}).fail("unknown member \"" + member.first + "\"");
+    }
+  }
+}
+
+const Json& JsonReader::at(std::string_view member) const {
+  const Json* value = find(member);
+  if (value == nullptr) {
+    path({}).fail("missing member \"" + std::string(member) + "\"");
+  }
+  return *value;
+}
+
+// ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
 
 namespace {
 
+// The two-character escapes: kEscaped[i] is written as a backslash and
+// kEscapeLetters[i].  The parser also reads "\\/" as '/', never written.
+constexpr std::string_view kEscaped = "\"\\\b\f\n\r\t";
+constexpr std::string_view kEscapeLetters = "\"\\bfnrt";
+
 void write_escaped(std::string& out, const std::string& s) {
   out += '"';
   for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;  // UTF-8 bytes pass through verbatim
-        }
+    if (const std::size_t k = kEscaped.find(c); k != std::string_view::npos) {
+      out += '\\';
+      out += kEscapeLetters[k];
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += buf;
+    } else {
+      out += c;  // UTF-8 bytes pass through verbatim
     }
   }
   out += '"';
@@ -386,30 +440,14 @@ struct Parser {
       }
       if (pos >= text.size()) return fail("truncated escape");
       const char esc = text[pos++];
+      if (const std::size_t k = kEscapeLetters.find(esc);
+          k != std::string_view::npos) {
+        out += kEscaped[k];
+        continue;
+      }
       switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
         case '/':
           out += '/';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 't':
-          out += '\t';
           break;
         case 'u': {
           unsigned cp = 0;
@@ -457,14 +495,11 @@ struct Parser {
       if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) ++pos;
       if (!digits()) return fail("bad number (exponent)");
     }
-    // Validate the text round-trips through a double (also rejects
-    // leading-zero forms the grammar above can let through, e.g. "01").
+    // Reject the leading-zero forms the grammar above lets through ("01").
     const std::string_view body = text.substr(start, pos - start);
-    if (body.size() > 1 && body[0] == '0' && body[1] >= '0' && body[1] <= '9') {
-      return fail("bad number (leading zero)");
-    }
-    if (body.size() > 2 && body[0] == '-' && body[1] == '0' && body[2] >= '0' &&
-        body[2] <= '9') {
+    const std::string_view integral = body.substr(body[0] == '-' ? 1 : 0);
+    if (integral.size() > 1 && integral[0] == '0' && integral[1] >= '0' &&
+        integral[1] <= '9') {
       return fail("bad number (leading zero)");
     }
     out = Json::number_from_text(std::string(body));

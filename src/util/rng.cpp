@@ -72,12 +72,4 @@ RngStreamFactory RngStreamFactory::repetition(
   return RngStreamFactory(engine, seed_);
 }
 
-std::vector<std::uint64_t> derive_seeds(std::uint64_t master_seed,
-                                        std::size_t count) {
-  SplitMix64 sm(master_seed);
-  std::vector<std::uint64_t> seeds(count);
-  for (auto& s : seeds) s = sm.next();
-  return seeds;
-}
-
 }  // namespace cspls::util

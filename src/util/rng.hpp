@@ -171,8 +171,4 @@ class RngStreamFactory {
   std::uint64_t seed_ = 0;
 };
 
-/// Convenience: n distinct seeds derived from one master seed via splitmix64.
-[[nodiscard]] std::vector<std::uint64_t> derive_seeds(std::uint64_t master_seed,
-                                                      std::size_t count);
-
 }  // namespace cspls::util

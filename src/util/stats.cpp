@@ -3,19 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
-
-#include "util/rng.hpp"
+#include <vector>
 
 namespace cspls::util {
-
-std::string Summary::to_string() const {
-  std::ostringstream os;
-  os << "n=" << count << " min=" << min << " q25=" << q25 << " med=" << median
-     << " q75=" << q75 << " max=" << max << " mean=" << mean
-     << " sd=" << stddev;
-  return os.str();
-}
 
 double quantile_sorted(std::span<const double> sorted, double p) {
   if (sorted.empty()) return 0.0;
@@ -38,97 +28,6 @@ double mean(std::span<const double> values) {
   if (values.empty()) return 0.0;
   return std::accumulate(values.begin(), values.end(), 0.0) /
          static_cast<double>(values.size());
-}
-
-double sample_stddev(std::span<const double> values) {
-  if (values.size() < 2) return 0.0;
-  const double m = mean(values);
-  double acc = 0.0;
-  for (const double v : values) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(values.size() - 1));
-}
-
-Summary summarize(std::span<const double> values) {
-  Summary s;
-  if (values.empty()) return s;
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  s.count = sorted.size();
-  s.min = sorted.front();
-  s.max = sorted.back();
-  s.mean = mean(sorted);
-  s.median = quantile_sorted(sorted, 0.5);
-  s.q25 = quantile_sorted(sorted, 0.25);
-  s.q75 = quantile_sorted(sorted, 0.75);
-  s.stddev = sample_stddev(sorted);
-  return s;
-}
-
-void Welford::add(double x) noexcept {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void Welford::merge(const Welford& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-}
-
-double Welford::variance() const noexcept {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double Welford::stddev() const noexcept { return std::sqrt(variance()); }
-
-BootstrapCi bootstrap_mean_ci(std::span<const double> values, Xoshiro256& rng,
-                              std::size_t resamples, double level) {
-  BootstrapCi ci;
-  if (values.empty()) return ci;
-  ci.point = mean(values);
-  if (values.size() == 1 || resamples == 0) {
-    ci.lo = ci.hi = ci.point;
-    return ci;
-  }
-  std::vector<double> stats(resamples);
-  for (auto& stat : stats) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      acc += values[static_cast<std::size_t>(rng.below(values.size()))];
-    }
-    stat = acc / static_cast<double>(values.size());
-  }
-  std::sort(stats.begin(), stats.end());
-  const double alpha = (1.0 - level) / 2.0;
-  ci.lo = quantile_sorted(stats, alpha);
-  ci.hi = quantile_sorted(stats, 1.0 - alpha);
-  return ci;
-}
-
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() != ys.size() || xs.size() < 2) return 0.0;
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sxy += (xs[i] - mx) * (ys[i] - my);
-    sxx += (xs[i] - mx) * (xs[i] - mx);
-    syy += (ys[i] - my) * (ys[i] - my);
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
 }
 
 LinearFit fit_line(std::span<const double> xs, std::span<const double> ys) {

@@ -6,30 +6,9 @@
 // allocation-light and exactly reproducible.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace cspls::util {
-class Xoshiro256;
-
-/// Five-number-style summary of a sample.
-struct Summary {
-  std::size_t count = 0;
-  double min = 0.0;
-  double max = 0.0;
-  double mean = 0.0;
-  double median = 0.0;
-  double stddev = 0.0;  ///< sample standard deviation (n-1 denominator)
-  double q25 = 0.0;
-  double q75 = 0.0;
-
-  [[nodiscard]] std::string to_string() const;
-};
-
-/// Compute a Summary of `values` (empty input yields a zeroed Summary).
-[[nodiscard]] Summary summarize(std::span<const double> values);
 
 /// Linear-interpolation quantile (type-7, the numpy/R default) of a sample.
 /// `p` in [0,1].  Input need not be sorted.
@@ -39,44 +18,6 @@ struct Summary {
 [[nodiscard]] double quantile_sorted(std::span<const double> sorted, double p);
 
 [[nodiscard]] double mean(std::span<const double> values);
-[[nodiscard]] double sample_stddev(std::span<const double> values);
-
-/// Online mean/variance accumulator (Welford).  Numerically stable; merging
-/// supported so per-thread accumulators can be combined without a lock.
-class Welford {
- public:
-  void add(double x) noexcept;
-  void merge(const Welford& other) noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return mean_; }
-  /// Sample variance (n-1); 0 when fewer than two observations.
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
-/// Percentile-bootstrap confidence interval for a statistic of a sample.
-struct BootstrapCi {
-  double point = 0.0;  ///< statistic on the full sample
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/// Bootstrap CI for the mean with `resamples` resamples at confidence
-/// `level` (e.g. 0.95).  Deterministic given `rng`.
-[[nodiscard]] BootstrapCi bootstrap_mean_ci(std::span<const double> values,
-                                            Xoshiro256& rng,
-                                            std::size_t resamples = 2000,
-                                            double level = 0.95);
-
-/// Pearson correlation of two equal-length samples (0 if degenerate).
-[[nodiscard]] double pearson(std::span<const double> xs,
-                             std::span<const double> ys);
 
 /// Ordinary-least-squares fit y = a + b*x; returns {intercept a, slope b}.
 /// Used to check the log-log slope of Fig. 3 (ideal speedup <=> slope 1).

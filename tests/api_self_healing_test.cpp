@@ -41,6 +41,18 @@ FaultPlan dispatch_crash(std::uint64_t attempt) {
   return plan;
 }
 
+/// Solver::solve must throw std::invalid_argument whose message names
+/// `member`.
+void expect_rejected(const SolveRequest& request, std::string_view member) {
+  try {
+    (void)Solver::solve(request);
+    ADD_FAILURE() << member << ": hostile configuration accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(member), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SelfHealing, RetriesCrashedAttemptsAndSucceeds) {
   if (!util::fault::kCompiledIn) {
     GTEST_SKIP() << "build without CSPLS_FAULT_INJECTION";
@@ -176,12 +188,47 @@ TEST(SelfHealing, WarmStartSeedsTheFirstWalk) {
 TEST(SelfHealing, WarmStartSizeMismatchIsRejected) {
   SolveRequest request = quick_request(42);
   request.warm_start = std::vector<int>{1, 2, 3};  // costas:9 has 9 vars
-  try {
-    (void)Solver::solve(request);
-    FAIL() << "mismatched warm start accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("warm_start"), std::string::npos);
-  }
+  expect_rejected(request, "warm_start");
+}
+
+// A configuration from the client reaches a kernel only as a permutation
+// of the instance's values.  A value outside them used to index the costas
+// tables out of bounds; a repeated one walked a space without a solution.
+TEST(SelfHealing, HostileWarmStartsRejectNamingTheMember) {
+  SolveRequest request = quick_request(43);  // costas:9
+  request.warm_start = std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 90};
+  expect_rejected(request, "warm_start");
+  request.warm_start = std::vector<int>(9, 1);
+  expect_rejected(request, "warm_start");
+}
+
+TEST(SelfHealing, HostileResumeConfigurationsRejectNamingTheMember) {
+  using Stage = parallel::PoolCheckpoint::WalkerStage;
+  const std::vector<int> identity{1, 2, 3, 4, 5, 6, 7, 8, 9};
+  SolveRequest request = quick_request(44);  // costas:9, two walkers
+  request.resume_from = parallel::PoolCheckpoint{
+      .walkers = {{.stage = Stage::kRunning,
+                   .checkpoint = {.values = identity, .best = identity,
+                                  .tabu_until = {0, 0, 0, 0, 0, 0, 0, 0, 0},
+                                  .rng_state = {1, 2, 3, 4}, .stats = {},
+                                  .trace_samples = {}},
+                   .result = {}, .trace = {}},
+                  {}},  // kPending
+      .elite = {}};
+  core::Checkpoint& running = request.resume_from->walkers[0].checkpoint;
+  running.values.back() = 90;
+  expect_rejected(request, "walkers[0].checkpoint.values");
+  running.values = identity;
+  running.best.back() = 1;
+  expect_rejected(request, "walkers[0].checkpoint.best");
+
+  // An occupied elite slot is adopted under exchange: it is checked too.
+  request.neighborhood = parallel::Neighborhood::kComplete;
+  request.exchange = parallel::Exchange::kElite;
+  request.resume_from->walkers[0] = {};
+  request.resume_from->elite = {
+      {.has_entry = true, .values = {1, 2, 3, 4, 5, 6, 7, 8, -9}}};
+  expect_rejected(request, "elite[0].values");
 }
 
 TEST(SelfHealing, RetryPolicyIsValidated) {

@@ -71,6 +71,13 @@ TEST(ServeProtocol, EveryMalformedShapeHasAStableCode) {
   EXPECT_EQ(code_of(R"({"op":"solve","request":{"problem":"costas:8"},)"
                     R"("stream":"yes"})"),
             kErrBadEnvelope);
+  // Numbers the member's type cannot hold (they used to escape as a bare
+  // std::runtime_error, which ended the server).
+  EXPECT_EQ(code_of(R"({"op":"cancel","id":-1})"), kErrBadEnvelope);
+  EXPECT_EQ(code_of(R"({"op":"cancel","id":1.5})"), kErrBadEnvelope);
+  EXPECT_EQ(code_of(R"({"op":"solve","request":{"problem":"costas:8"},)"
+                    R"("sample_period":18446744073709551616})"),
+            kErrBadEnvelope);
   EXPECT_EQ(code_of(R"({"op":"cancel"})"), kErrBadEnvelope);
   EXPECT_EQ(code_of(R"({"op":"solve"})"), kErrBadEnvelope);  // no request
   // A request body SolveRequest::from_json rejects surfaces as bad_request.

@@ -4,6 +4,7 @@
 // containment, and the service_dispatch fault leg.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -151,6 +152,28 @@ TEST(ServeSession, WireErrorsAreContainedAndTheServerKeepsServing) {
   EXPECT_EQ(events[4].at("event").as_string(), "report");
   EXPECT_EQ(events[4].at("status").as_string(), "done");
   EXPECT_EQ(events[4].at("tag").as_string(), "after");
+}
+
+// A warm start outside the instance's values used to crash the server
+// (an out-of-bounds read in the costas kernel) right after `accepted`.  It
+// now fails its own job, naming the member, and the next solve is served.
+TEST(ServeSession, AHostileWarmStartFailsItsJobAndTheServerServesOn) {
+  const auto events = serve_lines(
+      {R"({"op":"solve","request":{"problem":"costas:7","walkers":1,)"
+       R"("scheduling":"sequential","seed":7,)"
+       R"("warm_start":[1,2,3,4,5,6,70]},"tag":"hostile"})",
+       solve_line(small_request(7), false, 0, "next")});
+  std::map<std::string, util::Json> reports;  // by tag: the jobs run at once
+  for (const util::Json& event : events) {
+    if (event.at("event").as_string() == "report") {
+      reports[event.at("tag").as_string()] = event;
+    }
+  }
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports["hostile"].at("status").as_string(), "failed");
+  EXPECT_NE(reports["hostile"].at("error").as_string().find("warm_start"),
+            std::string::npos);
+  EXPECT_EQ(reports["next"].at("status").as_string(), "done");
 }
 
 TEST(ServeSession, BadRequestBodyAndUnknownJobCancelAreStructuredErrors) {

@@ -199,18 +199,6 @@ TEST(RngStreamFactory, RepetitionsAreDecorrelated) {
   EXPECT_LT(equal, 2);
 }
 
-TEST(DeriveSeeds, CorrectCountAllDistinct) {
-  const auto seeds = derive_seeds(123, 256);
-  EXPECT_EQ(seeds.size(), 256u);
-  const std::set<std::uint64_t> uniq(seeds.begin(), seeds.end());
-  EXPECT_EQ(uniq.size(), seeds.size());
-}
-
-TEST(DeriveSeeds, DeterministicInMasterSeed) {
-  EXPECT_EQ(derive_seeds(5, 10), derive_seeds(5, 10));
-  EXPECT_NE(derive_seeds(5, 10), derive_seeds(6, 10));
-}
-
 /// Property sweep: bounded generation is in-range for many (seed, bound)
 /// combinations.
 class RngBoundSweep

@@ -18,13 +18,6 @@ TEST(Mean, KnownValues) {
   EXPECT_DOUBLE_EQ(mean(std::vector<double>{7}), 7.0);
 }
 
-TEST(SampleStddev, KnownValues) {
-  const std::vector<double> xs{2, 4, 4, 4, 5, 5, 7, 9};
-  // Sample variance with n-1 = 32/7.
-  EXPECT_NEAR(sample_stddev(xs), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_DOUBLE_EQ(sample_stddev(std::vector<double>{3}), 0.0);
-}
-
 TEST(Quantile, LinearInterpolation) {
   const std::vector<double> xs{10, 20, 30, 40};
   EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 10.0);
@@ -47,114 +40,6 @@ TEST(Quantile, ClampsP) {
 TEST(QuantileSorted, EdgeCases) {
   EXPECT_DOUBLE_EQ(quantile_sorted(std::vector<double>{}, 0.5), 0.0);
   EXPECT_DOUBLE_EQ(quantile_sorted(std::vector<double>{5}, 0.99), 5.0);
-}
-
-TEST(Summarize, FiveNumberSummary) {
-  const std::vector<double> xs{5, 1, 3, 2, 4};
-  const Summary s = summarize(xs);
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_DOUBLE_EQ(s.q25, 2.0);
-  EXPECT_DOUBLE_EQ(s.q75, 4.0);
-  EXPECT_FALSE(s.to_string().empty());
-}
-
-TEST(Summarize, EmptyIsZeroed) {
-  const Summary s = summarize(std::vector<double>{});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(Welford, MatchesDirectComputation) {
-  const std::vector<double> xs{1.5, 2.25, -3, 8, 0.5, 12, -7};
-  Welford w;
-  for (const double x : xs) w.add(x);
-  EXPECT_EQ(w.count(), xs.size());
-  EXPECT_NEAR(w.mean(), mean(xs), 1e-12);
-  EXPECT_NEAR(w.stddev(), sample_stddev(xs), 1e-12);
-}
-
-TEST(Welford, FewObservations) {
-  Welford w;
-  EXPECT_DOUBLE_EQ(w.variance(), 0.0);
-  w.add(4.0);
-  EXPECT_DOUBLE_EQ(w.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(w.variance(), 0.0);
-}
-
-TEST(Welford, MergeEmptyCases) {
-  Welford a, b;
-  a.add(1);
-  a.add(2);
-  Welford acopy = a;
-  a.merge(b);  // merging empty is a no-op
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), acopy.mean());
-  b.merge(a);  // merging into empty copies
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), a.mean());
-}
-
-/// Property: merging per-thread accumulators equals one global accumulator,
-/// for any split point.
-class WelfordMergeSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(WelfordMergeSweep, MergeEqualsGlobal) {
-  Xoshiro256 rng(42);
-  std::vector<double> xs(37);
-  for (auto& x : xs) x = rng.uniform01() * 100.0 - 50.0;
-  const std::size_t split = GetParam();
-  Welford left, right, global;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    (i < split ? left : right).add(xs[i]);
-    global.add(xs[i]);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), global.count());
-  EXPECT_NEAR(left.mean(), global.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), global.variance(), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Splits, WelfordMergeSweep,
-                         ::testing::Values(0u, 1u, 5u, 18u, 36u, 37u));
-
-TEST(BootstrapMeanCi, ContainsPointEstimate) {
-  Xoshiro256 rng(1);
-  std::vector<double> xs;
-  for (int i = 0; i < 50; ++i) xs.push_back(rng.uniform01() * 10);
-  const BootstrapCi ci = bootstrap_mean_ci(xs, rng, 1000, 0.95);
-  EXPECT_NEAR(ci.point, mean(xs), 1e-12);
-  EXPECT_LE(ci.lo, ci.point);
-  EXPECT_GE(ci.hi, ci.point);
-  EXPECT_LT(ci.hi - ci.lo, 10.0);
-}
-
-TEST(BootstrapMeanCi, DegenerateInputs) {
-  Xoshiro256 rng(1);
-  const BootstrapCi empty = bootstrap_mean_ci({}, rng);
-  EXPECT_DOUBLE_EQ(empty.point, 0.0);
-  const std::vector<double> one{3.5};
-  const BootstrapCi single = bootstrap_mean_ci(one, rng);
-  EXPECT_DOUBLE_EQ(single.lo, 3.5);
-  EXPECT_DOUBLE_EQ(single.hi, 3.5);
-}
-
-TEST(Pearson, PerfectCorrelation) {
-  const std::vector<double> xs{1, 2, 3, 4};
-  const std::vector<double> ys{2, 4, 6, 8};
-  EXPECT_NEAR(pearson(xs, ys), 1.0, 1e-12);
-  const std::vector<double> neg{-2, -4, -6, -8};
-  EXPECT_NEAR(pearson(xs, neg), -1.0, 1e-12);
-}
-
-TEST(Pearson, DegenerateInputs) {
-  const std::vector<double> xs{1, 2, 3};
-  const std::vector<double> flat{5, 5, 5};
-  EXPECT_DOUBLE_EQ(pearson(xs, flat), 0.0);
-  EXPECT_DOUBLE_EQ(pearson(xs, std::vector<double>{1, 2}), 0.0);
 }
 
 TEST(FitLine, RecoversExactLine) {
