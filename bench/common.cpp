@@ -4,7 +4,6 @@
 
 #include "problems/registry.hpp"
 #include "problems/spec.hpp"
-#include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace cspls::bench {
@@ -174,9 +173,7 @@ std::optional<HarnessOptions> parse_harness_options(
                   "keep raw host seconds instead of paper-scale units");
   parser.add_flag("quick", "CI smoke mode: tiny instances, minimal reps");
   parser.add_string("csv", "", "CSV output prefix (default: <program>_)");
-  parser.add_flag("verbose", "chatty logging");
   if (!parser.parse(argc, argv)) return std::nullopt;
-  if (parser.flag("verbose")) util::set_log_level(util::LogLevel::kDebug);
   HarnessOptions options;
   options.samples = static_cast<std::size_t>(parser.get_int("samples"));
   options.seed = parser.get_uint64("seed");

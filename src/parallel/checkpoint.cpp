@@ -164,7 +164,7 @@ PoolCheckpoint PoolCheckpoint::from_json(const util::Json& json,
     slot.cost = s.get<csp::Cost>("cost");
     slot.values = s.get<std::vector<int>>("values");
     slot.tick = s.get<std::uint64_t>("tick");
-    slot.publisher = s.get<std::uint64_t>("publisher");
+    slot.publisher = s.get<std::size_t>("publisher");
     slot.publishes = s.get<std::uint64_t>("publishes");
     slot.accepted = s.get<std::uint64_t>("accepted");
     cp.elite.push_back(std::move(slot));

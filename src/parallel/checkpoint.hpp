@@ -29,7 +29,7 @@
 #include "core/checkpoint.hpp"
 #include "core/result.hpp"
 #include "core/trace.hpp"
-#include "csp/cost.hpp"
+#include "parallel/elite_pool.hpp"
 #include "util/json.hpp"
 
 namespace cspls::parallel {
@@ -55,18 +55,8 @@ struct PoolCheckpoint {
     [[nodiscard]] bool operator==(const WalkerEntry&) const = default;
   };
 
-  /// One ElitePool slot, verbatim (see ElitePool::Snapshot).
-  struct EliteSlot {
-    bool has_entry = false;
-    csp::Cost cost = 0;
-    std::vector<int> values;
-    std::uint64_t tick = 0;
-    std::uint64_t publisher = 0;  ///< ElitePool::kNoPublisher when none
-    std::uint64_t publishes = 0;
-    std::uint64_t accepted = 0;
-
-    [[nodiscard]] bool operator==(const EliteSlot&) const = default;
-  };
+  /// One ElitePool slot, verbatim.
+  using EliteSlot = ElitePool::Snapshot;
 
   std::vector<WalkerEntry> walkers;  ///< indexed by walker id
   std::vector<EliteSlot> elite;      ///< empty when communication is off

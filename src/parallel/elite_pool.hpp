@@ -86,18 +86,21 @@ class ElitePool {
   /// overwrite is vacuous.
   [[nodiscard]] std::uint64_t accepted_offers() const;
 
-  /// Verbatim slot state for pool checkpointing: the entry, its freshness
-  /// tick and publisher stamp, and both traffic counters.  restore() makes
-  /// the slot indistinguishable from the one snapshot() saw, so a resumed
-  /// run's exchange behaviour and counters continue exactly.
+  /// Verbatim slot state for pool checkpointing (PoolCheckpoint::EliteSlot):
+  /// the entry, its freshness tick and publisher stamp, and both traffic
+  /// counters.  restore() makes the slot indistinguishable from the one
+  /// snapshot() saw, so a resumed run's exchange behaviour and counters
+  /// continue exactly.
   struct Snapshot {
     bool has_entry = false;
-    csp::Cost cost = csp::kInfiniteCost;
+    csp::Cost cost = 0;
     std::vector<int> values;
     std::uint64_t tick = 0;
     std::size_t publisher = kNoPublisher;
     std::uint64_t publishes = 0;
     std::uint64_t accepted = 0;
+
+    [[nodiscard]] bool operator==(const Snapshot&) const = default;
   };
   [[nodiscard]] Snapshot snapshot() const;
   void restore(const Snapshot& snapshot);

@@ -1,6 +1,6 @@
 #include "parallel/fused.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -9,143 +9,49 @@
 
 namespace cspls::parallel {
 
-namespace {
-
-/// Admission lifecycle of one batch member.  kDeciding is the short window
-/// in which one team thread is running the admit callback; concurrent
-/// walker tasks of the same member spin until the verdict lands.
-enum MemberState : int {
-  kPending = 0,
-  kDeciding,
-  kAdmitted,
-  kWithdrawn,
-};
-
-struct Member {
-  std::unique_ptr<detail::JobExecution> exec;
-  std::atomic<int> state{kPending};
-  /// Tasks still outstanding; the decrement that reaches zero finalizes.
-  std::atomic<std::size_t> remaining{0};
-};
-
-/// One unit of schedulable work: either a single walker of an
-/// order-independent (threaded) member, or the entire ordered walker
-/// sequence of a sequential/emulated/collapsed member.
-struct Task {
-  std::size_t member = 0;
-  std::size_t walker = 0;
-  bool ordered = false;
-};
-
-std::size_t team_size(std::size_t requested, std::size_t num_tasks) {
-  if (num_tasks == 0) return 0;
-  std::size_t n = requested;
-  if (n == 0) {
-    n = std::thread::hardware_concurrency() == 0
-            ? 2
-            : std::thread::hardware_concurrency();
-  }
-  return std::min(n, num_tasks);
-}
-
-}  // namespace
-
 std::vector<std::size_t> FusedRun::run(std::span<const FusedJob> jobs,
                                        const FusedSink& sink) const {
   // Validate the whole batch before any member does work: a degenerate
   // configuration throws here, leaving no sibling half-run.
-  std::vector<Member> members(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (jobs[j].prototype == nullptr) {
+  std::vector<std::unique_ptr<detail::JobExecution>> members;
+  members.reserve(jobs.size());
+  for (const FusedJob& job : jobs) {
+    if (job.prototype == nullptr) {
       throw std::invalid_argument("FusedJob: prototype must be non-null");
     }
-    members[j].exec = std::make_unique<detail::JobExecution>(
-        *jobs[j].prototype, jobs[j].options, jobs[j].stop);
+    members.push_back(std::make_unique<detail::JobExecution>(
+        *job.prototype, job.options, job.stop));
   }
 
-  std::vector<Task> tasks;
-  tasks.reserve(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (members[j].exec->walkers_independent()) {
-      const std::size_t k = members[j].exec->num_walkers();
-      for (std::size_t w = 0; w < k; ++w) tasks.push_back({j, w, false});
-      members[j].remaining.store(k, std::memory_order_relaxed);
-    } else {
-      tasks.push_back({j, 0, true});
-      members[j].remaining.store(1, std::memory_order_relaxed);
-    }
+  std::size_t team = options_.num_threads;
+  if (team == 0) {
+    team = std::thread::hardware_concurrency() == 0
+               ? 2
+               : std::thread::hardware_concurrency();
   }
-
-  // The shared walker queue: an atomic ticket dispenser over the flattened
-  // task list, pulled by every team thread (and the caller) until drained.
-  std::atomic<std::size_t> cursor{0};
-  const auto work = [&] {
-    for (;;) {
-      const std::size_t t = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (t >= tasks.size()) return;
-      const Task& task = tasks[t];
-      Member& m = members[task.member];
-
-      // Decide admission exactly once, on the member's first dequeued task.
-      int state = m.state.load(std::memory_order_acquire);
-      if (state == kPending) {
-        int expected = kPending;
-        if (m.state.compare_exchange_strong(expected, kDeciding,
-                                            std::memory_order_acq_rel)) {
-          bool admitted = true;
-          try {
-            admitted = !options_.admit || options_.admit(task.member);
-          } catch (...) {
-            admitted = false;  // a throwing gate withdraws, never crashes
-          }
-          state = admitted ? kAdmitted : kWithdrawn;
-          m.state.store(state, std::memory_order_release);
-        } else {
-          state = expected;
-        }
-      }
-      while (state == kDeciding) {
-        std::this_thread::yield();
-        state = m.state.load(std::memory_order_acquire);
-      }
-
-      if (state == kAdmitted) {
-        if (task.ordered) {
-          m.exec->run_walkers_one_by_one();
-        } else {
-          m.exec->run_walker(task.walker);
-        }
-      }
-      // Withdrawn members drain their tasks as no-ops; only admitted ones
-      // finalize.  The last finisher delivers the report immediately —
-      // siblings keep running on the other team threads.
-      if (m.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-          state == kAdmitted) {
-        if (sink) sink(task.member, m.exec->finalize());
-      }
+  // Each slot is written only by the team thread that took its member.
+  std::vector<char> withdrawn(jobs.size(), 0);
+  const auto run_member = [&](std::size_t member) {
+    bool admitted = true;
+    try {
+      admitted = !options_.admit || options_.admit(member);
+    } catch (...) {
+      admitted = false;  // a throwing gate withdraws, never crashes
     }
+    if (!admitted) {
+      withdrawn[member] = 1;
+      return;
+    }
+    MultiWalkReport report = members[member]->run();
+    if (sink) sink(member, std::move(report));
   };
+  detail::run_tickets(jobs.size(), std::min(team, jobs.size()), run_member);
 
-  // One spawn/join for the whole batch: the caller's thread is team member
-  // zero, so a single-thread team runs everything inline with zero spawns.
-  const std::size_t threads = team_size(options_.num_threads, tasks.size());
-  if (threads > 1) {
-    std::vector<std::jthread> team;
-    team.reserve(threads - 1);
-    for (std::size_t t = 1; t < threads; ++t) team.emplace_back(work);
-    work();
-    team.clear();  // join
-  } else if (threads == 1) {
-    work();
+  std::vector<std::size_t> withdrawn_members;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (withdrawn[j] != 0) withdrawn_members.push_back(j);
   }
-
-  std::vector<std::size_t> withdrawn;
-  for (std::size_t j = 0; j < members.size(); ++j) {
-    if (members[j].state.load(std::memory_order_acquire) == kWithdrawn) {
-      withdrawn.push_back(j);
-    }
-  }
-  return withdrawn;
+  return withdrawn_members;
 }
 
 }  // namespace cspls::parallel

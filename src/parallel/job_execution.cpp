@@ -98,6 +98,26 @@ MultiWalkReport resolve_emulated_race(std::vector<WalkerOutcome> walkers) {
 
 namespace detail {
 
+void run_tickets(std::size_t count, std::size_t threads,
+                 const std::function<void(std::size_t)>& body) {
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      body(i);
+    }
+  };
+  if (threads <= 1) {
+    drain();
+    return;
+  }
+  std::vector<std::jthread> team;
+  team.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t) team.emplace_back(drain);
+  team.clear();  // join
+}
+
 JobExecution::JobExecution(const csp::Problem& prototype,
                            const WalkerPoolOptions& options,
                            core::StopToken external)
@@ -140,10 +160,18 @@ JobExecution::JobExecution(const csp::Problem& prototype,
         continue;
       }
       const std::string walker = "resume.walkers[" + std::to_string(i) + "]";
-      require_permutation(resume.walkers[i].checkpoint.values,
-                          walker + ".checkpoint.values");
-      require_permutation(resume.walkers[i].checkpoint.best,
-                          walker + ".checkpoint.best");
+      const core::Checkpoint& checkpoint = resume.walkers[i].checkpoint;
+      require_permutation(checkpoint.values, walker + ".checkpoint.values");
+      require_permutation(checkpoint.best, walker + ".checkpoint.best");
+      // Xoshiro256::from_state would silently swap an all-zero state for
+      // the default stream: the resumed walk would not be the captured one.
+      if (std::ranges::all_of(checkpoint.rng_state,
+                              [](std::uint64_t word) { return word == 0; })) {
+        throw std::invalid_argument(
+            "WalkerPoolOptions: " + walker +
+            ".checkpoint.rng_state is all-zero, which is not a xoshiro256** "
+            "state");
+      }
     }
     for (std::size_t i = 0; i < resume.elite.size(); ++i) {
       if (resume.elite[i].has_entry) {
@@ -168,21 +196,18 @@ JobExecution::JobExecution(const csp::Problem& prototype,
     // publish/adopt of the resumed run sees exactly the preempted state.
     comm_.restore_counters(resume.comm_clock, resume.comm_adoptions);
     for (std::size_t i = 0; i < resume.elite.size(); ++i) {
-      const PoolCheckpoint::EliteSlot& slot = resume.elite[i];
-      ElitePool::Snapshot snap;
-      snap.has_entry = slot.has_entry;
-      snap.cost = slot.cost;
-      snap.values = slot.values;
-      snap.tick = slot.tick;
-      snap.publisher = static_cast<std::size_t>(slot.publisher);
-      snap.publishes = slot.publishes;
-      snap.accepted = slot.accepted;
-      comm_.slot(i).restore(snap);
+      comm_.slot(i).restore(resume.elite[i]);
     }
   }
   report_.walkers.resize(k_);
   walker_checkpoints_.resize(k_);
   walker_started_.assign(k_, 0);
+}
+
+MultiWalkReport JobExecution::run() {
+  run_tickets(k_, preferred_threads(),
+              [this](std::size_t id) { run_walker(id); });
+  return finalize();
 }
 
 std::size_t JobExecution::preferred_threads() const noexcept {
@@ -233,6 +258,18 @@ void JobExecution::run_walker(std::size_t id) {
     note_completion(id, out.result);
     return;
   }
+  // The start gate comes after the replay on purpose: the replay is free
+  // (no clone, no draws) and under sequential communication the restored
+  // elite state already holds its publishes, so skipping it would break the
+  // byte-identity of a later resume.  A walker the gate stops stays kPending
+  // in a checkpoint and resumes from its untouched stream.
+  if (const core::StopCause cut = start_gate();
+      cut != core::StopCause::kNone) {
+    out.result.interrupted = true;
+    out.result.stop_cause = cut;
+    note_completion(id, out.result);
+    return;
+  }
   walker_started_[id] = 1;
   // Each walker owns its fault session, exactly like its RNG stream, so
   // probe counts are deterministic under every scheduling mode.
@@ -273,15 +310,7 @@ void JobExecution::run_walker(std::size_t id) {
     if (options_.checkpoint_out != nullptr) {
       hooks.checkpoint_out = &walker_checkpoints_[id];
     }
-    // Each walker polls its own token copy: the caller's cancel/deadline,
-    // chained with the pool's completion flag when racing, plus the pool
-    // preemption flag when the caller may suspend the job.
-    core::StopToken token =
-        race_ ? external_.also_cancelled_by(&stop_) : external_;
-    if (options_.preempt != nullptr) {
-      token = token.with_preempt(options_.preempt);
-    }
-    core::Result result = engine_.solve(*problem, rng, token, hooks);
+    core::Result result = engine_.solve(*problem, rng, walker_token(), hooks);
     note_completion(id, result);
     out.result = std::move(result);
   } catch (const std::exception& e) {
@@ -296,59 +325,32 @@ void JobExecution::run_walker(std::size_t id) {
   out.injected_faults = session.fired();
 }
 
-// Between-walker short-circuit for any path that runs walkers one after
-// another (sequential/emulated scheduling, and the threaded scheduler
-// collapsed to a single thread): once a stop source has fired, the
-// not-yet-started walkers are marked interrupted with zero iterations
-// instead of each paying a full clone + initial cost evaluation.
-void JobExecution::run_walkers_one_by_one() {
-  core::StopCause cut = core::StopCause::kNone;
-  for (std::size_t id = 0; id < k_; ++id) {
-    // A walker the resume checkpoint records as finished replays its
-    // outcome even after a stop source fired: the replay is free (no
-    // clone, no draws) and under sequential communication the restored
-    // elite state already contains its publishes — skipping or re-running
-    // it would break the byte-identity of a later resume.
-    if (options_.resume.has_value() &&
-        options_.resume->walkers[id].stage ==
-            PoolCheckpoint::WalkerStage::kDone) {
-      run_walker(id);
-      continue;
-    }
-    if (cut == core::StopCause::kNone) {
-      // Unthrottled check on purpose: the engine-rate throttle inside the
-      // token's poll would let each walker start and run a stride of
-      // iterations before noticing an already-expired deadline.
-      const bool ext_cancelled = external_.cancelled();
-      // Same precedence as StopToken::poll: cancel > preempt > deadline.
-      // A preempted not-yet-started walker never starts — it stays
-      // kPending in the checkpoint and resumes from its untouched stream.
-      const bool preempt_raised =
-          !ext_cancelled && options_.preempt != nullptr &&
-          options_.preempt->load(std::memory_order_relaxed);
-      if (ext_cancelled || preempt_raised || external_.deadline_expired()) {
-        cut = ext_cancelled    ? core::StopCause::kCancel
-              : preempt_raised ? core::StopCause::kPreempted
-                               : core::StopCause::kDeadline;
-        (ext_cancelled    ? external_cancel_hit_
-         : preempt_raised ? preempt_hit_
-                          : external_deadline_hit_)
-            .store(true, std::memory_order_relaxed);
-      } else if (race_ && stop_.load(std::memory_order_acquire)) {
-        // A collapsed threaded race already decided: the remaining walkers
-        // would only run to their first poll and report kChained anyway —
-        // record exactly that outcome without paying their start-up cost.
-        cut = core::StopCause::kChained;
-      }
-    }
-    if (cut != core::StopCause::kNone) {
-      report_.walkers[id].walker_id = id;
-      report_.walkers[id].result.interrupted = true;
-      report_.walkers[id].result.stop_cause = cut;
-      continue;
-    }
-    run_walker(id);
-  }
+core::StopToken JobExecution::walker_token() const {
+  // The caller's cancel/deadline (and any flag it chained, such as the
+  // service's watchdog), chained with the pool's completion flag when
+  // racing, plus the pool preemption flag when the caller may suspend the
+  // job.
+  const core::StopToken token =
+      race_ ? external_.also_cancelled_by(&stop_) : external_;
+  return options_.preempt != nullptr ? token.with_preempt(options_.preempt)
+                                     : token;
+}
+
+core::StopCause JobExecution::start_gate() {
+  core::StopCause cut = gate_cause_.load(std::memory_order_acquire);
+  if (cut != core::StopCause::kNone) return cut;
+  // One poll of a fresh copy of the walker's own token: its first poll
+  // reads the clock, so an expired deadline stops the walker here rather
+  // than a stride of iterations in, and the gate records exactly the cause
+  // that poll would have recorded.
+  cut = walker_token().poll();
+  if (cut == core::StopCause::kNone) return cut;
+  // The first cause latched holds for every later walker.
+  core::StopCause expected = core::StopCause::kNone;
+  return gate_cause_.compare_exchange_strong(expected, cut,
+                                             std::memory_order_acq_rel)
+             ? cut
+             : expected;
 }
 
 bool JobExecution::assemble_checkpoint(const MultiWalkReport& report) {
@@ -402,16 +404,7 @@ bool JobExecution::assemble_checkpoint(const MultiWalkReport& report) {
     }
   }
   for (std::size_t i = 0; i < comm_.num_slots(); ++i) {
-    const ElitePool::Snapshot snap = comm_.slot(i).snapshot();
-    PoolCheckpoint::EliteSlot slot;
-    slot.has_entry = snap.has_entry;
-    slot.cost = snap.cost;
-    slot.values = snap.values;
-    slot.tick = snap.tick;
-    slot.publisher = static_cast<std::uint64_t>(snap.publisher);
-    slot.publishes = snap.publishes;
-    slot.accepted = snap.accepted;
-    cp.elite.push_back(std::move(slot));
+    cp.elite.push_back(comm_.slot(i).snapshot());
   }
   cp.comm_clock = comm_.now();
   cp.comm_adoptions = comm_.adoptions();

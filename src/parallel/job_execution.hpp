@@ -1,32 +1,29 @@
-// JobExecution — the per-job half of the parallel runtime, factored out of
-// WalkerPool::run so one walker population can execute on *any* thread
-// supply: the pool's own wave scheduler (the solo path), the caller's
-// thread (sequential/emulated scheduling), or a shared resident team fusing
-// many jobs into one launch (parallel/fused.hpp).
+// JobExecution — one job's walkers, from start to report: the one walker
+// driver behind WalkerPool::run and every FusedRun member.
 //
-// The class owns everything one run needs — engine, RNG stream factory,
-// communication channels, fault schedule, the report under construction and
-// the shared race state — and exposes exactly the two execution primitives
-// WalkerPool::run was built from:
+// run() hands the walker ids to run_tickets(), the one ticket loop and the
+// only function under src/parallel/ that starts a thread, then finalizes.
+// Ordered pools (kSequential, kEmulatedRace, or kThreads capped at
+// max_threads = 1) run inline on the caller in walker order; a kThreads
+// pool runs on min(k, max_threads or k, 16 x hardware threads) jthreads.
 //
-//   * run_walker(id)            body of walker `id`; thread-safe across
-//                               distinct ids (walkers share nothing but the
-//                               race flag), so a team may run them
-//                               concurrently under Scheduling::kThreads;
-//   * run_walkers_one_by_one()  the strictly-ordered path (sequential /
-//                               emulated scheduling and the collapsed
-//                               threaded pool), with the between-walker
-//                               external/race short-circuits.
+// Every walker passes one start gate: once a stop source has fired, a
+// walker that has not started records interrupted, zero iterations and the
+// first cause latched, instead of paying a clone + initial evaluation.  The
+// cause is what the walker's own first poll would record (StopToken::poll's
+// order: cancel > chained flags, the race's completion flag among them >
+// preempt > deadline).  A resumed walker the checkpoint records as finished
+// replays before the gate, even after a stop.
 //
-// finalize() then applies the termination policy and returns the
-// MultiWalkReport.  Byte-identity invariant: for a fixed master seed every
-// walker's trajectory depends only on (options, prototype, stream id) —
-// never on which thread or team ran it — so a fused member's report is
-// byte-for-byte the solo WalkerPool::run report (timing fields excepted).
+// Byte-identity invariant: for a fixed master seed every walker's
+// trajectory depends only on (options, prototype, stream id) — never on
+// which thread ran it — so a fused member's report is byte-for-byte the
+// solo WalkerPool::run report (timing fields excepted).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -40,53 +37,56 @@
 
 namespace cspls::parallel::detail {
 
+/// Runs body(i) once for every i < count, each index taken from one atomic
+/// ticket: inline on the caller when threads <= 1, else on `threads`
+/// jthreads joined before returning.  `body` must be thread-safe across
+/// distinct indices.
+void run_tickets(std::size_t count, std::size_t threads,
+                 const std::function<void(std::size_t)>& body);
+
 class JobExecution {
  public:
-  /// Validates `options` (validate_options + warm-start arity) and
-  /// preallocates every per-run structure; throws std::invalid_argument
-  /// before any walker work on a degenerate configuration.  `prototype` and
-  /// `options` are borrowed and must outlive the execution.
+  /// Validates `options` (validate_options plus every configuration and
+  /// RNG state a caller hands in) and preallocates every per-run structure;
+  /// throws std::invalid_argument before any walker work on a degenerate
+  /// configuration.  `prototype` and `options` are borrowed and must
+  /// outlive the execution.
   JobExecution(const csp::Problem& prototype, const WalkerPoolOptions& options,
                core::StopToken external);
 
   JobExecution(const JobExecution&) = delete;
   JobExecution& operator=(const JobExecution&) = delete;
 
-  [[nodiscard]] std::size_t num_walkers() const noexcept { return k_; }
-  [[nodiscard]] bool threaded() const noexcept { return threaded_; }
-  [[nodiscard]] bool race() const noexcept { return race_; }
-
-  /// Thread count the solo pool would use under Scheduling::kThreads: the
-  /// walker count clamped by max_threads and a hardware-derived ceiling.
-  /// 1 when the threaded pool collapses to the ordered path.
-  [[nodiscard]] std::size_t preferred_threads() const noexcept;
-
-  /// True when this job's walkers may execute as independent tasks on a
-  /// shared team: genuinely threaded scheduling (any interleaving is a
-  /// valid schedule of the solo pool).  False for the ordered modes, where
-  /// trajectories under communication depend on the publish/adopt order
-  /// that one-by-one execution defines.
-  [[nodiscard]] bool walkers_independent() const noexcept {
-    return threaded_ && preferred_threads() > 1;
-  }
-
-  /// Body of walker `id`: clone, stream(id), hooks, solve, crash
-  /// containment.  Callable concurrently for distinct ids.
-  void run_walker(std::size_t id);
-
-  /// Ordered execution with the external/race between-walker short-circuits
-  /// (not-yet-started walkers are marked interrupted instead of paying a
-  /// clone + initial evaluation).
-  void run_walkers_one_by_one();
-
-  /// Apply the termination policy and hand over the report.  Call exactly
-  /// once, after every walker task has returned.
-  [[nodiscard]] MultiWalkReport finalize();
+  /// Runs every walker, then applies the termination policy and hands over
+  /// the report.  Call exactly once.
+  [[nodiscard]] MultiWalkReport run();
 
  private:
-  /// Cause latches + first-finisher CAS, shared by live runs and checkpoint
-  /// replays of already-finished walkers.
+  /// Thread count for run_tickets: the walker count clamped by max_threads
+  /// and a hardware-derived ceiling under kThreads, else 1.
+  [[nodiscard]] std::size_t preferred_threads() const noexcept;
+
+  /// Body of walker `id`: checkpoint replay, start gate, then clone,
+  /// stream(id), hooks, solve, crash containment.  Callable concurrently
+  /// for distinct ids.
+  void run_walker(std::size_t id);
+
+  /// The token each walker polls: the external one, chained with the race's
+  /// completion flag and carrying the preemption flag when set.
+  [[nodiscard]] core::StopToken walker_token() const;
+
+  /// The cause that keeps a not-yet-started walker from starting (one poll
+  /// of a fresh walker_token()), latched by the first walker that observes
+  /// one; kNone while the pool runs on.
+  core::StopCause start_gate();
+
+  /// Cause latches + first-finisher CAS, shared by live runs, gated walkers
+  /// and checkpoint replays of already-finished walkers.
   void note_completion(std::size_t id, const core::Result& result);
+
+  /// Apply the termination policy and hand over the report, after every
+  /// walker has returned.
+  [[nodiscard]] MultiWalkReport finalize();
 
   /// Assemble the PoolCheckpoint after a preempted run (finalize helper;
   /// `report` is the finalized report whose walker outcomes become the
@@ -108,11 +108,13 @@ class JobExecution {
   const bool threaded_;
   const bool race_;
 
-  // The *only* shared state among racing walkers: the completion flag, the
+  // The race state shared by racing walkers: the completion flag, the
   // winner slot and the time-to-solution stamp.
   std::atomic<bool> stop_{false};
   std::atomic<std::size_t> winner_{kNoWinner};
   std::atomic<std::uint64_t> solution_time_us_{0};
+  // The start gate's latched cause (kNone until a stop source is seen).
+  std::atomic<core::StopCause> gate_cause_{core::StopCause::kNone};
   // Walkers stopped by the *external* token latch their cause here (the
   // engine records which source its poll observed, so a race loser cut by
   // the pool's internal completion flag — StopCause::kChained — is never

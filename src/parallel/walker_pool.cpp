@@ -1,9 +1,6 @@
 #include "parallel/walker_pool.hpp"
 
-#include <atomic>
 #include <stdexcept>
-#include <thread>
-#include <vector>
 
 #include "parallel/job_execution.hpp"
 
@@ -61,35 +58,7 @@ MultiWalkReport WalkerPool::run(const csp::Problem& prototype) const {
 
 MultiWalkReport WalkerPool::run(const csp::Problem& prototype,
                                 const core::StopToken& external) const {
-  detail::JobExecution job(prototype, options_, external);
-
-  if (job.threaded()) {
-    const std::size_t num_threads = job.preferred_threads();
-    if (num_threads <= 1) {
-      job.run_walkers_one_by_one();
-    } else {
-      // Wave execution: an atomic ticket dispenser hands walker ids to a
-      // bounded pool of OS threads.
-      const std::size_t k = job.num_walkers();
-      std::atomic<std::size_t> next{0};
-      std::vector<std::jthread> pool;
-      pool.reserve(num_threads);
-      for (std::size_t t = 0; t < num_threads; ++t) {
-        pool.emplace_back([&] {
-          for (;;) {
-            const std::size_t id = next.fetch_add(1, std::memory_order_relaxed);
-            if (id >= k) return;
-            job.run_walker(id);
-          }
-        });
-      }
-      pool.clear();  // join
-    }
-  } else {
-    job.run_walkers_one_by_one();
-  }
-
-  return job.finalize();
+  return detail::JobExecution(prototype, options_, external).run();
 }
 
 }  // namespace cspls::parallel

@@ -126,16 +126,12 @@ TEST(SelfHealing, AllWalkersCrashingIsRetriedWithBackoffAndResolves) {
   EXPECT_NE(job.error().find("walkers failed"), std::string::npos);
 }
 
-TEST(SelfHealing, WatchdogDegradesAStalledJobInsteadOfHanging) {
-  if (!util::fault::kCompiledIn) {
-    GTEST_SKIP() << "build without CSPLS_FAULT_INJECTION";
-  }
-  SolverService service(SolverService::Options{2});
-  // Unsolvable instance, every walker wedged for 1 s early in the walk: the
-  // only ways out are the watchdog or an hours-long budget.
+/// Unsolvable instance, every walker wedged for 1 s early in the walk: the
+/// only ways out are the watchdog or an hours-long budget.
+SolveRequest wedged_request(std::size_t walkers) {
   SolveRequest request;
   request.problem = "langford:5";
-  request.walkers = 2;
+  request.walkers = walkers;
   request.seed = 31;
   request.scheduling = parallel::Scheduling::kThreads;
   request.termination = parallel::Termination::kBestAfterBudget;
@@ -153,17 +149,30 @@ TEST(SelfHealing, WatchdogDegradesAStalledJobInsteadOfHanging) {
   request.watchdog_stall_ms = 100;
   request.retry.max_attempts = 2;
   request.retry.base_backoff_ms = 1;
+  return request;
+}
 
-  const JobHandle job = service.submit(request);
-  // Two wedged attempts of ~1 s each; anything near the langford budget
-  // would take hours, so finishing here at all is the watchdog working.
-  ASSERT_TRUE(job.wait_for(milliseconds(120'000)));
-  EXPECT_EQ(job.status(), JobStatus::kDone);  // anytime contract
-  const SolveReport& report = job.report();
-  EXPECT_TRUE(report.degraded);       // retried with half the walkers
-  EXPECT_EQ(report.attempts, 2u);
-  EXPECT_FALSE(report.cancelled);     // a watchdog cut is not a user cancel
-  EXPECT_FALSE(report.solved);
+TEST(SelfHealing, WatchdogDegradesAStalledJobInsteadOfHanging) {
+  if (!util::fault::kCompiledIn) {
+    GTEST_SKIP() << "build without CSPLS_FAULT_INJECTION";
+  }
+  // Two walkers on two slots all start at once; three walkers on two slots
+  // leave one unstarted when the watchdog fires, and the start gate must
+  // record the cut as the watchdog's, not as a caller cancel.
+  for (const std::size_t walkers : {2u, 3u}) {
+    SCOPED_TRACE(std::to_string(walkers) + " walkers");
+    SolverService service(SolverService::Options{2});
+    const JobHandle job = service.submit(wedged_request(walkers));
+    // Two wedged attempts of ~1 s each; anything near the langford budget
+    // would take hours, so finishing here at all is the watchdog working.
+    ASSERT_TRUE(job.wait_for(milliseconds(120'000)));
+    EXPECT_EQ(job.status(), JobStatus::kDone);  // anytime contract
+    const SolveReport& report = job.report();
+    EXPECT_TRUE(report.degraded);    // retried with half the walkers
+    EXPECT_EQ(report.attempts, 2u);
+    EXPECT_FALSE(report.cancelled);  // a watchdog cut is not a user cancel
+    EXPECT_FALSE(report.solved);
+  }
 }
 
 // --- Every-build coverage ---------------------------------------------
@@ -221,6 +230,11 @@ TEST(SelfHealing, HostileResumeConfigurationsRejectNamingTheMember) {
   running.values = identity;
   running.best.back() = 1;
   expect_rejected(request, "walkers[0].checkpoint.best");
+  // An all-zero state is no xoshiro256** position: the engine would walk
+  // the default stream instead of the captured one.
+  running.best = identity;
+  running.rng_state = {0, 0, 0, 0};
+  expect_rejected(request, "walkers[0].checkpoint.rng_state");
 
   // An occupied elite slot is adopted under exchange: it is checked too.
   request.neighborhood = parallel::Neighborhood::kComplete;

@@ -191,6 +191,10 @@ TEST(FusedRun, AdmissionGateWithdrawsMembersWithoutRunningThem) {
                                         Termination::kBestAfterBudget),
                     {}});
   }
+  // A threaded member starts its own walker threads once admitted.
+  jobs.push_back({&costas, options_of(3, 5, Scheduling::kThreads,
+                                      Termination::kBestAfterBudget),
+                  {}});
 
   FusedOptions fused;
   fused.num_threads = 2;

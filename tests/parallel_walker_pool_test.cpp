@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "core/adaptive_search.hpp"
 #include "parallel/elite_pool.hpp"
@@ -503,53 +504,59 @@ TEST(WalkerPoolValidation, IgnoredKnobsStayIgnoredWithoutExchange) {
   EXPECT_EQ(report.elite_accepted, 0u);
 }
 
-TEST(WalkerPool, CollapsedThreadedSchedulerShortCircuitsOnExpiredDeadline) {
-  // Regression: kThreads collapsed to one OS thread (max_threads = 1) used
-  // to run every remaining walker to a first poll even when the external
-  // token had already fired — paying a full clone + initial cost evaluation
-  // per walker.  It must short-circuit between walkers exactly like the
-  // sequential scheduler: not-yet-started walkers report interrupted with
-  // zero iterations and the right cause.
+TEST(WalkerPool, ThreadedSchedulerShortCircuitsOnAFiredStopSource) {
+  // The start gate on both threaded paths — collapsed to one OS thread
+  // (max_threads = 1) and one thread per walker: once the external token
+  // has fired, no walker pays a clone, an initial cost evaluation or an
+  // iteration-0 sample.  Not-yet-started walkers report interrupted with
+  // zero iterations and the cause their first poll would record, exactly
+  // like the sequential scheduler's.  A raised chained flag (the service's
+  // watchdog slot) is kChained, not a caller cancel, and leaves the report
+  // uninterrupted.
   problems::Costas costas(10);
-  WalkerPoolOptions pool;
-  pool.num_walkers = 4;
-  pool.master_seed = 2;
-  pool.scheduling = Scheduling::kThreads;
-  pool.max_threads = 1;
-  pool.termination = Termination::kBestAfterBudget;
-
+  std::atomic<bool> cancel{true};  // cancelled before the pool launches
   const auto expired = core::StopToken::with_deadline(
       core::StopToken::Clock::now() - std::chrono::milliseconds(10));
-  const auto report = WalkerPool(pool).run(costas, expired);
+  const auto chained = core::StopToken().also_cancelled_by(&cancel);
+  struct Case {
+    std::size_t max_threads;
+    core::StopToken stop;
+    core::StopCause cause;
+  };
+  for (const Case& c : {Case{1, expired, core::StopCause::kDeadline},
+                        Case{1, core::StopToken(&cancel),
+                             core::StopCause::kCancel},
+                        Case{1, chained, core::StopCause::kChained},
+                        Case{0, expired, core::StopCause::kDeadline},
+                        Case{0, core::StopToken(&cancel),
+                             core::StopCause::kCancel},
+                        Case{0, chained, core::StopCause::kChained}}) {
+    SCOPED_TRACE("max_threads " + std::to_string(c.max_threads) + ", " +
+                 std::string(core::kStopCauseNames.name(c.cause)));
+    WalkerPoolOptions pool;
+    pool.num_walkers = 4;
+    pool.master_seed = 2;
+    pool.scheduling = Scheduling::kThreads;
+    pool.max_threads = c.max_threads;
+    pool.termination = Termination::kBestAfterBudget;
+    std::atomic<std::size_t> samples{0};
+    pool.sample_sink = [&samples](std::size_t, std::uint64_t, csp::Cost) {
+      samples.fetch_add(1);
+    };
+    pool.sample_sink_period = 1;
+    const auto report = WalkerPool(pool).run(costas, c.stop);
 
-  EXPECT_TRUE(report.interrupted);
-  EXPECT_EQ(report.interrupt_cause, core::StopCause::kDeadline);
-  ASSERT_EQ(report.walkers.size(), 4u);
-  for (const auto& w : report.walkers) {
-    EXPECT_TRUE(w.result.interrupted);
-    EXPECT_EQ(w.result.stop_cause, core::StopCause::kDeadline);
-    EXPECT_EQ(w.result.stats.iterations, 0u);  // never started walking
-  }
-}
-
-TEST(WalkerPool, CollapsedThreadedSchedulerShortCircuitsOnCancel) {
-  problems::Costas costas(10);
-  WalkerPoolOptions pool;
-  pool.num_walkers = 3;
-  pool.master_seed = 2;
-  pool.scheduling = Scheduling::kThreads;
-  pool.max_threads = 1;
-  pool.termination = Termination::kBestAfterBudget;
-
-  std::atomic<bool> cancel{true};  // cancelled before the pool launches
-  const auto report = WalkerPool(pool).run(costas, core::StopToken(&cancel));
-
-  EXPECT_TRUE(report.interrupted);
-  EXPECT_EQ(report.interrupt_cause, core::StopCause::kCancel);
-  for (const auto& w : report.walkers) {
-    EXPECT_TRUE(w.result.interrupted);
-    EXPECT_EQ(w.result.stop_cause, core::StopCause::kCancel);
-    EXPECT_EQ(w.result.stats.iterations, 0u);
+    const bool external = c.cause != core::StopCause::kChained;
+    EXPECT_EQ(report.interrupted, external);
+    EXPECT_EQ(report.interrupt_cause,
+              external ? c.cause : core::StopCause::kNone);
+    ASSERT_EQ(report.walkers.size(), 4u);
+    for (const auto& w : report.walkers) {
+      EXPECT_TRUE(w.result.interrupted);
+      EXPECT_EQ(w.result.stop_cause, c.cause);
+      EXPECT_EQ(w.result.stats.iterations, 0u);  // never started walking
+    }
+    EXPECT_EQ(samples.load(), 0u);
   }
 }
 

@@ -1,4 +1,4 @@
-// Tables, CSV, histogram, CLI and logging tests.
+// Tables, CSV, histogram, CLI and timer tests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/histogram.hpp"
-#include "util/log.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -241,16 +240,6 @@ TEST(Timer, FormatDuration) {
   EXPECT_EQ(format_duration(0.5), "500ms");
   EXPECT_EQ(format_duration(2.345), "2.35s");
   EXPECT_EQ(format_duration(192.0), "3m12s");
-}
-
-TEST(Log, LevelGateIsHonoured) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Below-threshold calls must be cheap no-ops (no crash, no throw).
-  log_debug("invisible");
-  logf(LogLevel::kDebug, "invisible %d", 42);
-  set_log_level(old);
 }
 
 }  // namespace
