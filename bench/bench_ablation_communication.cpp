@@ -180,7 +180,8 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::string>> anytime_rows;
   for (const char* name : instances) {
     const auto spec = bench::spec_for(name, options->paper_scale);
-    const auto prototype = spec.instantiate();
+    const auto prototype = problems::instantiate(spec);
+    const std::string label = bench::label(spec);
 
     util::Table table({"neighborhood", "exchange", "mode", "period",
                        "p(adopt)", "decay", "solved", "med effort (iters)",
@@ -207,8 +208,8 @@ int main(int argc, char** argv) {
                    util::Table::num(indep.median_effort, 0),
                    util::Table::sig(indep.median_time, 3), "0", "0", "0",
                    "1.00x"});
-    scheme_rows.push_back(scheme_row(spec.label(), baseline, indep, reps));
-    append_anytime_rows(spec.label(), baseline, indep, budgets, anytime_rows);
+    scheme_rows.push_back(scheme_row(label, baseline, indep, reps));
+    append_anytime_rows(label, baseline, indep, budgets, anytime_rows);
 
     for (const auto neighborhood :
          {parallel::Neighborhood::kComplete, parallel::Neighborhood::kRing,
@@ -249,16 +250,14 @@ int main(int argc, char** argv) {
                    util::Table::num(dep.mean_accepted, 1),
                    util::Table::num(dep.mean_adoptions, 1),
                    util::Table::num(ratio, 2) + "x"});
-              scheme_rows.push_back(
-                  scheme_row(spec.label(), cell, dep, reps));
-              append_anytime_rows(spec.label(), cell, dep, budgets,
-                                  anytime_rows);
+              scheme_rows.push_back(scheme_row(label, cell, dep, reps));
+              append_anytime_rows(label, cell, dep, budgets, anytime_rows);
             }
           }
         }
       }
     }
-    std::printf("%s\n", table.render(spec.label()).c_str());
+    std::printf("%s\n", table.render(label).c_str());
   }
 
   std::printf(

@@ -4,8 +4,8 @@
 // partial resets, plateau walking and worsening-move acceptance.  This
 // harness disables each in turn on two representative landscapes (costas:
 // descent+perturbation regime; magic-square: plateau regime) and measures
-// the median/solve-rate impact — the quantitative version of DESIGN.md's
-// per-model tuning notes.
+// the median/solve-rate impact — the quantitative version of the per-model
+// tuning notes in each model's tuning().
 #include <cstdio>
 
 #include "common.hpp"
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::string>> csv_rows;
   for (const char* name : {"costas", "magic-square"}) {
     const auto spec = bench::spec_for(name, false);
-    const auto prototype = spec.instantiate();
+    const auto prototype = problems::instantiate(spec);
     const auto tuned = core::Params::from_hints(prototype->tuning(),
                                                 prototype->num_variables());
 
@@ -106,18 +106,18 @@ int main(int argc, char** argv) {
                          : "-",
                      any ? util::Table::num(util::quantile(ms, 0.5), 2)
                          : "-"});
-      csv_rows.push_back({spec.label(), variant.label,
+      csv_rows.push_back({bench::label(spec), variant.label,
                           std::to_string(solved),
                           any ? util::Table::num(util::quantile(iters, 0.5), 0)
                               : ""});
     }
-    std::printf("%s\n", table.render(spec.label()).c_str());
+    std::printf("%s\n", table.render(bench::label(spec)).c_str());
   }
 
   // --- Restart-schedule comparison (fixed vs Luby) with restarts on. ------
   for (const char* name : {"costas", "magic-square"}) {
     const auto spec = bench::spec_for(name, false);
-    const auto prototype = spec.instantiate();
+    const auto prototype = problems::instantiate(spec);
     const auto tuned = core::Params::from_hints(prototype->tuning(),
                                                 prototype->num_variables());
     util::Table table({"schedule", "base budget", "solved", "med iters",
@@ -146,8 +146,9 @@ int main(int argc, char** argv) {
                      util::Table::num(util::quantile(iters, 0.5), 0),
                      util::Table::num(util::quantile(iters, 0.9), 0)});
     }
-    std::printf("%s\n",
-                table.render(spec.label() + " — restart schedule").c_str());
+    std::printf(
+        "%s\n",
+        table.render(bench::label(spec) + " — restart schedule").c_str());
   }
 
   std::printf(

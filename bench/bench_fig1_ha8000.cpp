@@ -2,7 +2,7 @@
 // all-interval, perfect-square, magic-square and costas on the Hitachi
 // HA8000 platform model.
 //
-// Pipeline (DESIGN.md §2-§3): run the *real* Adaptive Search engine for N
+// Pipeline: run the *real* Adaptive Search engine for N
 // independent seeded walks per benchmark, take the empirical single-walk
 // runtime law, and evaluate the independent multi-walk completion time
 // min-of-k exactly on that law under the HA8000 platform model.
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   bench::print_preamble(
       "Figure 1 — speedups on HA8000",
       "Speedup = T(1)/T(k) on the HA8000 model; walk law measured with the\n"
-      "real solver on scaled-down instances (see DESIGN.md §4).");
+      "real solver on scaled-down instances (5-60 ms median walks).");
 
   const auto platform = sim::ha8000();
   const auto cores = sim::paper_core_grid();
@@ -31,25 +31,24 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::string>> csv_rows;
 
   for (const auto& spec : bench::paper_suite(options->paper_scale)) {
+    const std::string label = bench::label(spec);
     auto law = bench::measure_walk_law(spec, options->samples, options->seed);
     if (!options->raw_times) {
       law = bench::rescale_to_median(
           law, bench::paper_reference_median_seconds(spec.name));
       std::printf("[paper-scale] %s median rescaled to %.0fs (x%.3g)\n",
-                  spec.label().c_str(), law.seconds.median(),
-                  law.rescale_factor);
+                  label.c_str(), law.seconds.median(), law.rescale_factor);
     }
-    auto curve = sim::compute_speedup_curve(law.seconds, platform, cores,
-                                            spec.label());
+    auto curve =
+        sim::compute_speedup_curve(law.seconds, platform, cores, label);
     const auto fit = sim::fit_shifted_exponential(law.seconds);
-    auto fit_curve =
-        sim::compute_fit_speedup_curve(fit, platform, cores, spec.label());
+    auto fit_curve = sim::compute_fit_speedup_curve(fit, platform, cores, label);
     std::printf("[law] %s: shifted-exp fit KS=%.3f shift/mean=%.4f\n",
-                spec.label().c_str(), fit.ks_distance,
+                label.c_str(), fit.ks_distance,
                 fit.shift / law.seconds.mean());
     auto table = bench::make_curve_table();
     bench::append_curve_rows(curve, table, &csv_rows);
-    std::printf("%s", table.render(spec.label() + " on " + platform.name).c_str());
+    std::printf("%s", table.render(label + " on " + platform.name).c_str());
     std::printf("\n");
     curves.push_back(std::move(curve));
     fit_curves.push_back(std::move(fit_curve));

@@ -36,22 +36,22 @@ int main(int argc, char** argv) {
   std::string worst_case;
 
   for (const auto& spec : bench::paper_suite(options->paper_scale)) {
+    const std::string label = bench::label(spec);
     auto law = bench::measure_walk_law(spec, options->samples, options->seed);
     if (!options->raw_times) {
       law = bench::rescale_to_median(
           law, bench::paper_reference_median_seconds(spec.name));
     }
     auto suno_curve =
-        sim::compute_speedup_curve(law.seconds, suno, cores, spec.label());
+        sim::compute_speedup_curve(law.seconds, suno, cores, label);
     const auto helios_curve =
-        sim::compute_speedup_curve(law.seconds, helios, cores, spec.label());
+        sim::compute_speedup_curve(law.seconds, helios, cores, label);
     suno_fit_curves.push_back(sim::compute_fit_speedup_curve(
-        sim::fit_shifted_exponential(law.seconds), suno, cores,
-        spec.label()));
+        sim::fit_shifted_exponential(law.seconds), suno, cores, label));
 
     auto table = bench::make_curve_table();
     bench::append_curve_rows(suno_curve, table, &csv_rows);
-    std::printf("%s", table.render(spec.label() + " on " + suno.name).c_str());
+    std::printf("%s", table.render(label + " on " + suno.name).c_str());
 
     // Suno ≈ Helios check (the paper's justification for plotting one).
     for (std::size_t i = 0; i < suno_curve.points.size(); ++i) {
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       const double gap = std::abs(a - b) / std::max(a, b);
       if (gap > worst_rel_gap) {
         worst_rel_gap = gap;
-        worst_case = spec.label() + " @" +
+        worst_case = label + " @" +
                      std::to_string(suno_curve.points[i].cores) + " cores";
       }
     }

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
       "Ideal behaviour: time halves per core doubling (log-log slope 1).");
 
   const auto spec = bench::spec_for("costas", options->paper_scale);
+  const std::string label = bench::label(spec);
   auto law = bench::measure_walk_law(spec, options->samples, options->seed);
   if (!options->raw_times) {
     law = bench::rescale_to_median(
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
   for (const auto& platform :
        {sim::ha8000(), sim::grid5000_suno(), sim::grid5000_helios()}) {
     const auto curve =
-        sim::compute_speedup_curve(law.seconds, platform, cores, spec.label());
+        sim::compute_speedup_curve(law.seconds, platform, cores, label);
     const auto rebased = sim::rebase_to(curve, 32);
 
     util::Table table({"cores", "log2(cores/32)", "E[T] (s)",
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
                           util::Table::sig(p.expected_seconds, 6),
                           util::Table::num(p.speedup, 4)});
     }
-    std::printf("%s", table.render(spec.label() + " on " + platform.name +
+    std::printf("%s", table.render(label + " on " + platform.name +
                                    " (rebased to 32 cores)")
                           .c_str());
 

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
 
   for (const auto& name : problems::problem_names()) {
     const auto spec = bench::spec_for(name, options->paper_scale);
-    const auto prototype = spec.instantiate();
+    const auto prototype = problems::instantiate(spec);
     parallel::WalkerPoolOptions pool;
     pool.num_walkers = options->samples;
     pool.master_seed = options->seed;
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
       total_iters += static_cast<double>(w.result.stats.iterations);
     }
     table.add_row(
-        {spec.label(), std::to_string(prototype->num_variables()),
+        {bench::label(spec), std::to_string(prototype->num_variables()),
          std::to_string(solved) + "/" + std::to_string(walks.size()),
          util::Table::num(util::quantile(iters, 0.5), 0),
          util::Table::num(util::quantile(iters, 0.9), 0),
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
          util::Table::num(util::quantile(ms, 0.9), 2),
          util::Table::num(total_iters > 0 ? locmin / total_iters : 0.0, 3),
          util::Table::num(total_iters > 0 ? resets / total_iters : 0.0, 4)});
-    csv_rows.push_back({spec.label(),
+    csv_rows.push_back({bench::label(spec),
                         util::Table::num(util::quantile(iters, 0.5), 0),
                         util::Table::num(util::quantile(ms, 0.5), 3),
                         util::Table::num(util::mean(ms), 3)});

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     }
     curves.push_back(sim::compute_fit_speedup_curve(
         sim::fit_shifted_exponential(law.seconds), platform, cores,
-        spec.label()));
+        bench::label(spec)));
   }
   const auto average_at = [&](std::size_t k) {
     double acc = 0.0;
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   }
   const auto cap_curve = sim::compute_fit_speedup_curve(
       sim::fit_shifted_exponential(cap_law.seconds), platform, cores,
-      cap_spec.label());
+      bench::label(cap_spec));
   claims.add_row({"CAP log-log slope", "1.0 (linear)",
                   util::Table::num(sim::loglog_slope(cap_curve), 2),
                   "slope of log2(speedup) vs log2(cores)"});
@@ -94,14 +94,12 @@ int main(int argc, char** argv) {
   util::Table growth(
       {"costas order", "median walk (s)", "floor min/mean", "speedup @256"});
   for (const std::size_t order : {11u, 12u, 13u}) {
-    bench::BenchmarkSpec spec;
-    spec.name = "costas";
-    spec.size = order;
+    const auto spec = bench::spec_for("costas:" + std::to_string(order));
     const auto law =
         bench::measure_walk_law(spec, options->samples, options->seed);
     const auto fit = sim::fit_shifted_exponential(law.seconds);
     const auto curve =
-        sim::compute_fit_speedup_curve(fit, pure, cores, spec.label());
+        sim::compute_fit_speedup_curve(fit, pure, cores, bench::label(spec));
     growth.add_row({std::to_string(order),
                     util::Table::sig(law.seconds.median(), 3),
                     util::Table::sig(fit.shift / law.seconds.mean(), 2),

@@ -8,31 +8,30 @@
 
 namespace cspls::bench {
 
-std::unique_ptr<csp::Problem> BenchmarkSpec::instantiate() const {
-  return problems::instantiate(
-      problems::ProblemSpec{name, size, instance_seed});
+namespace {
+
+/// Instance seed of generated instances when a spec names none.
+constexpr std::uint64_t kInstanceSeed = 7;
+
+}  // namespace
+
+std::string label(const problems::ProblemSpec& spec) {
+  if (spec.name == "perfect-square" && spec.size == 0) {
+    return spec.name + "(order-21)";
+  }
+  return spec.name + "(" + std::to_string(spec.size) + ")";
 }
 
-std::string BenchmarkSpec::label() const {
-  if (name == "perfect-square" && size == 0) return name + "(order-21)";
-  return name + "(" + std::to_string(size) + ")";
-}
-
-std::string BenchmarkSpec::spec_string() const {
-  return problems::format_spec(
-      problems::ProblemSpec{name, size, instance_seed});
-}
-
-std::vector<BenchmarkSpec> paper_suite(bool paper_scale) {
-  std::vector<BenchmarkSpec> suite;
+std::vector<problems::ProblemSpec> paper_suite(bool paper_scale) {
+  std::vector<problems::ProblemSpec> suite;
   for (const auto& name : problems::paper_benchmarks()) {
     suite.push_back(spec_for(name, paper_scale));
   }
   return suite;
 }
 
-BenchmarkSpec spec_for(const std::string& name, bool paper_scale) {
-  BenchmarkSpec spec;
+problems::ProblemSpec spec_for(const std::string& name, bool paper_scale) {
+  problems::ProblemSpec spec{.instance_seed = kInstanceSeed};
   if (name.find(':') != std::string::npos ||
       name.find('@') != std::string::npos) {
     const problems::ProblemSpec parsed = problems::parse_spec(name);
@@ -57,9 +56,9 @@ BenchmarkSpec spec_for(const std::string& name, bool paper_scale) {
   return spec;
 }
 
-WalkLaw measure_walk_law(const BenchmarkSpec& spec, std::size_t samples,
-                         std::uint64_t seed) {
-  const auto prototype = spec.instantiate();
+WalkLaw measure_walk_law(const problems::ProblemSpec& spec,
+                         std::size_t samples, std::uint64_t seed) {
+  const auto prototype = problems::instantiate(spec);
   sim::SamplingOptions options;
   options.num_samples = samples;
   options.master_seed = seed;
@@ -82,7 +81,7 @@ WalkLaw measure_walk_law(const BenchmarkSpec& spec, std::size_t samples,
   std::fprintf(stderr,
                "[sample] %-22s %zu walks in %s  solve_rate=%.3f  "
                "median=%.4fs  mean=%.4fs  max=%.4fs\n",
-               spec.label().c_str(), samples,
+               label(spec).c_str(), samples,
                util::format_duration(watch.elapsed_seconds()).c_str(),
                law.solve_rate, law.seconds.median(), law.seconds.mean(),
                law.seconds.max());

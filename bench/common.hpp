@@ -2,8 +2,8 @@
 //
 // Every harness runs with no arguments (the reproduction driver executes
 // them bare) and prints the paper's rows/series as aligned tables, mirrored
-// to CSV files in the working directory.  DESIGN.md §2 maps each binary to
-// its figure/table.
+// to CSV files in the working directory.  README's "Reproducing the paper"
+// maps each binary to its figure/table.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/params.hpp"
-#include "csp/problem.hpp"
+#include "problems/spec.hpp"
 #include "sim/order_stats.hpp"
 #include "sim/platform.hpp"
 #include "sim/sampling.hpp"
@@ -22,29 +22,23 @@
 
 namespace cspls::bench {
 
-/// One benchmark instance of the experiment suite.
-struct BenchmarkSpec {
-  std::string name;
-  std::size_t size = 0;
-  std::uint64_t instance_seed = 7;  ///< for generated instances
+/// Table label of a benchmark instance: "costas(13)", and
+/// "perfect-square(order-21)" for the Duijvestijn instance.
+[[nodiscard]] std::string label(const problems::ProblemSpec& spec);
 
-  [[nodiscard]] std::unique_ptr<csp::Problem> instantiate() const;
-  [[nodiscard]] std::string label() const;
-  /// Canonical spec string ("costas:13@7") — what the JSON solve API and
-  /// problems::parse_spec understand.
-  [[nodiscard]] std::string spec_string() const;
-};
-
-/// The paper's four benchmarks at harness scale (DESIGN.md §4) or at the
-/// paper's own scale (--paper-scale: expect hours of sequential sampling).
-[[nodiscard]] std::vector<BenchmarkSpec> paper_suite(bool paper_scale);
+/// The paper's four benchmarks at harness scale (problems::bench_size) or
+/// at the paper's own scale (--paper-scale: expect hours of sequential
+/// sampling).
+[[nodiscard]] std::vector<problems::ProblemSpec> paper_suite(
+    bool paper_scale);
 
 /// Single benchmark spec at harness scale.  Accepts either a bare name
 /// ("costas", size chosen by scale) or a full problems::parse_spec string
-/// ("costas:18", explicit size wins).  Throws std::invalid_argument with
-/// the registry's diagnostic on unknown names.
-[[nodiscard]] BenchmarkSpec spec_for(const std::string& name,
-                                     bool paper_scale = false);
+/// ("costas:18", explicit size wins).  Generated instances (perfect-square
+/// quadtrees) use instance seed 7 unless the string names one.  Throws
+/// std::invalid_argument with the registry's diagnostic on unknown names.
+[[nodiscard]] problems::ProblemSpec spec_for(const std::string& name,
+                                             bool paper_scale = false);
 
 /// The measured single-walk law of a spec, in estimated platform-seconds:
 /// iteration counts (exact, reproducible) scaled by the measured
@@ -57,9 +51,8 @@ struct WalkLaw {
   /// Applied paper-scale factor (1.0 when measuring raw host times).
   double rescale_factor = 1.0;
 };
-[[nodiscard]] WalkLaw measure_walk_law(const BenchmarkSpec& spec,
-                                       std::size_t samples,
-                                       std::uint64_t seed);
+[[nodiscard]] WalkLaw measure_walk_law(const problems::ProblemSpec& spec,
+                                       std::size_t samples, std::uint64_t seed);
 
 /// Representative sequential single-walk median of the paper's *own*
 /// instances, in seconds (EXPERIMENTS.md documents the provenance): the

@@ -287,15 +287,25 @@ AttemptOutcome run_attempt(JobState& job, SolveRequest attempt_request,
   return outcome;
 }
 
+/// Ceiling of one retry backoff: one day.  Saturating there keeps the
+/// double-to-integer cast defined and steady_clock::now() + backoff in
+/// range for any client-supplied base and multiplier.
+constexpr std::uint64_t kMaxBackoffMs = 86'400'000;
+
 /// Backoff in milliseconds before the retry following failing attempt
 /// `attempt` (1-based).  `rng` is seeded from the job's master seed, so
 /// jittered retry timing is reproducible.
 std::uint64_t backoff_ms_for(const RetryPolicy& retry, std::uint32_t attempt,
                              util::Xoshiro256& rng) {
+  const auto ceiling = static_cast<double>(kMaxBackoffMs);
   double ms = static_cast<double>(retry.base_backoff_ms);
-  for (std::uint32_t i = 1; i < attempt; ++i) ms *= retry.multiplier;
+  // Positive and below the ceiling only: a zero base stays zero even under
+  // an infinite multiplier, and a saturated one stops growing.
+  for (std::uint32_t i = 1; i < attempt && ms > 0.0 && ms < ceiling; ++i) {
+    ms *= retry.multiplier;
+  }
   ms *= 1.0 + retry.jitter * rng.uniform01();
-  return static_cast<std::uint64_t>(ms);
+  return ms < ceiling ? static_cast<std::uint64_t>(ms) : kMaxBackoffMs;
 }
 
 /// Sleep out a retry backoff; true when the job was cancelled meanwhile.
@@ -319,18 +329,15 @@ Verdict run_claim(JobState& job, std::size_t leased) {
   // The whole claim is contained: nothing may escape a worker thread (an
   // escape would std::terminate the service).  Inner per-attempt
   // containment lives in run_attempt; this shell catches everything else —
-  // a malformed CSPLS_FAULTS spec, a bad_alloc while copying the request.
+  // a bad_alloc while copying the request.
   Verdict verdict;
   try {
     // One session across all attempts, counting `service_dispatch` probes:
     // a plan with at_count=n fires on the n-th attempt, which is what
     // makes retry-then-succeed trajectories scriptable.
-    const util::fault::Schedule fault_schedule =
-        util::fault::kCompiledIn
-            ? util::fault::Schedule::with_env(job.request.faults)
-            : util::fault::Schedule{};
-    util::fault::Session dispatch_faults(&fault_schedule,
-                                         util::fault::kAnyWalker);
+    util::fault::Session dispatch_faults(
+        util::fault::kCompiledIn ? &job.request.faults : nullptr,
+        util::fault::kAnyWalker);
     const RetryPolicy& retry = job.request.retry;
     // Deterministic jitter: the stream is derived from the job's seed, not
     // from global entropy, so a fixed-seed retry trajectory is replayable.
@@ -691,11 +698,6 @@ ServiceStats SolverService::stats() const {
   snapshot.thread_budget = budget_;
   snapshot.free_threads = core_->free_threads;
   return snapshot;
-}
-
-std::size_t SolverService::pending_jobs() const {
-  std::lock_guard<std::mutex> lock(core_->m);
-  return core_->live.size();
 }
 
 }  // namespace cspls::api

@@ -60,7 +60,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -80,10 +79,6 @@ inline constexpr std::size_t kNumLanes = kPriorityNames.kSize;
 
 [[nodiscard]] inline std::string_view name_of(Priority priority) noexcept {
   return kPriorityNames.name(priority);
-}
-[[nodiscard]] inline std::optional<Priority> priority_from_name(
-    std::string_view name) noexcept {
-  return kPriorityNames.parse(name);
 }
 
 /// Thrown by SolverService::submit when the job's lane is at its depth
@@ -262,11 +257,6 @@ class SolverService {
   /// join the workers (blocking).  Idempotent; also run by the destructor.
   /// Outstanding JobHandles stay valid and observe kCancelled.
   void shutdown();
-
-  [[nodiscard]] std::size_t thread_budget() const noexcept { return budget_; }
-
-  /// Jobs not yet terminal (queued + running).
-  [[nodiscard]] std::size_t pending_jobs() const;
 
   /// Snapshot of the queue state and lifetime counters.  Cheap (one lock);
   /// safe to poll from a transport's /stats endpoint under load.

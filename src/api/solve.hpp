@@ -34,18 +34,10 @@ namespace cspls::api {
 //
 // The wire names of the WalkerPool policy enums (README's policy table)
 // live in parallel/policy_names.hpp — the single source of truth shared
-// with the bench harnesses — and are re-exported here so API users need
-// not reach below the api/ layer.  `name_of` is total; the `*_from_name`
-// parsers return std::nullopt for unknown names — callers attach the valid
-// alternatives via `policy_names_hint`.
+// with the bench harnesses — and `name_of` is re-exported here so API users
+// need not reach below the api/ layer.
 
 using parallel::name_of;
-using parallel::scheduling_from_name;
-using parallel::neighborhood_from_name;
-using parallel::exchange_from_name;
-using parallel::comm_mode_from_name;
-using parallel::termination_from_name;
-using parallel::restart_schedule_from_name;
 
 // --- SolveRequest -----------------------------------------------------
 
@@ -57,7 +49,8 @@ using parallel::restart_schedule_from_name;
 ///   base_backoff_ms * multiplier^(n-2) * (1 + jitter * u),  u ~ U[0,1)
 ///
 /// with u drawn from an RNG seeded by the job's master seed, so retry
-/// timing is as reproducible as the walks themselves.
+/// timing is as reproducible as the walks themselves.  The backoff
+/// saturates at one day (86'400'000 ms), whatever the base and multiplier.
 struct RetryPolicy {
   /// Total attempts, the first included (1 = never retry, the default).
   std::uint32_t max_attempts = 1;
@@ -133,9 +126,8 @@ struct SolveRequest {
   /// fills this on retries with the failed attempt's best configuration.
   std::optional<std::vector<int>> warm_start;
 
-  /// Fault-injection plans ("faults" on the wire), merged with the
-  /// CSPLS_FAULTS env schedule.  Carried in every build; armed only when
-  /// the binary was compiled with CSPLS_FAULT_INJECTION.
+  /// Fault-injection plans ("faults" on the wire).  Carried in every build;
+  /// armed only when the binary was compiled with CSPLS_FAULT_INJECTION.
   std::vector<util::fault::FaultPlan> faults;
 
   /// Resume a previously preempted run from its PoolCheckpoint
@@ -248,9 +240,5 @@ struct SolveReport {
 
   [[nodiscard]] bool operator==(const SolveReport&) const = default;
 };
-
-/// "scheduling: threads | sequential | emulated-race" — one line per policy,
-/// for error messages and --help text.
-using parallel::policy_names_hint;
 
 }  // namespace cspls::api

@@ -24,7 +24,6 @@ struct RunStats {
                                      ///< inside Problem::best_swap_for)
   double seconds = 0.0;              ///< wall-clock of the walk
 
-  [[nodiscard]] std::string to_string() const;
   [[nodiscard]] bool operator==(const RunStats&) const = default;
 };
 
@@ -50,17 +49,5 @@ struct Result {
 
   [[nodiscard]] bool operator==(const Result&) const = default;
 };
-
-inline std::string RunStats::to_string() const {
-  std::string out;
-  out += "iters=" + std::to_string(iterations);
-  out += " swaps=" + std::to_string(swaps);
-  out += " plateau=" + std::to_string(plateau_moves);
-  out += " locmin=" + std::to_string(local_minima);
-  out += " resets=" + std::to_string(resets);
-  out += " restarts=" + std::to_string(restarts);
-  out += " probes=" + std::to_string(cost_evaluations);
-  return out;
-}
 
 }  // namespace cspls::core

@@ -60,21 +60,6 @@ class StopToken {
     flags_[0] = cancel;
   }
 
-  StopToken(const std::atomic<bool>* cancel, Clock::time_point deadline) noexcept
-      : deadline_(deadline), has_deadline_(true) {
-    flags_[0] = cancel;
-  }
-
-  [[nodiscard]] static StopToken with_deadline(
-      Clock::time_point deadline) noexcept {
-    return StopToken(nullptr, deadline);
-  }
-
-  /// Deadline `budget` from now.
-  [[nodiscard]] static StopToken after(std::chrono::milliseconds budget) {
-    return with_deadline(Clock::now() + budget);
-  }
-
   /// This token with its deadline set to `deadline` (or tightened to it,
   /// when the existing deadline is later).  The serving layer uses this to
   /// apply a request's time budget on top of a caller token that may
@@ -116,33 +101,6 @@ class StopToken {
     return combined;
   }
 
-  /// True when any stop source exists (fast-path gate for pollers).
-  [[nodiscard]] bool can_stop() const noexcept {
-    return flags_[0] != nullptr || flags_[1] != nullptr ||
-           flags_[2] != nullptr || preempt_ != nullptr || has_deadline_;
-  }
-
-  /// True when any cancel flag has been raised (never consults the clock).
-  [[nodiscard]] bool cancelled() const noexcept {
-    return (flags_[0] != nullptr &&
-            flags_[0]->load(std::memory_order_relaxed)) ||
-           (flags_[1] != nullptr &&
-            flags_[1]->load(std::memory_order_relaxed)) ||
-           (flags_[2] != nullptr &&
-            flags_[2]->load(std::memory_order_relaxed));
-  }
-
-  [[nodiscard]] bool has_deadline() const noexcept { return has_deadline_; }
-
-  [[nodiscard]] Clock::time_point deadline() const noexcept {
-    return deadline_;
-  }
-
-  /// True when a deadline is set and has passed (reads the clock).
-  [[nodiscard]] bool deadline_expired() const noexcept {
-    return has_deadline_ && Clock::now() >= deadline_;
-  }
-
   /// Engine-rate poll: cancel flags every call, deadline every
   /// kDeadlinePollStride calls (the first call always checks).  The stride
   /// bounds how far past its deadline a walk can run: stride iterations.
@@ -170,10 +128,6 @@ class StopToken {
     polls_until_clock_ = kDeadlinePollStride - 1;
     return Clock::now() >= deadline_ ? StopCause::kDeadline
                                      : StopCause::kNone;
-  }
-
-  [[nodiscard]] bool stop_requested() const noexcept {
-    return poll() != StopCause::kNone;
   }
 
   static constexpr std::uint32_t kDeadlinePollStride = 64;

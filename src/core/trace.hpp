@@ -49,10 +49,6 @@ struct WalkerTrace {
   /// non-decreasing iteration order.  Empty when sampling was disabled.
   std::vector<TraceSample> cost_samples;
 
-  [[nodiscard]] bool recorded() const noexcept {
-    return iterations > 0 || !cost_samples.empty();
-  }
-
   [[nodiscard]] bool operator==(const WalkerTrace&) const = default;
 };
 

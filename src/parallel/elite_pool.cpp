@@ -43,11 +43,6 @@ csp::Cost ElitePool::take_if_better(std::uint64_t now, csp::Cost below,
   return best_cost_;
 }
 
-csp::Cost ElitePool::best_cost() const {
-  const std::scoped_lock lock(mutex_);
-  return has_entry_ ? best_cost_ : csp::kInfiniteCost;
-}
-
 std::uint64_t ElitePool::publishes() const {
   const std::scoped_lock lock(mutex_);
   return publishes_;

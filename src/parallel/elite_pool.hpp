@@ -73,10 +73,6 @@ class ElitePool {
                            std::vector<int>& out,
                            std::size_t exclude_publisher = kNoPublisher) const;
 
-  /// Cost of the current entry (freshness not consulted), or
-  /// csp::kInfiniteCost when empty.
-  [[nodiscard]] csp::Cost best_cost() const;
-
   /// Publish events of any kind (offer calls accepted or not, plus every
   /// store): the denominator of the exchange-traffic counters.
   [[nodiscard]] std::uint64_t publishes() const;

@@ -73,10 +73,6 @@ class FusedRun {
   explicit FusedRun(FusedOptions options = {}) noexcept
       : options_(std::move(options)) {}
 
-  [[nodiscard]] const FusedOptions& options() const noexcept {
-    return options_;
-  }
-
   std::vector<std::size_t> run(std::span<const FusedJob> jobs,
                                const FusedSink& sink) const;
 

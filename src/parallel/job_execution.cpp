@@ -129,12 +129,6 @@ JobExecution::JobExecution(const csp::Problem& prototype,
                                                      options.params))),
       streams_(options.master_seed),
       comm_(options.communication, options.num_walkers),
-      // The effective fault schedule: request plans + the CSPLS_FAULTS env
-      // spec.  Production builds never arm it — sessions stay disarmed and
-      // the sites compile to no-ops.
-      fault_schedule_(util::fault::kCompiledIn
-                          ? util::fault::Schedule::with_env(options.faults)
-                          : util::fault::Schedule{}),
       threaded_(options.scheduling == Scheduling::kThreads),
       race_(threaded_ && options.termination == Termination::kFirstFinisher) {
   // Every configuration a caller hands in must be a permutation of the
@@ -191,6 +185,51 @@ JobExecution::JobExecution(const csp::Problem& prototype,
           std::to_string(resume.elite.size()) + " elite slots but the "
           "communication policy allocates " +
           std::to_string(comm_.num_slots()));
+    }
+    // Every cost the checkpoint states must be the cost of its
+    // configuration, evaluated on one clone: a lowered cost would let a
+    // report claim a solve its solution does not have.
+    const auto probe = prototype.clone();
+    const auto require_cost = [&](std::span<const int> values,
+                                  csp::Cost cost, const std::string& member) {
+      const csp::Cost actual = probe->assign(values);
+      if (actual != cost) {
+        throw std::invalid_argument(
+            "WalkerPoolOptions: " + member + " is " + std::to_string(cost) +
+            " but its configuration costs " + std::to_string(actual));
+      }
+    };
+    for (std::size_t i = 0; i < resume.walkers.size(); ++i) {
+      const PoolCheckpoint::WalkerEntry& entry = resume.walkers[i];
+      const std::string walker = "resume.walkers[" + std::to_string(i) + "]";
+      if (entry.stage == PoolCheckpoint::WalkerStage::kRunning) {
+        require_cost(entry.checkpoint.values, entry.checkpoint.cost,
+                     walker + ".checkpoint.cost");
+        require_cost(entry.checkpoint.best, entry.checkpoint.best_cost,
+                     walker + ".checkpoint.best_cost");
+      } else if (entry.stage == PoolCheckpoint::WalkerStage::kDone) {
+        // A finished walker is replayed verbatim, so its result must be a
+        // walk this instance could have reported.  No solution means the
+        // walker failed before walking, which solves nothing.
+        const core::Result& result = entry.result;
+        if (!result.solution.empty()) {
+          require_permutation(result.solution, walker + ".result.solution");
+          require_cost(result.solution, result.cost, walker + ".result.cost");
+        }
+        if (result.solved != (!result.solution.empty() &&
+                              result.cost <= engine_.params().target_cost)) {
+          throw std::invalid_argument(
+              "WalkerPoolOptions: " + walker + ".result says solved=" +
+              (result.solved ? "true" : "false") +
+              ", which its solution and cost contradict");
+        }
+      }
+    }
+    for (std::size_t i = 0; i < resume.elite.size(); ++i) {
+      if (resume.elite[i].has_entry) {
+        require_cost(resume.elite[i].values, resume.elite[i].cost,
+                     "resume.elite[" + std::to_string(i) + "].cost");
+      }
     }
     // Restore the communication state before any walker runs, so the first
     // publish/adopt of the resumed run sees exactly the preempted state.
@@ -272,8 +311,10 @@ void JobExecution::run_walker(std::size_t id) {
   }
   walker_started_[id] = 1;
   // Each walker owns its fault session, exactly like its RNG stream, so
-  // probe counts are deterministic under every scheduling mode.
-  util::fault::Session session(&fault_schedule_, id);
+  // probe counts are deterministic under every scheduling mode.  Production
+  // builds never arm it: the sites compile to no-ops.
+  util::fault::Session session(
+      util::fault::kCompiledIn ? &options_.faults : nullptr, id);
   // Crash containment: no exception may escape a walker body — an escape
   // under kThreads would std::terminate the process.  A throwing walker
   // (injected or genuine) is recorded as StopCause::kFailed with its

@@ -104,7 +104,6 @@ class JobExecution {
   const core::AdaptiveSearch engine_;
   const util::RngStreamFactory streams_;
   CommChannels comm_;
-  const util::fault::Schedule fault_schedule_;
   const bool threaded_;
   const bool race_;
 

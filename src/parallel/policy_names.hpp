@@ -3,15 +3,10 @@
 // Every layer that spells a WalkerPool policy on a wire or in a CSV — the
 // JSON solve API (api/solve.cpp), the bench harnesses and the README's
 // policy matrix — maps through these tables (util/names.hpp): one table per
-// enum, read by `name_of`, its `*_from_name` parser and policy_names_hint.
-//
-// `name_of` is total; the `*_from_name` parsers return std::nullopt for
-// unknown names (callers attach the valid alternatives via
-// `policy_names_hint`).
+// enum.  `name_of` is total; `table.parse` returns std::nullopt for an
+// unknown name and `table.joined()` lists the valid ones.
 #pragma once
 
-#include <optional>
-#include <string>
 #include <string_view>
 
 #include "core/restart_policy.hpp"
@@ -52,41 +47,6 @@ inline constexpr util::NameTable<core::RestartSchedule,
 [[nodiscard]] constexpr std::string_view name_of(
     core::RestartSchedule schedule) {
   return kRestartScheduleNames.name(schedule);
-}
-
-[[nodiscard]] inline std::optional<Scheduling> scheduling_from_name(
-    std::string_view name) {
-  return kSchedulingNames.parse(name);
-}
-[[nodiscard]] inline std::optional<Neighborhood> neighborhood_from_name(
-    std::string_view name) {
-  return kNeighborhoodNames.parse(name);
-}
-[[nodiscard]] inline std::optional<Exchange> exchange_from_name(
-    std::string_view name) {
-  return kExchangeNames.parse(name);
-}
-[[nodiscard]] inline std::optional<CommMode> comm_mode_from_name(
-    std::string_view name) {
-  return kCommModeNames.parse(name);
-}
-[[nodiscard]] inline std::optional<Termination> termination_from_name(
-    std::string_view name) {
-  return kTerminationNames.parse(name);
-}
-[[nodiscard]] inline std::optional<core::RestartSchedule>
-restart_schedule_from_name(std::string_view name) {
-  return kRestartScheduleNames.parse(name);
-}
-
-/// One line per policy axis, for error messages and --help text.
-[[nodiscard]] inline std::string policy_names_hint() {
-  return "scheduling: " + kSchedulingNames.joined() +
-         "\nneighborhood: " + kNeighborhoodNames.joined() +
-         "\nexchange: " + kExchangeNames.joined() +
-         "\ncomm_mode: " + kCommModeNames.joined() +
-         "\ntermination: " + kTerminationNames.joined() +
-         "\nrestart_schedule: " + kRestartScheduleNames.joined();
 }
 
 }  // namespace cspls::parallel

@@ -106,9 +106,9 @@ struct WalkerPoolOptions {
   Termination termination = Termination::kFirstFinisher;
   TracePolicy trace;
 
-  /// Fault-injection plans for this run, merged with the CSPLS_FAULTS env
-  /// schedule.  Armed only in CSPLS_FAULT_INJECTION builds; in production
-  /// builds the plans are carried but never fire (the sites are no-ops).
+  /// Fault-injection plans for this run, the only way faults enter it.
+  /// Armed only in CSPLS_FAULT_INJECTION builds; in production builds the
+  /// plans are carried but never fire (the sites are no-ops).
   std::vector<util::fault::FaultPlan> faults;
 
   /// When set, every walker's first walk starts from this configuration
@@ -248,10 +248,6 @@ class WalkerPool {
  public:
   explicit WalkerPool(WalkerPoolOptions options) noexcept
       : options_(std::move(options)) {}
-
-  [[nodiscard]] const WalkerPoolOptions& options() const noexcept {
-    return options_;
-  }
 
   /// Run the pool on clones of `prototype` and report the accepted outcome.
   [[nodiscard]] MultiWalkReport run(const csp::Problem& prototype) const;

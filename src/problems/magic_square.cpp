@@ -221,7 +221,7 @@ bool MagicSquare::verify(std::span<const int> vals) const {
 
 csp::TuningHints MagicSquare::tuning() const noexcept {
   csp::TuningHints hints;
-  // Swept empirically (see DESIGN.md): plateau walking plus occasional
+  // Swept empirically (bench_ablation_params): plateau walking plus occasional
   // worsening moves matter on the |line - M| surface; resets fire after a
   // quarter of the cells have hit local minima and reshuffle a small subset.
   hints.freeze_loc_min = 5;

@@ -2,10 +2,10 @@
 // benchmark.
 //
 // Tile a master square of side S exactly with a given list of squares
-// (sum of their areas equals S²).  The original C model is unpublished; as
-// documented in DESIGN.md (§3), we use the standard permutation + decoder
-// formulation from the packing-metaheuristics literature, which keeps the
-// problem inside Adaptive Search's native permutation frame:
+// (sum of their areas equals S²).  The original C model is unpublished, so
+// we use the standard permutation + decoder formulation from the
+// packing-metaheuristics literature, which keeps the problem inside
+// Adaptive Search's native permutation frame:
 //
 //   - a configuration is a *placement order* (permutation of square ids);
 //   - a deterministic skyline bottom-left decoder places the squares in that

@@ -111,7 +111,7 @@ std::size_t default_size(const std::string& name) {
 
 std::size_t bench_size(const std::string& name) {
   // Chosen so the median single walk sits in the 5-60 ms band on commodity
-  // hardware with a pronounced heavy tail (see DESIGN.md §4) — small enough
+  // hardware with a pronounced heavy tail — small enough
   // that a full harness run takes minutes, large enough that the runtime
   // law has the shape that drives the paper's speedup curves.
   if (name == "costas") return 13;

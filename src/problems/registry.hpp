@@ -49,7 +49,8 @@ namespace cspls::problems {
 /// A reasonable quick-run size for each problem (used by tests/examples).
 [[nodiscard]] std::size_t default_size(const std::string& name);
 
-/// The scaled-down size used by the simulation benches (DESIGN.md §4).
+/// The scaled-down size used by the simulation benches (a median single
+/// walk of 5-60 ms).
 [[nodiscard]] std::size_t bench_size(const std::string& name);
 
 /// The paper's own experiment scale (minutes-to-hours sequential!).

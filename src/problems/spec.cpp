@@ -80,9 +80,12 @@ ProblemSpec parse_spec(std::string_view spec) {
 }
 
 std::string format_spec(const ProblemSpec& spec) {
-  std::string out = spec.name + ":" + std::to_string(spec.size);
+  std::string out = spec.name;
+  out += ':';
+  out += std::to_string(spec.size);
   if (spec.instance_seed != 0) {
-    out += "@" + std::to_string(spec.instance_seed);
+    out += '@';
+    out += std::to_string(spec.instance_seed);
   }
   return out;
 }

@@ -38,7 +38,7 @@ SolveCommand parse_solve(const util::Json& envelope) {
     } else if (key == "priority") {
       const std::string name =
           envelope_member<std::string>(value, "solve", key);
-      const std::optional<Priority> priority = priority_from_name(name);
+      const std::optional<Priority> priority = api::kPriorityNames.parse(name);
       if (!priority) {
         bad_envelope("solve: unknown priority \"" + name + "\" (valid: " +
                      api::kPriorityNames.joined() + ")");

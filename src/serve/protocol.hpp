@@ -49,7 +49,6 @@ namespace cspls::serve {
 using api::kNumLanes;
 using api::name_of;
 using api::Priority;
-using api::priority_from_name;
 
 // Stable error codes of the `error` event.
 inline constexpr std::string_view kErrOversized = "oversized";

@@ -35,9 +35,6 @@ int main(int argc, char** argv) {
   args.add_uint64("max-line-bytes", 1 << 20, "request line/body size limit");
   args.add_flag("http", "also serve HTTP/1.1 on --port");
   args.add_uint64("port", 0, "HTTP port (0 = ephemeral, printed on stderr)");
-  args.add_flag("cancel-on-eof",
-                "cancel outstanding jobs at stdin EOF instead of finishing "
-                "them");
   if (!args.parse(argc, argv)) {
     return args.help_requested() ? 0 : 2;
   }
@@ -72,7 +69,7 @@ int main(int argc, char** argv) {
   }
 
   serve::StdioServer stdio(scheduler, std::cin, std::cout, session_options);
-  stdio.run(args.flag("cancel-on-eof"));
+  stdio.run();
 
   if (args.flag("http")) {
     std::cerr << "cspls_serve: stdin closed, http serving until "

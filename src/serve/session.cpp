@@ -125,9 +125,4 @@ void Session::cancel_all() {
   for (const std::uint64_t id : ids) (void)scheduler_.cancel(id);
 }
 
-std::size_t Session::pending() const {
-  std::lock_guard lock(pending_m_);
-  return pending_jobs_.size();
-}
-
 }  // namespace cspls::serve

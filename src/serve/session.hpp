@@ -64,9 +64,6 @@ class Session {
   /// `report` events still fire (status "cancelled"), so drain() returns.
   void cancel_all();
 
-  /// Jobs submitted here that have not reported yet.
-  [[nodiscard]] std::size_t pending() const;
-
  private:
   void dispatch_solve(SolveCommand command);
   void emit(std::string_view line);  ///< serialize, append '\n', write
@@ -76,7 +73,7 @@ class Session {
   Options options_;
 
   std::mutex write_m_;
-  mutable std::mutex pending_m_;
+  std::mutex pending_m_;
   std::condition_variable pending_cv_;
   std::unordered_set<std::uint64_t> pending_jobs_;
 };

@@ -11,7 +11,7 @@ StdioServer::StdioServer(Scheduler& scheduler, std::istream& in,
                          std::ostream& out, Session::Options options)
     : scheduler_(scheduler), in_(in), out_(out), options_(options) {}
 
-void StdioServer::run(bool cancel_on_eof) {
+void StdioServer::run() {
   std::mutex out_m;
   Session session(
       scheduler_,
@@ -27,7 +27,6 @@ void StdioServer::run(bool cancel_on_eof) {
   while (std::getline(in_, line)) {
     session.handle_line(line);
   }
-  if (cancel_on_eof) session.cancel_all();
   session.drain();
 }
 

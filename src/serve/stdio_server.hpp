@@ -19,10 +19,8 @@ class StdioServer {
   StdioServer(Scheduler& scheduler, std::istream& in, std::ostream& out,
               Session::Options options = {});
 
-  /// Serve until EOF on the input, then drain and return.  When
-  /// `cancel_on_eof` is set, outstanding jobs are cancelled at EOF
-  /// instead of run to completion.
-  void run(bool cancel_on_eof = false);
+  /// Serve until EOF on the input, then drain and return.
+  void run();
 
  private:
   Scheduler& scheduler_;

@@ -2,9 +2,9 @@
 //
 // The paper runs on the Hitachi HA8000 supercomputer (University of Tokyo)
 // and two Grid'5000 Sophia-Antipolis clusters (Suno, Helios).  We obviously
-// cannot rent them; DESIGN.md §3 explains why their effect on *independent
-// multi-walk* performance reduces to three scalars per platform, which we
-// model here:
+// cannot rent them.  Independent walkers never talk to each other, so a
+// platform's effect on *independent multi-walk* performance reduces to
+// three scalars per platform, which we model here:
 //
 //   * relative per-core speed (clock/IPC scaling of the walk itself),
 //   * job startup overhead (launching k processes; grows mildly with k),

@@ -2,10 +2,10 @@
 //
 // These samples are the simulator's ground truth: every speedup figure is
 // computed from the empirical law of the *actual* Adaptive Search engine on
-// the actual benchmark model (DESIGN.md §3).  Walks are metered both in
-// wall-clock seconds and in engine iterations; the iteration metering is
-// noise-free on a shared/throttled host and converts to platform seconds
-// through the measured cost-per-iteration.
+// the actual benchmark model, never from an assumed law.  Walks are metered
+// both in wall-clock seconds and in engine iterations; the iteration
+// metering is noise-free on a shared/throttled host and converts to
+// platform seconds through the measured cost-per-iteration.
 //
 // Sampling runs on the WalkerTrace API of the unified parallel runtime: one
 // sequential WalkerPool with tracing enabled, one walker per sample, walker

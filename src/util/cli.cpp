@@ -40,17 +40,6 @@ ArgParser& ArgParser::add_uint64(std::string name, std::uint64_t default_value,
   return *this;
 }
 
-ArgParser& ArgParser::add_double(std::string name, double default_value,
-                                 std::string help) {
-  Option opt;
-  opt.kind = Kind::kDouble;
-  opt.help = std::move(help);
-  opt.double_value = default_value;
-  order_.push_back(name);
-  options_.emplace(std::move(name), std::move(opt));
-  return *this;
-}
-
 ArgParser& ArgParser::add_string(std::string name, std::string default_value,
                                  std::string help) {
   Option opt;
@@ -76,9 +65,6 @@ std::string ArgParser::usage() const {
         break;
       case Kind::kUint64:
         os << " <uint=" << opt.uint64_value << ">";
-        break;
-      case Kind::kDouble:
-        os << " <float=" << opt.double_value << ">";
         break;
       case Kind::kString:
         os << " <str=" << opt.string_value << ">";
@@ -143,9 +129,6 @@ bool ArgParser::parse(int argc, const char* const* argv) {
           }
           opt.uint64_value = std::stoull(std::string(value));
           break;
-        case Kind::kDouble:
-          opt.double_value = std::stod(std::string(value));
-          break;
         case Kind::kString:
           opt.string_value = std::string(value);
           break;
@@ -181,10 +164,6 @@ std::int64_t ArgParser::get_int(std::string_view name) const {
 
 std::uint64_t ArgParser::get_uint64(std::string_view name) const {
   return lookup(name, Kind::kUint64).uint64_value;
-}
-
-double ArgParser::get_double(std::string_view name) const {
-  return lookup(name, Kind::kDouble).double_value;
 }
 
 const std::string& ArgParser::get_string(std::string_view name) const {

@@ -27,8 +27,6 @@ class ArgParser {
   /// exactly and negative input is rejected instead of wrapping.
   ArgParser& add_uint64(std::string name, std::uint64_t default_value,
                         std::string help);
-  ArgParser& add_double(std::string name, double default_value,
-                        std::string help);
   ArgParser& add_string(std::string name, std::string default_value,
                         std::string help);
 
@@ -39,7 +37,6 @@ class ArgParser {
   [[nodiscard]] bool flag(std::string_view name) const;
   [[nodiscard]] std::int64_t get_int(std::string_view name) const;
   [[nodiscard]] std::uint64_t get_uint64(std::string_view name) const;
-  [[nodiscard]] double get_double(std::string_view name) const;
   [[nodiscard]] const std::string& get_string(std::string_view name) const;
 
   [[nodiscard]] bool help_requested() const noexcept { return help_; }
@@ -47,14 +44,13 @@ class ArgParser {
   [[nodiscard]] std::string usage() const;
 
  private:
-  enum class Kind { kFlag, kInt, kUint64, kDouble, kString };
+  enum class Kind { kFlag, kInt, kUint64, kString };
   struct Option {
     Kind kind = Kind::kFlag;
     std::string help;
     bool flag_value = false;
     std::int64_t int_value = 0;
     std::uint64_t uint64_value = 0;
-    double double_value = 0.0;
     std::string string_value;
   };
 

@@ -6,7 +6,7 @@
 // port) both had to keep solving while members dropped out.  This layer
 // makes those failure modes *reproducible*: a FaultPlan names an injection
 // site, a target walker, a 1-based probe count and a failure kind, and a
-// Session fires the plan at exactly that probe — same seed, same schedule,
+// Session fires the plan at exactly that probe — same seed, same plans,
 // same crash, every run (the same philosophy that makes kEmulatedRace the
 // testing story for races).
 //
@@ -28,27 +28,20 @@
 //            report") — a scrambled configuration at walker_iteration, a
 //            dropped message at the exchange sites.
 //
-// Schedules come from two places and are merged per run: the CSPLS_FAULTS
-// environment spec (grammar below) and the `faults` member of a
-// SolveRequest.  Spec grammar — plans separated by ';', fields by ':':
-//
-//   site ':' walker ':' at_count ':' kind [':' stall_ms]
-//
-// where `walker` is a 0-based id or '*' (any walker), e.g.
-//
-//   CSPLS_FAULTS="walker_iteration:1:100:throw;elite_publish:*:3:stall:5"
+// Plans enter a run only as values: the `faults` member of a SolveRequest
+// (WalkerPoolOptions::faults), so a run's faults are a function of its
+// request, like its walks.
 //
 // Compile-time gate: unless the build defines CSPLS_FAULT_INJECTION (the
 // -DCSPLS_FAULT_INJECTION=ON CMake option), the free probe() below is an
-// inline no-op and the runtimes never arm a schedule — production builds
-// carry zero injection overhead.  Plan values, parsing and JSON round-trip
+// inline no-op and the runtimes never arm a session — production builds
+// carry zero injection overhead.  Plan values and their JSON round-trip
 // stay available in every build (a request carrying faults must survive the
 // wire regardless of whether the receiving binary can fire them).
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -101,7 +94,6 @@ struct FaultPlan {
   Kind kind = Kind::kThrow;
   std::uint64_t stall_ms = 10;  ///< sleep length for kStall (<= kMaxStallMs)
 
-  [[nodiscard]] std::string to_string() const;
   [[nodiscard]] util::Json to_json() const;
   /// Throws std::invalid_argument naming the offending member.  The second
   /// form decodes a plan nested at `path` (a SolveRequest's `faults[i]`).
@@ -120,51 +112,21 @@ class FaultInjected : public std::runtime_error {
   FaultInjected(const FaultPlan& plan, std::size_t walker);
 };
 
-/// An immutable set of plans.  Parse one from the CSPLS_FAULTS grammar or
-/// build it from plan values; merge request plans with the env plans via
-/// with_env().
-class Schedule {
- public:
-  Schedule() = default;
-  explicit Schedule(std::vector<FaultPlan> plans) : plans_(std::move(plans)) {}
-
-  /// Parse the CSPLS_FAULTS spec grammar.  Throws std::invalid_argument
-  /// with the offending field on a malformed spec.
-  [[nodiscard]] static Schedule parse(std::string_view spec);
-
-  /// The process-wide schedule parsed from CSPLS_FAULTS (once, cached;
-  /// empty when the variable is unset or empty).  Throws on a malformed
-  /// spec at first use — a misspelled plan must fail loudly, not silently
-  /// inject nothing.
-  [[nodiscard]] static const Schedule& from_env();
-
-  /// `plans` followed by the env plans — the effective per-run schedule.
-  [[nodiscard]] static Schedule with_env(std::vector<FaultPlan> plans);
-
-  [[nodiscard]] bool empty() const noexcept { return plans_.empty(); }
-  [[nodiscard]] const std::vector<FaultPlan>& plans() const noexcept {
-    return plans_;
-  }
-
- private:
-  std::vector<FaultPlan> plans_;
-};
-
 /// What a fired probe asks the site to do.  kThrow and kStall are handled
 /// inside probe() (raise / sleep); kCorrupt is returned because only the
 /// site knows what payload to scramble or drop.
 enum class Action : std::uint8_t { kNone, kCorrupt };
 
-/// Per-walker (or per-job) armed counters over one schedule.  Deliberately
-/// single-threaded: each walker owns its session, exactly like its RNG
-/// stream, so probe counts are deterministic under every scheduling mode.
+/// Per-walker (or per-job) armed counters over one plan list.
+/// Deliberately single-threaded: each walker owns its session, exactly like
+/// its RNG stream, so probe counts are deterministic under every scheduling
+/// mode.
 class Session {
  public:
-  /// `schedule` may be null (a disarmed session counts nothing and never
-  /// fires) and must outlive the session.
-  Session(const Schedule* schedule, std::size_t walker) noexcept
-      : schedule_(schedule == nullptr || schedule->empty() ? nullptr
-                                                           : schedule),
+  /// `plans` may be null or empty (a disarmed session never fires) and
+  /// must outlive the session.
+  Session(const std::vector<FaultPlan>* plans, std::size_t walker) noexcept
+      : plans_(plans == nullptr || plans->empty() ? nullptr : plans),
         walker_(walker) {}
 
   /// Count one probe of `site` and fire any matching plan: kThrow raises
@@ -172,13 +134,12 @@ class Session {
   /// site to act on.  Counts are 1-based and per-site.
   Action probe(Site site);
 
-  [[nodiscard]] std::uint64_t count(Site site) const noexcept;
   /// Plans fired so far (all kinds — the "report" half of corrupt-and-report).
   [[nodiscard]] std::uint64_t fired() const noexcept { return fired_; }
-  [[nodiscard]] bool armed() const noexcept { return schedule_ != nullptr; }
+  [[nodiscard]] bool armed() const noexcept { return plans_ != nullptr; }
 
  private:
-  const Schedule* schedule_ = nullptr;
+  const std::vector<FaultPlan>* plans_ = nullptr;
   std::size_t walker_ = kAnyWalker;
   std::uint64_t counts_[kNumSites] = {};
   std::uint64_t fired_ = 0;
@@ -189,7 +150,7 @@ class Session {
 // Every injection site calls the free probe() below.  When the build does
 // not define CSPLS_FAULT_INJECTION it is a constant-returning inline no-op
 // — the call folds away entirely — and kCompiledIn lets the runtimes skip
-// arming schedules (and the guard test assert exactly that).
+// arming sessions (and the guard test assert exactly that).
 
 #if defined(CSPLS_FAULT_INJECTION) && CSPLS_FAULT_INJECTION
 inline constexpr bool kCompiledIn = true;

@@ -1,6 +1,6 @@
 // One name table per wire enum: the enumerators' wire spellings, indexed by
-// value.  `name_of`, every `*_from_name` parser and the hint lists in error
-// messages all read the table, so adding an enumerator means editing one
+// value.  `name_of`, the decoders (through `parse`) and the hint lists in
+// error messages all read the table, so adding an enumerator means editing one
 // line, and the constructor rejects a table that misses one.
 #pragma once
 

@@ -1,7 +1,7 @@
 // Deterministic pseudo-random number generation for reproducible experiments.
 //
 // The engine is xoshiro256** (Blackman & Vigna), seeded through splitmix64 as
-// its authors recommend.  It provides jump() / long_jump() so that a family of
+// its authors recommend.  It provides jump() so that a family of
 // walkers can be given provably non-overlapping subsequences from one master
 // seed — the property the independent multi-walk engine relies on: the paper's
 // parallel scheme launches "several search engines starting from different
@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <vector>
 
 namespace cspls::util {
 
@@ -66,10 +65,6 @@ class Xoshiro256 {
   /// streams.  Used to derive sibling streams for parallel walkers.
   void jump() noexcept;
 
-  /// Advance 2^192 steps: partitions into 2^64 streams of 2^192 numbers each.
-  /// Used to separate *experiments* (each of which may jump() per walker).
-  void long_jump() noexcept;
-
   /// Uniform integer in [0, bound).  Uses Lemire's multiply-shift rejection
   /// method (unbiased, one division in the rare rejection path).  Defined
   /// inline: this is the tie-break draw on the solver's hot path.
@@ -89,9 +84,6 @@ class Xoshiro256 {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  [[nodiscard]] std::int64_t between(std::int64_t lo, std::int64_t hi) noexcept;
-
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniform01() noexcept {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
@@ -108,12 +100,6 @@ class Xoshiro256 {
       using std::swap;
       swap(values[i - 1], values[j]);
     }
-  }
-
-  /// Pick a uniformly random element index of a non-empty span.
-  template <typename T>
-  [[nodiscard]] std::size_t pick_index(std::span<const T> values) noexcept {
-    return static_cast<std::size_t>(below(values.size()));
   }
 
   [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept {
@@ -147,7 +133,7 @@ class Xoshiro256 {
 /// Stream i is the master engine advanced by i jump()s (each jump is 2^128
 /// steps), so any two streams are non-overlapping for any realistic run
 /// length.  This mirrors how the reproduction assigns one stream per parallel
-/// walker and one long_jump per experiment repetition.
+/// walker.
 class RngStreamFactory {
  public:
   explicit RngStreamFactory(std::uint64_t master_seed) noexcept
@@ -157,18 +143,8 @@ class RngStreamFactory {
   /// identical sequence, regardless of how many streams are created.
   [[nodiscard]] Xoshiro256 stream(std::uint64_t stream_index) const noexcept;
 
-  /// Derive a factory for repetition `rep` of the same experiment: the base
-  /// engine long_jump()ed rep times, so repetitions never share streams.
-  [[nodiscard]] RngStreamFactory repetition(std::uint64_t rep) const noexcept;
-
-  [[nodiscard]] std::uint64_t master_seed() const noexcept { return seed_; }
-
  private:
-  RngStreamFactory(Xoshiro256 base, std::uint64_t seed) noexcept
-      : base_(base), seed_(seed) {}
-
   Xoshiro256 base_;
-  std::uint64_t seed_ = 0;
 };
 
 }  // namespace cspls::util

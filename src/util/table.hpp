@@ -2,7 +2,6 @@
 // human-readable rows (and mirrors them to CSV, see csv.hpp).
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,12 +24,6 @@ class Table {
   /// Number formatting helpers (fixed decimals / significant digits).
   static std::string num(double value, int decimals = 2);
   static std::string sig(double value, int significant = 3);
-
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
-  [[nodiscard]] std::size_t cols() const noexcept { return headers_.size(); }
-  [[nodiscard]] const std::vector<std::string>& row(std::size_t i) const {
-    return rows_.at(i);
-  }
 
   /// Render as aligned text, optionally with a title line above.
   [[nodiscard]] std::string render(std::string_view title = {}) const;

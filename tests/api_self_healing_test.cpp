@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/fault.hpp"
@@ -243,6 +248,91 @@ TEST(SelfHealing, HostileResumeConfigurationsRejectNamingTheMember) {
   request.resume_from->elite = {
       {.has_entry = true, .values = {1, 2, 3, 4, 5, 6, 7, 8, -9}}};
   expect_rejected(request, "elite[0].values");
+  // A permutation is not enough: the slot's cost must be its cost.
+  request.resume_from->elite[0].values = identity;
+  request.resume_from->elite[0].cost = 0;
+  expect_rejected(request, "elite[0].cost");
+
+  // Costs of a genuinely captured checkpoint: walker 0 of a sequential pool
+  // on an unsolvable instance, preempted mid-walk; walker 1 never started.
+  request = SolveRequest{};
+  request.problem = "langford:5";
+  request.walkers = 2;
+  request.seed = 42;
+  request.scheduling = parallel::Scheduling::kSequential;
+  request.termination = parallel::Termination::kBestAfterBudget;
+  request.params = core::Params{};
+  request.params->restart_limit = 1'500;  // a bounded walk
+  request.params->max_restarts = 1;
+  std::atomic<bool> preempt{false};
+  std::optional<parallel::PoolCheckpoint> checkpoint;
+  SolveCallbacks callbacks;
+  callbacks.preempt = &preempt;
+  callbacks.checkpoint_out = &checkpoint;
+  callbacks.sample_period = 16;
+  callbacks.sample_sink = [&](std::size_t, std::uint64_t iteration,
+                              csp::Cost) {
+    if (iteration >= 64) preempt.store(true, std::memory_order_relaxed);
+  };
+  (void)Solver::solve(request, core::StopToken{}, callbacks);
+  ASSERT_TRUE(checkpoint.has_value());
+  ASSERT_EQ(checkpoint->walkers[0].stage,
+            parallel::PoolCheckpoint::WalkerStage::kRunning);
+  request.resume_from = checkpoint;
+  EXPECT_FALSE(Solver::solve(request).solved);  // as captured: accepted
+
+  // A lowered best would have the report claim a solve of langford:5.
+  core::Checkpoint& captured = request.resume_from->walkers[0].checkpoint;
+  ASSERT_GT(captured.best_cost, 0);
+  captured.best_cost = 0;
+  expect_rejected(request, "walkers[0].checkpoint.best_cost");
+  captured.best_cost = checkpoint->walkers[0].checkpoint.best_cost;
+  captured.cost += 1;
+  expect_rejected(request, "walkers[0].checkpoint.cost");
+  captured.cost -= 1;
+
+  // A finished walker is replayed verbatim, so its result is checked too:
+  // a solution that does not cost what it says, a cost that does not
+  // solve, and a solve with no solution.
+  parallel::PoolCheckpoint::WalkerEntry& done =
+      request.resume_from->walkers[1];
+  done.stage = parallel::PoolCheckpoint::WalkerStage::kDone;
+  done.result.solution = captured.best;
+  done.result.cost = 0;
+  done.result.solved = true;
+  expect_rejected(request, "walkers[1].result");
+  done.result.cost = captured.best_cost;
+  expect_rejected(request, "walkers[1].result");
+  done.result.solution.clear();
+  expect_rejected(request, "walkers[1].result");
+}
+
+TEST(SelfHealing, HugeBackoffsSaturateInsteadOfVanishing) {
+  // Every attempt throws (the warm start is no permutation), so each job
+  // backs off after its first failures.  A backoff past any clock's range
+  // must saturate, not wrap to an immediate retry.
+  SolverService service(SolverService::Options{2});
+  SolveRequest huge_base = quick_request(61);
+  huge_base.walkers = 1;  // one lease each: a backing-off job keeps its own
+  huge_base.warm_start = std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 90};
+  huge_base.retry.max_attempts = 2;
+  huge_base.retry.base_backoff_ms = std::numeric_limits<std::uint64_t>::max();
+  SolveRequest huge_multiplier = huge_base;
+  huge_multiplier.retry.max_attempts = 3;
+  huge_multiplier.retry.base_backoff_ms = 1;
+  huge_multiplier.retry.multiplier = 1e300;
+
+  const std::vector<JobHandle> jobs{service.submit(huge_base),
+                                    service.submit(huge_multiplier)};
+  std::this_thread::sleep_for(milliseconds(300));
+  for (const JobHandle& job : jobs) {
+    EXPECT_EQ(job.status(), JobStatus::kRetrying) << job.error();
+  }
+  for (const JobHandle& job : jobs) {
+    EXPECT_TRUE(job.cancel());
+    ASSERT_TRUE(job.wait_for(milliseconds(10'000)));
+    EXPECT_EQ(job.status(), JobStatus::kCancelled);
+  }
 }
 
 TEST(SelfHealing, RetryPolicyIsValidated) {

@@ -233,39 +233,6 @@ TEST(SolveReportJson, NoWinnerCrossesTheWireAsMinusOne) {
   EXPECT_FALSE(decoded.has_winner());
 }
 
-TEST(PolicyNames, RoundTripThroughTheTables) {
-  using parallel::Exchange;
-  using parallel::Neighborhood;
-  using parallel::Scheduling;
-  using parallel::Termination;
-  for (const auto s : {Scheduling::kThreads, Scheduling::kSequential,
-                       Scheduling::kEmulatedRace}) {
-    EXPECT_EQ(scheduling_from_name(name_of(s)), s);
-  }
-  for (const auto n :
-       {Neighborhood::kIsolated, Neighborhood::kComplete, Neighborhood::kRing,
-        Neighborhood::kTorus, Neighborhood::kHypercube}) {
-    EXPECT_EQ(neighborhood_from_name(name_of(n)), n);
-  }
-  for (const auto e : {Exchange::kNone, Exchange::kElite, Exchange::kMigration,
-                       Exchange::kDecayElite}) {
-    EXPECT_EQ(exchange_from_name(name_of(e)), e);
-  }
-  for (const auto m :
-       {parallel::CommMode::kOnReset, parallel::CommMode::kAsync}) {
-    EXPECT_EQ(comm_mode_from_name(name_of(m)), m);
-  }
-  for (const auto t :
-       {Termination::kFirstFinisher, Termination::kBestAfterBudget}) {
-    EXPECT_EQ(termination_from_name(name_of(t)), t);
-  }
-  EXPECT_FALSE(scheduling_from_name("bogus").has_value());
-  EXPECT_FALSE(neighborhood_from_name("bogus").has_value());
-  EXPECT_FALSE(exchange_from_name("bogus").has_value());
-  EXPECT_FALSE(comm_mode_from_name("bogus").has_value());
-  EXPECT_FALSE(termination_from_name("bogus").has_value());
-}
-
 TEST(SolveRequestJson, CommModeDefaultsToOnResetAndRoundTrips) {
   // Absent member = the historical restart-time semantics.
   const SolveRequest minimal =

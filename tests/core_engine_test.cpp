@@ -238,13 +238,6 @@ TEST(Params, DescribeMentionsKeyFields) {
   EXPECT_NE(s.find("reset_limit"), std::string::npos);
 }
 
-TEST(RunStats, ToStringMentionsCounters) {
-  RunStats s;
-  s.iterations = 5;
-  const std::string out = s.to_string();
-  EXPECT_NE(out.find("iters=5"), std::string::npos);
-}
-
 /// Determinism sweep across seeds and problems sizes: the engine is a pure
 /// function of (problem, params, seed).
 class EngineDeterminismSweep

@@ -1,6 +1,7 @@
 // core::StopToken semantics and the engine/pool deadline plumbing: empty
 // tokens are inert (byte-identical runs), cancel flags and deadlines
 // interrupt walks, and the legacy atomic* overload is a pure wrapper.
+// Every assertion reads poll(), the one call the engine makes.
 #include "core/stop_token.hpp"
 
 #include <gtest/gtest.h>
@@ -19,61 +20,56 @@ namespace {
 
 using std::chrono::milliseconds;
 
+/// A token whose deadline is `offset` from now.
+StopToken expiring_in(milliseconds offset) {
+  return StopToken().expiring_at(StopToken::Clock::now() + offset);
+}
+
 TEST(StopToken, DefaultTokenNeverFires) {
   const StopToken token;
-  EXPECT_FALSE(token.can_stop());
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_FALSE(token.has_deadline());
-  EXPECT_FALSE(token.deadline_expired());
-  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(token.stop_requested());
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(token.poll(), StopCause::kNone);
 }
 
 TEST(StopToken, CancelFlagFiresImmediately) {
   std::atomic<bool> flag{false};
   const StopToken token(&flag);
-  EXPECT_TRUE(token.can_stop());
-  EXPECT_FALSE(token.stop_requested());
+  EXPECT_EQ(token.poll(), StopCause::kNone);
   flag.store(true);
-  EXPECT_TRUE(token.stop_requested());
-  EXPECT_TRUE(token.cancelled());
+  EXPECT_EQ(token.poll(), StopCause::kCancel);
 }
 
 TEST(StopToken, ChainedFlagsBothFire) {
   std::atomic<bool> first{false};
   std::atomic<bool> second{false};
   const StopToken token = StopToken(&first).also_cancelled_by(&second);
-  EXPECT_FALSE(token.stop_requested());
+  EXPECT_EQ(token.poll(), StopCause::kNone);
   second.store(true);
-  EXPECT_TRUE(token.stop_requested());
+  EXPECT_EQ(token.poll(), StopCause::kChained);
   second.store(false);
   first.store(true);
-  EXPECT_TRUE(token.stop_requested());
+  EXPECT_EQ(token.poll(), StopCause::kCancel);
 }
 
 TEST(StopToken, ExpiredDeadlineFiresOnFirstPoll) {
-  const StopToken token =
-      StopToken::with_deadline(StopToken::Clock::now() - milliseconds(1));
-  EXPECT_TRUE(token.has_deadline());
-  EXPECT_TRUE(token.deadline_expired());
-  EXPECT_TRUE(token.stop_requested());
+  const StopToken token = expiring_in(milliseconds(-1));
+  EXPECT_EQ(token.poll(), StopCause::kDeadline);
 }
 
 TEST(StopToken, FutureDeadlineFiresWithinTheStride) {
-  const StopToken token = StopToken::after(milliseconds(20));
-  EXPECT_FALSE(token.deadline_expired());
+  const StopToken token = expiring_in(milliseconds(20));
+  EXPECT_EQ(token.poll(), StopCause::kNone);  // the first poll reads the clock
   // Poll until it fires; the clock is consulted at least every
   // kDeadlinePollStride polls, so once the deadline passes the token fires
   // within one stride of polls.
   util::Stopwatch watch;
   bool fired = false;
   while (watch.elapsed_seconds() < 5.0) {
-    if (token.stop_requested()) {
+    if (token.poll() == StopCause::kDeadline) {
       fired = true;
       break;
     }
   }
   EXPECT_TRUE(fired);
-  EXPECT_TRUE(token.deadline_expired());
 }
 
 TEST(StopTokenEngine, EmptyTokenMatchesLegacyNullptrRun) {
@@ -108,7 +104,7 @@ TEST(StopTokenEngine, DeadlineInterruptsAnUnsolvableWalk) {
   util::Xoshiro256 rng(7);
   util::Stopwatch watch;
   const Result result =
-      engine.solve(langford, rng, StopToken::after(milliseconds(50)));
+      engine.solve(langford, rng, expiring_in(milliseconds(50)));
   EXPECT_TRUE(result.interrupted);
   EXPECT_FALSE(result.solved);
   EXPECT_GT(result.stats.iterations, 0u);
@@ -121,9 +117,8 @@ TEST(StopTokenEngine, AlreadyExpiredDeadlineStopsBeforeIterating) {
   problems::Langford langford(5);
   const AdaptiveSearch engine = AdaptiveSearch::with_defaults(langford);
   util::Xoshiro256 rng(7);
-  const Result result = engine.solve(
-      langford, rng,
-      StopToken::with_deadline(StopToken::Clock::now() - milliseconds(1)));
+  const Result result =
+      engine.solve(langford, rng, expiring_in(milliseconds(-1)));
   EXPECT_TRUE(result.interrupted);
   EXPECT_EQ(result.stats.iterations, 0u);
 }

@@ -171,7 +171,7 @@ TEST(ElitePool, OfferAcceptsOnlyStrictImprovements) {
   EXPECT_FALSE(pool.offer(2, 10, b));  // equal is rejected
   EXPECT_FALSE(pool.offer(3, 11, b));
   EXPECT_TRUE(pool.offer(4, 9, b));
-  EXPECT_EQ(pool.best_cost(), 9);
+  EXPECT_EQ(pool.snapshot().cost, 9);
   EXPECT_EQ(pool.accepted_offers(), 2u);
 }
 

@@ -515,7 +515,7 @@ TEST(WalkerPool, ThreadedSchedulerShortCircuitsOnAFiredStopSource) {
   // uninterrupted.
   problems::Costas costas(10);
   std::atomic<bool> cancel{true};  // cancelled before the pool launches
-  const auto expired = core::StopToken::with_deadline(
+  const auto expired = core::StopToken().expiring_at(
       core::StopToken::Clock::now() - std::chrono::milliseconds(10));
   const auto chained = core::StopToken().also_cancelled_by(&cancel);
   struct Case {

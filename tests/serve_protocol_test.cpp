@@ -95,14 +95,6 @@ TEST(ServeProtocol, OversizedWinsBeforeParsing) {
   EXPECT_EQ(code_of(huge, 1024), kErrOversized);
 }
 
-TEST(ServeProtocol, PriorityNamesRoundTrip) {
-  for (const Priority priority :
-       {Priority::kHigh, Priority::kNormal, Priority::kLow}) {
-    EXPECT_EQ(priority_from_name(name_of(priority)), priority);
-  }
-  EXPECT_FALSE(priority_from_name("urgent").has_value());
-}
-
 TEST(ServeProtocol, EventEncodingsAreDeterministicSingleLines) {
   EXPECT_EQ(encode_accepted(7, "t", Priority::kHigh),
             R"({"event":"accepted","id":7,"tag":"t","priority":"high"})");

@@ -1,5 +1,5 @@
 // Order-statistics estimator tests: the mathematical core of the cluster
-// simulator (DESIGN.md §3).
+// simulator.
 #include "sim/order_stats.hpp"
 
 #include <gtest/gtest.h>

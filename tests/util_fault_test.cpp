@@ -1,88 +1,19 @@
-// util::fault — the deterministic fault-injection layer: spec-grammar
-// parsing with loud failures, FaultPlan JSON round-trips with strict
-// unknown-member rejection, Session probe counting/firing semantics, and
-// the compile-time gate (production builds must see inert no-op sites).
+// util::fault — the deterministic fault-injection layer: FaultPlan JSON
+// round-trips with strict unknown-member rejection, Session probe
+// counting/firing semantics over plan lists, and the compile-time gate
+// (production builds must see inert no-op sites).
 #include "util/fault.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "util/json.hpp"
 
 namespace cspls::util::fault {
 namespace {
-
-TEST(FaultSpec, ParsesASinglePlan) {
-  const Schedule schedule =
-      Schedule::parse("walker_iteration:1:100:throw");
-  ASSERT_EQ(schedule.plans().size(), 1u);
-  const FaultPlan& plan = schedule.plans()[0];
-  EXPECT_EQ(plan.site, Site::kWalkerIteration);
-  EXPECT_EQ(plan.walker, 1u);
-  EXPECT_EQ(plan.at_count, 100u);
-  EXPECT_EQ(plan.kind, Kind::kThrow);
-}
-
-TEST(FaultSpec, ParsesMultiplePlansWildcardsAndStallLengths) {
-  const Schedule schedule = Schedule::parse(
-      "elite_publish:*:3:stall:5;service_dispatch:*:1:throw;"
-      "elite_adopt:2:7:corrupt;");  // trailing ';' tolerated
-  ASSERT_EQ(schedule.plans().size(), 3u);
-  EXPECT_EQ(schedule.plans()[0].site, Site::kElitePublish);
-  EXPECT_EQ(schedule.plans()[0].walker, kAnyWalker);
-  EXPECT_EQ(schedule.plans()[0].kind, Kind::kStall);
-  EXPECT_EQ(schedule.plans()[0].stall_ms, 5u);
-  EXPECT_EQ(schedule.plans()[1].site, Site::kServiceDispatch);
-  EXPECT_EQ(schedule.plans()[2].site, Site::kEliteAdopt);
-  EXPECT_EQ(schedule.plans()[2].walker, 2u);
-  EXPECT_EQ(schedule.plans()[2].kind, Kind::kCorrupt);
-}
-
-TEST(FaultSpec, EmptySpecYieldsAnEmptySchedule) {
-  EXPECT_TRUE(Schedule::parse("").empty());
-  EXPECT_TRUE(Schedule::parse(";;").empty());
-}
-
-TEST(FaultSpec, MalformedSpecsFailLoudlyNamingTheField) {
-  // A misspelled plan must throw, never silently inject nothing.
-  const auto expect_bad = [](std::string_view spec,
-                             std::string_view needle) {
-    try {
-      (void)Schedule::parse(spec);
-      FAIL() << "accepted malformed spec: " << spec;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-          << spec << " -> " << e.what();
-    }
-  };
-  expect_bad("walker_iteration:1:100", "site:walker:at_count:kind");
-  expect_bad("bad_site:1:100:throw", "unknown site");
-  expect_bad("walker_iteration:1:100:explode", "unknown kind");
-  expect_bad("walker_iteration:x:100:throw", "walker");
-  expect_bad("walker_iteration:1:0:throw", "at_count");
-  expect_bad("elite_publish:*:3:stall:ms", "stall_ms");
-  // Every message carries the valid-names hint.
-  expect_bad("bad_site:1:100:throw", "walker_iteration | elite_publish");
-}
-
-TEST(FaultSpec, ToStringRoundTripsThroughParse) {
-  FaultPlan plan;
-  plan.site = Site::kEliteAdopt;
-  plan.walker = 3;
-  plan.at_count = 12;
-  plan.kind = Kind::kCorrupt;
-  EXPECT_EQ(plan.to_string(), "elite_adopt:3:12:corrupt");
-  EXPECT_EQ(Schedule::parse(plan.to_string()).plans()[0], plan);
-
-  FaultPlan stall;
-  stall.site = Site::kElitePublish;
-  stall.kind = Kind::kStall;
-  stall.stall_ms = 25;
-  EXPECT_EQ(stall.to_string(), "elite_publish:*:1:stall:25");
-  EXPECT_EQ(Schedule::parse(stall.to_string()).plans()[0], stall);
-}
 
 TEST(FaultPlanJson, RoundTripsThroughJson) {
   FaultPlan plan;
@@ -124,21 +55,19 @@ TEST(FaultSession, CountsProbesPerSiteAndFiresAtTheScheduledCount) {
   plan.walker = 1;
   plan.at_count = 3;
   plan.kind = Kind::kCorrupt;
-  const Schedule schedule({plan});
+  const std::vector<FaultPlan> plans{plan};
 
-  Session target(&schedule, 1);
+  Session target(&plans, 1);
   EXPECT_TRUE(target.armed());
   EXPECT_EQ(target.probe(Site::kWalkerIteration), Action::kNone);
   EXPECT_EQ(target.probe(Site::kElitePublish), Action::kNone);  // other site
   EXPECT_EQ(target.probe(Site::kWalkerIteration), Action::kNone);
   EXPECT_EQ(target.probe(Site::kWalkerIteration), Action::kCorrupt);
   EXPECT_EQ(target.probe(Site::kWalkerIteration), Action::kNone);  // once
-  EXPECT_EQ(target.count(Site::kWalkerIteration), 4u);
-  EXPECT_EQ(target.count(Site::kElitePublish), 1u);
   EXPECT_EQ(target.fired(), 1u);
 
   // A different walker never matches a targeted plan.
-  Session bystander(&schedule, 0);
+  Session bystander(&plans, 0);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(bystander.probe(Site::kWalkerIteration), Action::kNone);
   }
@@ -149,8 +78,8 @@ TEST(FaultSession, ThrowPlansRaiseFaultInjectedWithTheSiteInTheMessage) {
   FaultPlan plan;
   plan.site = Site::kServiceDispatch;
   plan.at_count = 2;
-  const Schedule schedule({plan});
-  Session session(&schedule, kAnyWalker);
+  const std::vector<FaultPlan> plans{plan};
+  Session session(&plans, kAnyWalker);
   EXPECT_EQ(session.probe(Site::kServiceDispatch), Action::kNone);
   try {
     (void)session.probe(Site::kServiceDispatch);
@@ -165,16 +94,17 @@ TEST(FaultSession, ThrowPlansRaiseFaultInjectedWithTheSiteInTheMessage) {
 }
 
 TEST(FaultSession, DisarmedSessionsNeverFire) {
-  Session null_schedule(nullptr, 0);
-  EXPECT_FALSE(null_schedule.armed());
-  const Schedule empty;
-  Session empty_schedule(&empty, 0);
-  EXPECT_FALSE(empty_schedule.armed());
+  Session null_plans(nullptr, 0);
+  EXPECT_FALSE(null_plans.armed());
+  const std::vector<FaultPlan> empty;
+  Session empty_plans(&empty, 0);
+  EXPECT_FALSE(empty_plans.armed());
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(null_schedule.probe(Site::kWalkerIteration), Action::kNone);
-    EXPECT_EQ(empty_schedule.probe(Site::kWalkerIteration), Action::kNone);
+    EXPECT_EQ(null_plans.probe(Site::kWalkerIteration), Action::kNone);
+    EXPECT_EQ(empty_plans.probe(Site::kWalkerIteration), Action::kNone);
   }
-  EXPECT_EQ(null_schedule.fired(), 0u);
+  EXPECT_EQ(null_plans.fired(), 0u);
+  EXPECT_EQ(empty_plans.fired(), 0u);
 }
 
 TEST(FaultSession, WildcardPlansMatchEveryWalker) {
@@ -183,15 +113,15 @@ TEST(FaultSession, WildcardPlansMatchEveryWalker) {
   plan.walker = kAnyWalker;
   plan.at_count = 1;
   plan.kind = Kind::kCorrupt;
-  const Schedule schedule({plan});
+  const std::vector<FaultPlan> plans{plan};
   for (std::size_t walker = 0; walker < 3; ++walker) {
-    Session session(&schedule, walker);
+    Session session(&plans, walker);
     EXPECT_EQ(session.probe(Site::kEliteAdopt), Action::kCorrupt);
   }
 }
 
 // The compile-time gate: in default builds the sites must be inert no-ops
-// — armed schedules notwithstanding — so production binaries carry zero
+// — armed sessions notwithstanding — so production binaries carry zero
 // injection behaviour.  The CI fault-injection leg builds with
 // -DCSPLS_FAULT_INJECTION=ON, where the same free probe() forwards to the
 // session (covered above through Session::probe directly).
@@ -200,15 +130,14 @@ TEST(FaultGate, FreeProbeMatchesTheCompileTimeSwitch) {
   plan.site = Site::kWalkerIteration;
   plan.at_count = 1;
   plan.kind = Kind::kCorrupt;
-  const Schedule schedule({plan});
-  Session session(&schedule, 0);
+  const std::vector<FaultPlan> plans{plan};
+  Session session(&plans, 0);
   if (kCompiledIn) {
     EXPECT_EQ(probe(&session, Site::kWalkerIteration), Action::kCorrupt);
-    EXPECT_EQ(session.count(Site::kWalkerIteration), 1u);
+    EXPECT_EQ(session.fired(), 1u);
   } else {
-    // No-op: the probe neither counts nor fires, whatever the schedule.
+    // No-op: the probe never fires, whatever the plans.
     EXPECT_EQ(probe(&session, Site::kWalkerIteration), Action::kNone);
-    EXPECT_EQ(session.count(Site::kWalkerIteration), 0u);
     EXPECT_EQ(session.fired(), 0u);
   }
   EXPECT_EQ(probe(nullptr, Site::kWalkerIteration), Action::kNone);

@@ -41,9 +41,8 @@ TEST(Table, RendersAlignedColumns) {
 TEST(Table, DefaultAlignmentFirstColumnLeft) {
   Table t({"a", "b"});
   t.add_row({"xx", "1"});
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_EQ(t.rows(), 1u);
-  EXPECT_EQ(t.row(0)[0], "xx");
+  t.add_row({"y", "22"});
+  EXPECT_EQ(t.render(), "a    b\n------\nxx   1\ny   22\n");
 }
 
 TEST(Table, ThrowsOnRowWidthMismatch) {
@@ -165,13 +164,11 @@ TEST(Histogram, DegenerateRange) {
 TEST(ArgParser, DefaultsSurviveEmptyArgv) {
   ArgParser p("prog", "desc");
   p.add_int("cores", 8, "core count");
-  p.add_double("frac", 0.5, "fraction");
   p.add_string("name", "costas", "benchmark");
   p.add_flag("verbose", "chatty");
   const char* argv[] = {"prog"};
   EXPECT_TRUE(p.parse(1, argv));
   EXPECT_EQ(p.get_int("cores"), 8);
-  EXPECT_DOUBLE_EQ(p.get_double("frac"), 0.5);
   EXPECT_EQ(p.get_string("name"), "costas");
   EXPECT_FALSE(p.flag("verbose"));
 }
