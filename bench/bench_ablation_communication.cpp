@@ -17,7 +17,7 @@
 //     and time to solution, plus the exchange-traffic counters (publishes,
 //     improving accepts, adoptions);
 //   * anytime: best-cost-after-budget curves (sim::anytime_curve over the
-//     walkers' cost traces), because communication mostly reshapes the
+//     walkers' cost series), because communication mostly reshapes the
 //     anytime profile, which first-finisher medians cannot see — the
 //     gossip-vs-on-reset comparison lives in this CSV.
 //
@@ -54,13 +54,13 @@ struct CellResult {
   double mean_accepted = 0.0;   // improving keep-best accepts per race
   double mean_adoptions = 0.0;  // configurations actually adopted per race
   int solved = 0;
-  /// Per-rep traces of every walker (anytime aggregation input).
-  std::vector<std::vector<core::WalkerTrace>> rep_traces;
+  /// Per-rep cost series of every walker (anytime aggregation input).
+  std::vector<std::vector<std::vector<sim::CostSample>>> rep_series;
 };
 
 CellResult run_cell(const csp::Problem& prototype, std::size_t walkers,
                     std::uint64_t seed, int reps, const Cell& cell,
-                    std::uint64_t trace_period) {
+                    std::uint64_t sample_period) {
   CellResult out;
   std::vector<double> efforts, times;
   double publishes = 0.0, accepted = 0.0, adoptions = 0.0;
@@ -71,16 +71,27 @@ CellResult run_cell(const csp::Problem& prototype, std::size_t walkers,
     pool.scheduling = parallel::Scheduling::kThreads;
     pool.termination = parallel::Termination::kFirstFinisher;
     pool.communication = cell.policy;
-    pool.trace.enabled = true;  // RNG-neutral: trajectories are unchanged
-    pool.trace.sample_period = trace_period;
-    auto report = parallel::WalkerPool(pool).run(prototype);
+    // Each walker appends only to its own series, so the sink needs no lock
+    // while the walkers race.  Sampling is RNG-neutral: trajectories are
+    // unchanged.
+    std::vector<std::vector<sim::CostSample>> series(walkers);
+    pool.sample_sink = [&series](std::size_t id, std::uint64_t iteration,
+                                 csp::Cost cost) {
+      series[id].push_back({iteration, cost});
+    };
+    pool.sample_sink_period = sample_period;
+    const auto report = parallel::WalkerPool(pool).run(prototype);
     publishes += static_cast<double>(report.comm_publishes);
     accepted += static_cast<double>(report.elite_accepted);
     adoptions += static_cast<double>(report.comm_adoptions);
-    std::vector<core::WalkerTrace> traces;
-    traces.reserve(report.walkers.size());
-    for (auto& w : report.walkers) traces.push_back(std::move(w.trace));
-    out.rep_traces.push_back(std::move(traces));
+    // A walk's series ends at its final best cost.
+    for (const auto& w : report.walkers) {
+      if (!series[w.walker_id].empty() && !w.failed()) {
+        series[w.walker_id].push_back(
+            {w.result.stats.iterations, w.result.cost});
+      }
+    }
+    out.rep_series.push_back(std::move(series));
     if (report.solved) {
       ++out.solved;
       efforts.push_back(static_cast<double>(report.total_iterations()));
@@ -101,9 +112,9 @@ void append_anytime_rows(const std::string& benchmark, const Cell& cell,
                          std::span<const std::uint64_t> budgets,
                          std::vector<std::vector<std::string>>& rows) {
   std::vector<std::vector<sim::AnytimePoint>> curves;
-  curves.reserve(result.rep_traces.size());
-  for (const auto& traces : result.rep_traces) {
-    curves.push_back(sim::anytime_curve(traces, budgets));
+  curves.reserve(result.rep_series.size());
+  for (const auto& series : result.rep_series) {
+    curves.push_back(sim::anytime_curve(series, budgets));
   }
   for (std::size_t b = 0; b < budgets.size(); ++b) {
     std::vector<double> costs;
@@ -158,13 +169,13 @@ int main(int argc, char** argv) {
       "Ablation 1 — inter-walker communication (paper future work)",
       "Neighborhood x exchange x mode sweep vs the independent scheme; "
       "effort = total iterations across walkers, plus anytime "
-      "best-cost-after-budget curves from the walkers' cost traces "
+      "best-cost-after-budget curves from the walkers' cost series "
       "(async gossip vs restart-time adoption).");
 
   const bool quick = options->quick;
   const int reps = quick ? 2 : 9;
   constexpr std::size_t kWalkers = 4;
-  constexpr std::uint64_t kTracePeriod = 100;
+  constexpr std::uint64_t kSamplePeriod = 100;
   const std::uint64_t kDecay = 2 * kWalkers;  // forget after ~2 pool rounds
 
   const std::vector<const char*> instances =
@@ -188,20 +199,20 @@ int main(int argc, char** argv) {
                        "med T (s)", "publishes", "accepted", "adoptions",
                        "vs independent"});
 
-    // Baseline: the paper's independent scheme.  Its traces also fix the
+    // Baseline: the paper's independent scheme.  Its series also fix the
     // per-benchmark budget grid, so every cell's anytime curve is sampled
     // at comparable budgets.
     Cell baseline;
     baseline.policy.period = 0;
     baseline.policy.adopt_probability = 0.0;
     const CellResult indep = run_cell(*prototype, kWalkers, options->seed,
-                                      reps, baseline, kTracePeriod);
-    std::vector<core::WalkerTrace> grid_traces;
-    for (const auto& traces : indep.rep_traces) {
-      grid_traces.insert(grid_traces.end(), traces.begin(), traces.end());
+                                      reps, baseline, kSamplePeriod);
+    std::vector<std::vector<sim::CostSample>> grid_series;
+    for (const auto& series : indep.rep_series) {
+      grid_series.insert(grid_series.end(), series.begin(), series.end());
     }
     const std::vector<std::uint64_t> budgets =
-        sim::anytime_budget_grid(grid_traces, 8);
+        sim::anytime_budget_grid(grid_series, 8);
 
     table.add_row({"isolated", "none", "-", "-", "-", "-",
                    std::to_string(indep.solved) + "/" + std::to_string(reps),
@@ -232,7 +243,7 @@ int main(int argc, char** argv) {
                   exchange == parallel::Exchange::kDecayElite ? kDecay : 0;
               const CellResult dep = run_cell(*prototype, kWalkers,
                                               options->seed, reps, cell,
-                                              kTracePeriod);
+                                              kSamplePeriod);
               const double ratio =
                   indep.median_effort > 0.0
                       ? dep.median_effort / indep.median_effort

@@ -9,7 +9,7 @@
 // lane whenever a budget slot is free.  The claim leases min(the job's
 // desired parallelism, free slots) and caps its WalkerPool to that lease
 // (walkers beyond it run in waves, WalkerPoolOptions::max_threads
-// semantics); sequential and emulated-race jobs lease one slot.  Every
+// semantics); sequential jobs lease one slot.  Every
 // running job holds at least one slot, so running jobs never outnumber the
 // workers, and submission only enqueues.  A job holding one slot runs
 // inline on its worker and starts no thread; a threaded job leased L >= 2

@@ -108,8 +108,6 @@ parallel::WalkerPoolOptions SolveRequest::to_pool_options() const {
   options.communication.adopt_probability = comm_adopt_probability;
   options.communication.decay = comm_decay;
   options.termination = termination;
-  options.trace.enabled = trace;
-  options.trace.sample_period = trace_sample_period;
   options.faults = faults;
   options.warm_start = warm_start;
   options.resume = resume_from;
@@ -132,7 +130,6 @@ util::Json SolveRequest::to_json() const {
       .set("max_threads", static_cast<std::uint64_t>(max_threads))
       .set("deadline_ms", deadline_ms);
   if (params.has_value()) json.set("params", params_to_json(*params));
-  json.set("trace", trace).set("trace_sample_period", trace_sample_period);
   json.set("retry", retry_to_json(retry))
       .set("watchdog_stall_ms", watchdog_stall_ms);
   if (warm_start.has_value()) {
@@ -160,9 +157,8 @@ SolveRequest SolveRequest::from_json(const util::Json& json) {
       json, util::JsonPath{"SolveRequest"},
       {"problem", "walkers", "seed", "scheduling", "neighborhood", "exchange",
        "comm_mode", "termination", "comm_period", "comm_adopt_probability",
-       "comm_decay", "max_threads", "deadline_ms", "params", "trace",
-       "trace_sample_period", "retry", "watchdog_stall_ms", "warm_start",
-       "faults", "resume_from"});
+       "comm_decay", "max_threads", "deadline_ms", "params", "retry",
+       "watchdog_stall_ms", "warm_start", "faults", "resume_from"});
   SolveRequest request;
   request.problem = in.get<std::string>("problem");
   if (request.problem.empty()) {
@@ -189,9 +185,6 @@ SolveRequest SolveRequest::from_json(const util::Json& json) {
   if (in.find("params") != nullptr) {
     request.params = params_from_json(in.at("params"), in.path("params"));
   }
-  request.trace = in.get("trace", request.trace);
-  request.trace_sample_period =
-      in.get("trace_sample_period", request.trace_sample_period);
   if (in.find("retry") != nullptr) {
     request.retry = retry_from_json(in.at("retry"), in.path("retry"));
   }

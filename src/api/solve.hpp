@@ -107,10 +107,6 @@ struct SolveRequest {
   /// Engine-parameter overrides; absent = the model's tuning defaults.
   std::optional<core::Params> params;
 
-  /// Per-walker WalkerTrace instrumentation.
-  bool trace = false;
-  std::uint64_t trace_sample_period = 0;
-
   /// Retry discipline for jobs run through api::SolverService (ignored by
   /// the synchronous api::Solver, which runs exactly one attempt).
   RetryPolicy retry;
@@ -131,7 +127,7 @@ struct SolveRequest {
   std::vector<util::fault::FaultPlan> faults;
 
   /// Resume a previously preempted run from its PoolCheckpoint
-  /// ("resume_from" on the wire, the strict "cspls-pool-checkpoint/1"
+  /// ("resume_from" on the wire, the strict "cspls-pool-checkpoint/2"
   /// document).  The request's problem/walkers/seed/policies must match the
   /// preempted run's — the checkpoint carries *state*, not configuration —
   /// and the resumed run then reproduces the uninterrupted run byte-for-byte

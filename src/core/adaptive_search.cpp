@@ -73,20 +73,8 @@ Result AdaptiveSearch::solve(csp::Problem& problem, util::Xoshiro256& rng,
       problem.assign(*hooks.warm_start);
       cost = problem.total_cost();
     }
-  }
-
-  WalkerTrace* trace = hooks.trace;
-  if (resume != nullptr) {
-    // The iteration-0 sample was recorded (and streamed) by the original
-    // run; carry the accumulated series forward so the resumed trace reads
-    // as one uninterrupted walk.
-    if (trace != nullptr && hooks.trace_sample_period != 0) {
-      trace->cost_samples = resume->trace_samples;
-    }
-  } else {
-    if (trace != nullptr && hooks.trace_sample_period != 0) {
-      trace->cost_samples.push_back(TraceSample{0, cost});
-    }
+    // Only a fresh walk samples iteration 0: a resumed walk's original run
+    // already did.
     if (hooks.sample && hooks.sample_period != 0) hooks.sample(0, cost);
   }
 
@@ -173,9 +161,6 @@ Result AdaptiveSearch::solve(csp::Problem& problem, util::Xoshiro256& rng,
             cp.stats.seconds = resumed_seconds + watch.elapsed_seconds();
             cp.iter_in_walk = iter_in_walk;
             cp.restarts_done = restarts_done;
-            if (trace != nullptr && hooks.trace_sample_period != 0) {
-              cp.trace_samples = trace->cost_samples;
-            }
             if (corrupt) cp.cost += 1;  // torn capture: fails validation
             hooks.checkpoint_out->emplace(std::move(cp));
           } catch (...) {
@@ -207,10 +192,6 @@ Result AdaptiveSearch::solve(csp::Problem& problem, util::Xoshiro256& rng,
       if (hooks.observer && hooks.observer_period != 0 &&
           iter % hooks.observer_period == 0) {
         hooks.observer(iter, cost, problem.values());
-      }
-      if (trace != nullptr && hooks.trace_sample_period != 0 &&
-          iter % hooks.trace_sample_period == 0) {
-        trace->cost_samples.push_back(TraceSample{iter, cost});
       }
       if (hooks.sample && hooks.sample_period != 0 &&
           iter % hooks.sample_period == 0) {
@@ -331,27 +312,6 @@ Result AdaptiveSearch::solve(csp::Problem& problem, util::Xoshiro256& rng,
     problem.assign(result.solution);
   }
   result.stats.seconds = resumed_seconds + watch.elapsed_seconds();
-  if (trace != nullptr) {
-    trace->solved = result.solved;
-    trace->interrupted = result.interrupted;
-    trace->iterations = result.stats.iterations;
-    trace->resets = result.stats.resets;
-    trace->restarts = result.stats.restarts;
-    trace->local_minima = result.stats.local_minima;
-    trace->seconds = result.stats.seconds;
-    trace->best_cost = best_cost;
-    if (hooks.trace_sample_period != 0) {
-      // When the walk ended exactly on a sampling boundary, fold the final
-      // best into that sample instead of duplicating the iteration.
-      if (!trace->cost_samples.empty() &&
-          trace->cost_samples.back().iteration == result.stats.iterations) {
-        trace->cost_samples.back().cost = best_cost;
-      } else {
-        trace->cost_samples.push_back(
-            TraceSample{result.stats.iterations, best_cost});
-      }
-    }
-  }
   return result;
 }
 

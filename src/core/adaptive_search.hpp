@@ -35,7 +35,6 @@
 #include "core/params.hpp"
 #include "core/result.hpp"
 #include "core/stop_token.hpp"
-#include "core/trace.hpp"
 #include "csp/problem.hpp"
 #include "util/rng.hpp"
 
@@ -72,23 +71,19 @@ struct Hooks {
   std::function<void(std::uint64_t, csp::Cost, std::span<const int>)> observer;
   std::uint64_t observer_period = 0;  ///< 0 disables the observer
 
-  /// Live anytime sampling for the serving tier: called with (iteration,
-  /// cost) at iteration 0 and every `sample_period` iterations after —
-  /// exactly where trace samples are recorded, but pushed to a callback
-  /// while the walk runs instead of collected for after.  Kept separate
-  /// from `observer`, which the communication policies claim for publish
-  /// traffic (comm_hooks) and which carries the configuration; a sample is
-  /// cost-only and purely observational.  Never consumes the walk's RNG
-  /// stream, so streaming cannot change the outcome of a seeded run.
+  /// The walk's cost series, read by the serving tier's streamed samples
+  /// and by sim/anytime.hpp's curves: called with (iteration, current cost)
+  /// at iteration 0 and every `sample_period` iterations after, while the
+  /// walk runs.  A resumed walk skips iteration 0 (its original run took
+  /// that sample), so the two runs' samples concatenate to the
+  /// uninterrupted run's.  The series has no closing sample: the walk ends
+  /// at Result::cost after Result::stats.iterations.  Kept separate from
+  /// `observer`, which the communication policies claim for publish
+  /// traffic (comm_hooks) and which carries the configuration.  Never
+  /// consumes the walk's RNG stream, so sampling cannot change the outcome
+  /// of a seeded run.
   std::function<void(std::uint64_t, csp::Cost)> sample;
-  std::uint64_t sample_period = 0;  ///< 0 disables live sampling
-
-  /// When non-null, the engine fills this instrumentation record: final
-  /// counters always, plus (iteration, cost) samples every
-  /// `trace_sample_period` iterations when the period is non-zero.  Purely
-  /// observational — never consumes the walk's RNG stream.
-  WalkerTrace* trace = nullptr;
-  std::uint64_t trace_sample_period = 0;  ///< 0 = counters only
+  std::uint64_t sample_period = 0;  ///< 0 disables sampling
 
   /// Armed fault-injection session for this walk (null = no injection).
   /// Probed once per iteration at the `walker_iteration` site; a kCorrupt

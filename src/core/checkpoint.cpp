@@ -36,32 +36,6 @@ RunStats run_stats_from_json(const util::Json& json,
   return stats;
 }
 
-util::Json to_json(const std::vector<TraceSample>& samples) {
-  util::Json array = util::Json::array();
-  for (const TraceSample& sample : samples) {
-    util::Json pair = util::Json::array();
-    pair.push_back(sample.iteration);
-    pair.push_back(sample.cost);
-    array.push_back(std::move(pair));
-  }
-  return array;
-}
-
-std::vector<TraceSample> trace_samples_from_json(const util::Json& json,
-                                                 const util::JsonPath& path) {
-  const std::vector<util::Json>& pairs = util::read_json_array(json, path);
-  std::vector<TraceSample> samples;
-  samples.reserve(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const util::JsonPath at{path.value, path.member, i};
-    const std::vector<util::Json>& pair = util::read_json_array(pairs[i], at);
-    if (pair.size() != 2) at.fail("expected [iteration, cost]");
-    samples.push_back(TraceSample{util::read_json<std::uint64_t>(pair[0], at),
-                                  util::read_json<csp::Cost>(pair[1], at)});
-  }
-  return samples;
-}
-
 util::Json Checkpoint::to_json() const {
   util::Json json = util::Json::object();
   json.set("schema", kSchema)
@@ -74,8 +48,7 @@ util::Json Checkpoint::to_json() const {
       .set("rng_state", util::Json::array_of(rng_state))
       .set("stats", core::to_json(stats))
       .set("iter_in_walk", iter_in_walk)
-      .set("restarts_done", static_cast<std::uint64_t>(restarts_done))
-      .set("trace_samples", core::to_json(trace_samples));
+      .set("restarts_done", static_cast<std::uint64_t>(restarts_done));
   return json;
 }
 
@@ -88,8 +61,7 @@ Checkpoint Checkpoint::from_json(const util::Json& json,
   const util::JsonReader in(json, path,
                             {"schema", "values", "cost", "best", "best_cost",
                              "tabu_until", "marks_since_reset", "rng_state",
-                             "stats", "iter_in_walk", "restarts_done",
-                             "trace_samples"});
+                             "stats", "iter_in_walk", "restarts_done"});
   if (const std::string schema = in.get<std::string>("schema");
       schema != kSchema) {
     in.fail("schema", "unsupported schema \"" + schema + "\"");
@@ -115,8 +87,6 @@ Checkpoint Checkpoint::from_json(const util::Json& json,
   cp.stats = run_stats_from_json(in.at("stats"), in.path("stats"));
   cp.iter_in_walk = in.get<std::uint64_t>("iter_in_walk");
   cp.restarts_done = in.get<std::uint32_t>("restarts_done");
-  cp.trace_samples =
-      trace_samples_from_json(in.at("trace_samples"), in.path("trace_samples"));
 
   // Internal consistency: both configurations exist and the tabu vector
   // covers the same variables — a checkpoint never describes a run that

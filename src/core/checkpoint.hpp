@@ -10,9 +10,11 @@
 // state words), the per-run counters, and the walk/restart position.  The
 // per-variable error cache is deliberately NOT captured: it is a pure
 // function of the configuration, so resume recomputes it on first use —
-// the values the scan sees are identical either way.
+// the values the scan sees are identical either way.  Nor are cost
+// samples: they stream through Hooks::sample as the walk runs, and the
+// resumed walk's samples continue the preempted run's.
 //
-// The JSON schema is strict and versioned ("cspls-checkpoint/1"): unknown
+// The JSON schema is strict and versioned ("cspls-checkpoint/2"): unknown
 // members reject, missing members reject, sizes must be mutually
 // consistent, and an all-zero RNG state (which xoshiro256** cannot be in)
 // rejects.  This is the unit the parallel layer aggregates into a
@@ -27,14 +29,13 @@
 #include <vector>
 
 #include "core/result.hpp"
-#include "core/trace.hpp"
 #include "csp/cost.hpp"
 #include "util/json.hpp"
 
 namespace cspls::core {
 
 struct Checkpoint {
-  static constexpr std::string_view kSchema = "cspls-checkpoint/1";
+  static constexpr std::string_view kSchema = "cspls-checkpoint/2";
 
   std::vector<int> values;       ///< current configuration
   csp::Cost cost = 0;            ///< its total cost (validated on resume)
@@ -46,9 +47,6 @@ struct Checkpoint {
   RunStats stats;                ///< counters so far (seconds accumulated)
   std::uint64_t iter_in_walk = 0;
   std::uint32_t restarts_done = 0;
-  /// Trace samples recorded so far (pre-finalization, so the resumed walk
-  /// keeps appending as if never interrupted).  Empty when not tracing.
-  std::vector<TraceSample> trace_samples;
 
   [[nodiscard]] util::Json to_json() const;
   /// Strict decode: rejects a wrong/missing schema tag, unknown, missing or
@@ -62,15 +60,10 @@ struct Checkpoint {
   [[nodiscard]] bool operator==(const Checkpoint&) const = default;
 };
 
-// The codecs of the sub-values more than one document carries: RunStats
-// (`stats` here and in a finished walker's result) and the [iteration,
-// cost] series (`trace_samples` here, `cost_samples` in a finished walker's
-// trace).  The decoders name failures under `path`.
+// The codec of RunStats, which both this document (`stats`) and a
+// finished walker's result carry.  The decoder names failures under `path`.
 [[nodiscard]] util::Json to_json(const RunStats& stats);
 [[nodiscard]] RunStats run_stats_from_json(const util::Json& json,
                                            const util::JsonPath& path);
-[[nodiscard]] util::Json to_json(const std::vector<TraceSample>& samples);
-[[nodiscard]] std::vector<TraceSample> trace_samples_from_json(
-    const util::Json& json, const util::JsonPath& path);
 
 }  // namespace cspls::core

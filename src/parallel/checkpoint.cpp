@@ -34,43 +34,6 @@ core::Result result_from_json(const util::Json& json,
   return result;
 }
 
-util::Json trace_to_json(const core::WalkerTrace& trace) {
-  util::Json json = util::Json::object();
-  json.set("walker_id", static_cast<std::uint64_t>(trace.walker_id))
-      .set("solved", trace.solved)
-      .set("interrupted", trace.interrupted)
-      .set("iterations", trace.iterations)
-      .set("resets", trace.resets)
-      .set("restarts", trace.restarts)
-      .set("local_minima", trace.local_minima)
-      .set("seconds", trace.seconds)
-      .set("best_cost", trace.best_cost)
-      .set("cost_samples", core::to_json(trace.cost_samples));
-  return json;
-}
-
-core::WalkerTrace trace_from_json(const util::Json& json,
-                                  const util::JsonPath& path) {
-  const util::JsonReader in(json, path,
-                            {"walker_id", "solved", "interrupted",
-                             "iterations", "resets", "restarts",
-                             "local_minima", "seconds", "best_cost",
-                             "cost_samples"});
-  core::WalkerTrace trace;
-  trace.walker_id = in.get<std::size_t>("walker_id");
-  trace.solved = in.get<bool>("solved");
-  trace.interrupted = in.get<bool>("interrupted");
-  trace.iterations = in.get<std::uint64_t>("iterations");
-  trace.resets = in.get<std::uint64_t>("resets");
-  trace.restarts = in.get<std::uint64_t>("restarts");
-  trace.local_minima = in.get<std::uint64_t>("local_minima");
-  trace.seconds = in.get<double>("seconds");
-  trace.best_cost = in.get<csp::Cost>("best_cost");
-  trace.cost_samples = core::trace_samples_from_json(in.at("cost_samples"),
-                                                     in.path("cost_samples"));
-  return trace;
-}
-
 }  // namespace
 
 util::Json PoolCheckpoint::to_json() const {
@@ -86,7 +49,6 @@ util::Json PoolCheckpoint::to_json() const {
         break;
       case WalkerStage::kDone:
         entry_json.set("result", result_to_json(entry.result))
-            .set("trace", trace_to_json(entry.trace))
             .set("injected_faults", entry.injected_faults);
         break;
     }
@@ -134,10 +96,10 @@ PoolCheckpoint PoolCheckpoint::from_json(const util::Json& json,
     const util::JsonPath at = in.path("walkers", i);
     WalkerEntry entry;
     // Each stage admits exactly its own members.
-    entry.stage = util::JsonReader(walkers[i], at, {"stage", "checkpoint",
-                                                    "result", "trace",
-                                                    "injected_faults"})
-                      .get("stage", kStageNames);
+    entry.stage =
+        util::JsonReader(walkers[i], at,
+                         {"stage", "checkpoint", "result", "injected_faults"})
+            .get("stage", kStageNames);
     if (entry.stage == WalkerStage::kPending) {
       (void)util::JsonReader(walkers[i], at, {"stage"});
     } else if (entry.stage == WalkerStage::kRunning) {
@@ -145,10 +107,9 @@ PoolCheckpoint PoolCheckpoint::from_json(const util::Json& json,
       entry.checkpoint = core::Checkpoint::from_json(w.at("checkpoint"),
                                                      w.path("checkpoint"));
     } else {
-      const util::JsonReader w(
-          walkers[i], at, {"stage", "result", "trace", "injected_faults"});
+      const util::JsonReader w(walkers[i], at,
+                               {"stage", "result", "injected_faults"});
       entry.result = result_from_json(w.at("result"), w.path("result"));
-      entry.trace = trace_from_json(w.at("trace"), w.path("trace"));
       entry.injected_faults = w.get<std::uint64_t>("injected_faults");
     }
     cp.walkers.push_back(std::move(entry));

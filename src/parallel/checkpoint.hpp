@@ -6,8 +6,8 @@
 //
 //   * one entry per walker — mid-run walkers carry a core::Checkpoint
 //     (exact-resume state), already-finished walkers carry their final
-//     Result/trace verbatim, and never-started walkers are pending (they
-//     run from their untouched RNG stream on resume);
+//     Result verbatim, and never-started walkers are pending (they run
+//     from their untouched RNG stream on resume);
 //   * the communication state — every ElitePool slot's entry and counters,
 //     the pool-wide exchange clock and the adoption counter — so a resumed
 //     run's exchange traffic and counters continue exactly where they
@@ -18,7 +18,7 @@
 // run that was never preempted — the property the serving tier's
 // running-job preemption and the distributed pool's walker migration both
 // build on.  The JSON schema is strict and versioned
-// ("cspls-pool-checkpoint/1"): unknown, missing and mistyped members
+// ("cspls-pool-checkpoint/2"): unknown, missing and mistyped members
 // reject, naming the member.
 #pragma once
 
@@ -28,19 +28,18 @@
 
 #include "core/checkpoint.hpp"
 #include "core/result.hpp"
-#include "core/trace.hpp"
 #include "parallel/elite_pool.hpp"
 #include "util/json.hpp"
 
 namespace cspls::parallel {
 
 struct PoolCheckpoint {
-  static constexpr std::string_view kSchema = "cspls-pool-checkpoint/1";
+  static constexpr std::string_view kSchema = "cspls-pool-checkpoint/2";
 
   enum class WalkerStage : std::uint8_t {
     kPending,  ///< never started; resume runs it from its stream's start
     kRunning,  ///< suspended mid-run; `checkpoint` is its exact-resume state
-    kDone,     ///< finished before the preemption; `result`/`trace` are final
+    kDone,     ///< finished before the preemption; `result` is final
   };
   static constexpr util::NameTable<WalkerStage, WalkerStage::kDone>
       kStageNames{"pending", "running", "done"};
@@ -49,7 +48,6 @@ struct PoolCheckpoint {
     WalkerStage stage = WalkerStage::kPending;
     core::Checkpoint checkpoint;  ///< kRunning only
     core::Result result;          ///< kDone only
-    core::WalkerTrace trace;      ///< kDone only (empty when untraced)
     std::uint64_t injected_faults = 0;  ///< kDone only
 
     [[nodiscard]] bool operator==(const WalkerEntry&) const = default;

@@ -199,14 +199,31 @@ JobExecution::JobExecution(const csp::Problem& prototype,
             " but its configuration costs " + std::to_string(actual));
       }
     };
+    // The engine sets a tabu clock only to the current iteration plus a
+    // freeze, so a clock further ahead freezes its variable for longer than
+    // any walk of these params could have.
+    const std::uint64_t max_freeze = std::max(
+        engine_.params().freeze_loc_min, engine_.params().freeze_swap);
     for (std::size_t i = 0; i < resume.walkers.size(); ++i) {
       const PoolCheckpoint::WalkerEntry& entry = resume.walkers[i];
       const std::string walker = "resume.walkers[" + std::to_string(i) + "]";
       if (entry.stage == PoolCheckpoint::WalkerStage::kRunning) {
-        require_cost(entry.checkpoint.values, entry.checkpoint.cost,
+        const core::Checkpoint& checkpoint = entry.checkpoint;
+        require_cost(checkpoint.values, checkpoint.cost,
                      walker + ".checkpoint.cost");
-        require_cost(entry.checkpoint.best, entry.checkpoint.best_cost,
+        require_cost(checkpoint.best, checkpoint.best_cost,
                      walker + ".checkpoint.best_cost");
+        const std::uint64_t now = checkpoint.stats.iterations;
+        for (std::size_t v = 0; v < checkpoint.tabu_until.size(); ++v) {
+          const std::uint64_t until = checkpoint.tabu_until[v];
+          if (until > now && until - now > max_freeze) {
+            throw std::invalid_argument(
+                "WalkerPoolOptions: " + walker + ".checkpoint.tabu_until[" +
+                std::to_string(v) + "] is " + std::to_string(until) +
+                ", past iteration " + std::to_string(now) +
+                " plus the longest freeze " + std::to_string(max_freeze));
+          }
+        }
       } else if (entry.stage == PoolCheckpoint::WalkerStage::kDone) {
         // A finished walker is replayed verbatim, so its result must be a
         // walk this instance could have reported.  No solution means the
@@ -292,7 +309,6 @@ void JobExecution::run_walker(std::size_t id) {
   if (resume_entry != nullptr &&
       resume_entry->stage == PoolCheckpoint::WalkerStage::kDone) {
     out.result = resume_entry->result;
-    out.trace = resume_entry->trace;
     out.injected_faults = resume_entry->injected_faults;
     note_completion(id, out.result);
     return;
@@ -325,11 +341,6 @@ void JobExecution::run_walker(std::size_t id) {
     util::Xoshiro256 rng = streams_.stream(id);
     core::Hooks hooks = comm_hooks(options_.communication, comm_, id, k_,
                                    session.armed() ? &session : nullptr);
-    if (options_.trace.enabled) {
-      out.trace.walker_id = id;
-      hooks.trace = &out.trace;
-      hooks.trace_sample_period = options_.trace.sample_period;
-    }
     if (session.armed()) hooks.fault = &session;
     hooks.heartbeat = options_.heartbeat;
     if (options_.sample_sink && options_.sample_sink_period != 0) {
@@ -438,7 +449,6 @@ bool JobExecution::assemble_checkpoint(const MultiWalkReport& report) {
       }
       entry.stage = PoolCheckpoint::WalkerStage::kDone;
       entry.result = out.result;
-      entry.trace = out.trace;
       entry.injected_faults = out.injected_faults;
     } else {
       entry.stage = PoolCheckpoint::WalkerStage::kPending;

@@ -3,9 +3,9 @@
 //
 // run() hands the walker ids to run_tickets(), the one ticket loop and the
 // only function under src/parallel/ that starts a thread, then finalizes.
-// Ordered pools (kSequential, kEmulatedRace, or kThreads capped at
-// max_threads = 1) run inline on the caller in walker order; a kThreads
-// pool runs on min(k, max_threads or k, 16 x hardware threads) jthreads.
+// Ordered pools (kSequential, or kThreads capped at max_threads = 1) run
+// inline on the caller in walker order; a kThreads pool runs on min(k,
+// max_threads or k, 16 x hardware threads) jthreads.
 //
 // Every walker passes one start gate: once a stop source has fired, a
 // walker that has not started records interrupted, zero iterations and the

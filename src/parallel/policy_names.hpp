@@ -15,8 +15,8 @@
 
 namespace cspls::parallel {
 
-inline constexpr util::NameTable<Scheduling, Scheduling::kEmulatedRace>
-    kSchedulingNames("threads", "sequential", "emulated-race");
+inline constexpr util::NameTable<Scheduling, Scheduling::kSequential>
+    kSchedulingNames("threads", "sequential");
 inline constexpr util::NameTable<Neighborhood, Neighborhood::kHypercube>
     kNeighborhoodNames("isolated", "complete", "ring", "torus", "hypercube");
 inline constexpr util::NameTable<Exchange, Exchange::kDecayElite>

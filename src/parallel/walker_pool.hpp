@@ -7,12 +7,12 @@
 // three orthogonal policies instead of one hard-coded code path per regime.
 //
 //   Scheduling — how walkers execute:
-//     * kThreads       real std::jthread walkers racing on the hardware;
-//     * kSequential    the same walker population run to completion one
-//                      after another (the sampling primitive of sim/);
-//     * kEmulatedRace  sequential execution, but the report replays the
-//                      race on a deterministic iteration-synchronous
-//                      machine (winner = fewest iterations).
+//     * kThreads     real std::jthread walkers racing on the hardware;
+//     * kSequential  the same walker population run to completion one after
+//                    another (the sampling primitive of sim/); under
+//                    kFirstFinisher the report replays the race on a
+//                    deterministic iteration-synchronous machine (winner =
+//                    fewest iterations, resolve_emulated_race).
 //
 //   Communication (CommunicationPolicy, exchange.hpp) — who talks to whom
 //     and what they exchange, as two orthogonal pluggable concepts:
@@ -34,13 +34,13 @@
 //
 // Walker i always receives RNG stream i of the master seed and a clone of
 // the prototype, regardless of the policies — so scheduling, communication,
-// termination and tracing can be toggled without perturbing any walker's
-// trajectory (communication hooks excepted, since adoption is *meant* to
-// change trajectories).
+// termination and the sample sink can be toggled without perturbing any
+// walker's trajectory (communication hooks excepted, since adoption is
+// *meant* to change trajectories).
 //
-// Tracing: when enabled, each walker's core::WalkerTrace (counters +
-// cost-over-time samples) is recorded through core::Hooks and returned in
-// its WalkerOutcome.  Recording is passive and RNG-neutral.
+// Each walker's record is its WalkerOutcome's core::Result (outcome,
+// counters, solo seconds); its cost-over-time series is what the sample
+// sink receives while it walks.
 #pragma once
 
 #include <atomic>
@@ -52,7 +52,6 @@
 #include "core/params.hpp"
 #include "core/result.hpp"
 #include "core/stop_token.hpp"
-#include "core/trace.hpp"
 #include "csp/problem.hpp"
 #include "parallel/checkpoint.hpp"
 #include "parallel/exchange.hpp"
@@ -66,23 +65,11 @@ inline constexpr std::size_t kNoWinner = static_cast<std::size_t>(-1);
 enum class Scheduling {
   kThreads,     ///< real std::jthread walkers racing on the hardware
   kSequential,  ///< walkers executed to completion one after another
-  /// Sequential execution whose kFirstFinisher reports replay the race on a
-  /// deterministic iteration-synchronous machine.  Behaviourally identical
-  /// to kSequential (both honour the termination policy); the distinct name
-  /// states the caller's intent: emulating the race, not sampling walks.
-  kEmulatedRace,
 };
 
 enum class Termination {
   kFirstFinisher,    ///< first solver stops the pool (completion protocol)
   kBestAfterBudget,  ///< all walkers run their budget; best cost wins
-};
-
-/// Instrumentation policy: fills WalkerOutcome::trace when enabled.
-struct TracePolicy {
-  bool enabled = false;
-  /// Cost-over-time sampling period in iterations (0 = counters only).
-  std::uint64_t sample_period = 0;
 };
 
 struct WalkerPoolOptions {
@@ -104,7 +91,6 @@ struct WalkerPoolOptions {
   Scheduling scheduling = Scheduling::kThreads;
   CommunicationPolicy communication;
   Termination termination = Termination::kFirstFinisher;
-  TracePolicy trace;
 
   /// Fault-injection plans for this run, the only way faults enter it.
   /// Armed only in CSPLS_FAULT_INJECTION builds; in production builds the
@@ -121,13 +107,15 @@ struct WalkerPoolOptions {
   /// null disables.  Must outlive run().
   std::atomic<std::uint64_t>* heartbeat = nullptr;
 
-  /// Live cost-sample sink for the serving tier's streaming responses:
-  /// called with (walker_id, iteration, current cost) at iteration 0 and
-  /// every `sample_sink_period` iterations of each walk (see
-  /// core::Hooks::sample).  Invoked from walker bodies — concurrently under
-  /// Scheduling::kThreads — so the callback must be thread-safe and cheap.
-  /// Purely observational and RNG-neutral: enabling it cannot change the
-  /// outcome of a seeded run.  Must outlive run().
+  /// Cost-sample sink, the one per-walker cost series (the serving tier's
+  /// streamed samples, the ablation's anytime curves): called with
+  /// (walker_id, iteration, current cost) at iteration 0 and every
+  /// `sample_sink_period` iterations of each walk (see core::Hooks::sample).
+  /// Invoked from walker bodies — concurrently under Scheduling::kThreads,
+  /// but each walker from one thread only, so a sink that writes only
+  /// walker_id's own storage needs no lock.  Purely observational and
+  /// RNG-neutral: enabling it cannot change the outcome of a seeded run.
+  /// Must outlive run().
   std::function<void(std::size_t, std::uint64_t, csp::Cost)> sample_sink;
   std::uint64_t sample_sink_period = 0;  ///< 0 disables the sink
 
@@ -159,8 +147,6 @@ struct WalkerPoolOptions {
 struct WalkerOutcome {
   std::size_t walker_id = 0;
   core::Result result;
-  /// Instrumentation record; populated only when TracePolicy::enabled.
-  core::WalkerTrace trace;
   /// Fault plans that fired in this walker's session (0 in production
   /// builds and un-faulted runs) — the "report" half of corrupt-and-report.
   std::uint64_t injected_faults = 0;
@@ -177,8 +163,8 @@ struct MultiWalkReport {
   /// Index of the walker whose solution was accepted, or kNoWinner.
   std::size_t winner = kNoWinner;
   /// Wall-clock time from launch to the last walker having stopped.  Under
-  /// sequential/emulated scheduling this is the emulated machine's wall
-  /// clock: the max of the walkers' solo runtimes.
+  /// sequential scheduling this is the emulated machine's wall clock: the
+  /// max of the walkers' solo runtimes.
   double wall_seconds = 0.0;
   /// Wall-clock time from launch to the winning solution (completion time).
   double time_to_solution_seconds = 0.0;
@@ -254,7 +240,7 @@ class WalkerPool {
 
   /// Same, honouring an external StopToken under every Scheduling mode:
   /// cancellation or deadline expiry stops racing threads within one engine
-  /// polling period and cuts sequential/emulated populations short (walkers
+  /// polling period and cuts sequential populations short (walkers
   /// not yet started report interrupted with zero iterations).  A
   /// never-firing token makes this byte-for-byte identical to run(prototype)
   /// for a fixed master seed — the token is polled, never consulted for
@@ -268,8 +254,8 @@ class WalkerPool {
 
 /// Deterministic race replay over completed walks: the winner is the solved
 /// walker with the fewest iterations (the one that would have signalled
-/// completion first on an iteration-synchronous machine).  This is how
-/// Scheduling::kEmulatedRace builds its report.
+/// completion first on an iteration-synchronous machine).  This is how a
+/// sequential kFirstFinisher pool builds its report.
 [[nodiscard]] MultiWalkReport resolve_emulated_race(
     std::vector<WalkerOutcome> walkers);
 

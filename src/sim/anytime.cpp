@@ -5,7 +5,7 @@
 namespace cspls::sim {
 
 std::vector<AnytimePoint> anytime_curve(
-    std::span<const core::WalkerTrace> walkers,
+    std::span<const std::vector<CostSample>> walkers,
     std::span<const std::uint64_t> budgets) {
   // Per-walker prefix minima over the (already iteration-sorted) samples,
   // so each budget query is one binary search per walker.
@@ -15,13 +15,13 @@ std::vector<AnytimePoint> anytime_curve(
   };
   std::vector<PrefixMin> prefixes;
   prefixes.reserve(walkers.size());
-  for (const core::WalkerTrace& walker : walkers) {
-    if (walker.cost_samples.empty()) continue;
+  for (const std::vector<CostSample>& series : walkers) {
+    if (series.empty()) continue;
     PrefixMin prefix;
-    prefix.iterations.reserve(walker.cost_samples.size());
-    prefix.best.reserve(walker.cost_samples.size());
+    prefix.iterations.reserve(series.size());
+    prefix.best.reserve(series.size());
     csp::Cost running = csp::kInfiniteCost;
-    for (const core::TraceSample& sample : walker.cost_samples) {
+    for (const CostSample& sample : series) {
       running = std::min(running, sample.cost);
       prefix.iterations.push_back(sample.iteration);
       prefix.best.push_back(running);
@@ -48,12 +48,11 @@ std::vector<AnytimePoint> anytime_curve(
 }
 
 std::vector<std::uint64_t> anytime_budget_grid(
-    std::span<const core::WalkerTrace> walkers, std::size_t points) {
+    std::span<const std::vector<CostSample>> walkers, std::size_t points) {
   std::uint64_t max_iteration = 0;
-  for (const core::WalkerTrace& walker : walkers) {
-    if (walker.cost_samples.empty()) continue;
-    max_iteration =
-        std::max(max_iteration, walker.cost_samples.back().iteration);
+  for (const std::vector<CostSample>& series : walkers) {
+    if (series.empty()) continue;
+    max_iteration = std::max(max_iteration, series.back().iteration);
   }
   std::vector<std::uint64_t> grid;
   if (max_iteration == 0 || points == 0) return grid;

@@ -60,20 +60,14 @@ SampleSet collect_walk_samples(const csp::Problem& prototype,
   pool.params = params;
   pool.scheduling = parallel::Scheduling::kSequential;
   pool.termination = parallel::Termination::kBestAfterBudget;
-  pool.trace.enabled = true;
-  pool.trace.sample_period = options.trace_sample_period;
-  auto report = parallel::WalkerPool(pool).run(prototype);
+  const auto report = parallel::WalkerPool(pool).run(prototype);
 
   SampleSet set;
   set.samples.reserve(report.walkers.size());
-  set.traces.reserve(report.walkers.size());
-  for (auto& walker : report.walkers) {
-    WalkSample sample;
-    sample.solved = walker.trace.solved;
-    sample.seconds = walker.trace.seconds;
-    sample.iterations = walker.trace.iterations;
-    set.samples.push_back(sample);
-    set.traces.push_back(std::move(walker.trace));
+  for (const auto& walker : report.walkers) {
+    set.samples.push_back(WalkSample{walker.result.solved,
+                                     walker.result.stats.seconds,
+                                     walker.result.stats.iterations});
   }
   return set;
 }

@@ -7,11 +7,11 @@
 // metering is noise-free on a shared/throttled host and converts to
 // platform seconds through the measured cost-per-iteration.
 //
-// Sampling runs on the WalkerTrace API of the unified parallel runtime: one
-// sequential WalkerPool with tracing enabled, one walker per sample, walker
-// i on RNG stream i of the master seed — the exact streams the racing
-// engine would use, which is what makes offline min-of-k analysis of these
-// samples equivalent to the racing version.
+// Sampling runs on the unified parallel runtime: one sequential WalkerPool,
+// one walker per sample, walker i on RNG stream i of the master seed — the
+// exact streams the racing engine would use, which is what makes offline
+// min-of-k analysis of these samples equivalent to the racing version.
+// Each sample reads its walker's core::Result.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/params.hpp"
-#include "core/trace.hpp"
 #include "csp/problem.hpp"
 #include "sim/order_stats.hpp"
 
@@ -31,9 +30,6 @@ struct SamplingOptions {
   /// Engine parameters; default = the model's tuning hints with a generous
   /// restart budget so nearly every walk terminates with a solution.
   std::optional<core::Params> params;
-  /// Cost-over-time sampling period, in iterations, recorded into each
-  /// walk's trace (0 = counters only; keeps sampling allocation-free).
-  std::uint64_t trace_sample_period = 0;
 };
 
 struct WalkSample {
@@ -44,9 +40,6 @@ struct WalkSample {
 
 struct SampleSet {
   std::vector<WalkSample> samples;
-  /// Full instrumentation record of every sampled walk, indexed like
-  /// `samples`; cost_samples populated when trace_sample_period was set.
-  std::vector<core::WalkerTrace> traces;
 
   /// Distribution of wall-clock runtimes of the solved walks.
   [[nodiscard]] EmpiricalDistribution seconds_distribution() const;

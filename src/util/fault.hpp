@@ -7,8 +7,8 @@
 // makes those failure modes *reproducible*: a FaultPlan names an injection
 // site, a target walker, a 1-based probe count and a failure kind, and a
 // Session fires the plan at exactly that probe — same seed, same plans,
-// same crash, every run (the same philosophy that makes kEmulatedRace the
-// testing story for races).
+// same crash, every run (the same philosophy that makes a sequential
+// first-finisher pool the testing story for races).
 //
 // Sites (each probed by the layer that owns it):
 //   walker_iteration  once per engine iteration (core::AdaptiveSearch);

@@ -224,9 +224,8 @@ TEST(SelfHealing, HostileResumeConfigurationsRejectNamingTheMember) {
       .walkers = {{.stage = Stage::kRunning,
                    .checkpoint = {.values = identity, .best = identity,
                                   .tabu_until = {0, 0, 0, 0, 0, 0, 0, 0, 0},
-                                  .rng_state = {1, 2, 3, 4}, .stats = {},
-                                  .trace_samples = {}},
-                   .result = {}, .trace = {}},
+                                  .rng_state = {1, 2, 3, 4}, .stats = {}},
+                   .result = {}},
                   {}},  // kPending
       .elite = {}};
   core::Checkpoint& running = request.resume_from->walkers[0].checkpoint;
@@ -290,6 +289,11 @@ TEST(SelfHealing, HostileResumeConfigurationsRejectNamingTheMember) {
   captured.cost += 1;
   expect_rejected(request, "walkers[0].checkpoint.cost");
   captured.cost -= 1;
+  // The engine sets a tabu clock to at most the iteration plus the longest
+  // freeze (here freeze_loc_min 5, freeze_swap 0): one past it is a lie.
+  captured.tabu_until[2] = captured.stats.iterations + 6;
+  expect_rejected(request, "walkers[0].checkpoint.tabu_until");
+  captured.tabu_until = checkpoint->walkers[0].checkpoint.tabu_until;
 
   // A finished walker is replayed verbatim, so its result is checked too:
   // a solution that does not cost what it says, a cost that does not

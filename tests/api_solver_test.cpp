@@ -38,7 +38,7 @@ TEST(SolveRequestJson, EncodeDecodeEncodeIsByteStable) {
   request.problem = "perfect-square:8@7";
   request.walkers = 16;
   request.seed = 0xFFFFFFFFFFFFFFFFULL;  // full 64-bit seeds must survive
-  request.scheduling = parallel::Scheduling::kEmulatedRace;
+  request.scheduling = parallel::Scheduling::kSequential;
   request.neighborhood = parallel::Neighborhood::kTorus;
   request.exchange = parallel::Exchange::kDecayElite;
   request.comm_mode = parallel::CommMode::kAsync;
@@ -60,8 +60,6 @@ TEST(SolveRequestJson, EncodeDecodeEncodeIsByteStable) {
   params.prob_accept_plateau = 0.5;
   params.prob_accept_local_min = 0.125;
   request.params = params;
-  request.trace = true;
-  request.trace_sample_period = 100;
 
   const std::string encoded = request.to_json_string();
   const SolveRequest decoded = SolveRequest::from_json_string(encoded);
@@ -93,7 +91,7 @@ TEST(SolveRequestJson, DefaultsApplyAndBadDocumentsAreNamed) {
   } catch (const std::invalid_argument& e) {
     const std::string message = e.what();
     EXPECT_NE(message.find("scheduling"), std::string::npos) << message;
-    EXPECT_NE(message.find("emulated-race"), std::string::npos) << message;
+    EXPECT_NE(message.find("sequential"), std::string::npos) << message;
   }
   try {
     (void)SolveRequest::from_json_string(
@@ -390,7 +388,7 @@ TEST(SolverIdentity, EmulatedRaceMatchesWalkerPool) {
   request.problem = "costas:10";
   request.walkers = 5;
   request.seed = 42;
-  request.scheduling = parallel::Scheduling::kEmulatedRace;
+  request.scheduling = parallel::Scheduling::kSequential;
   request.termination = parallel::Termination::kFirstFinisher;
   expect_matches_direct_pool(request);
 }
@@ -411,8 +409,7 @@ TEST(SolverIdentity, ThreadedBestAfterBudgetMatchesWalkerPool) {
 
 TEST(SolverDeadline, HonoredUnderAllSchedulingPolicies) {
   for (const auto scheduling :
-       {parallel::Scheduling::kThreads, parallel::Scheduling::kSequential,
-        parallel::Scheduling::kEmulatedRace}) {
+       {parallel::Scheduling::kThreads, parallel::Scheduling::kSequential}) {
     SolveRequest request = unsolvable_request(scheduling);
     request.deadline_ms = 100;
     util::Stopwatch watch;
@@ -446,8 +443,7 @@ TEST(SolverDeadline, NoDeadlineNeverSetsTheFlag) {
 
 TEST(SolverCancel, HonoredUnderAllSchedulingPolicies) {
   for (const auto scheduling :
-       {parallel::Scheduling::kThreads, parallel::Scheduling::kSequential,
-        parallel::Scheduling::kEmulatedRace}) {
+       {parallel::Scheduling::kThreads, parallel::Scheduling::kSequential}) {
     const SolveRequest request = unsolvable_request(scheduling);
     std::atomic<bool> cancel{false};
     std::thread canceller([&cancel] {
@@ -490,8 +486,7 @@ TEST(Solver, TorusMigrationRoundTripsAndRunsUnderAllSchedulingModes) {
 
   // ...and the decoded request runs under every scheduling policy.
   for (const auto scheduling :
-       {parallel::Scheduling::kThreads, parallel::Scheduling::kSequential,
-        parallel::Scheduling::kEmulatedRace}) {
+       {parallel::Scheduling::kThreads, parallel::Scheduling::kSequential}) {
     SolveRequest run = decoded;
     run.scheduling = scheduling;
     const SolveReport report = Solver::solve(run);

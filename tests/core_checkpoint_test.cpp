@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/adaptive_search.hpp"
 #include "problems/costas.hpp"
@@ -22,17 +24,26 @@ Params test_params(const csp::Problem& p) {
   return params;
 }
 
+/// The walk's (iteration, cost) samples, every 8 iterations.
+using Samples = std::vector<std::pair<std::uint64_t, csp::Cost>>;
+
+/// Point `hooks`' sample hook at `samples` (a no-op when null).
+void sample_into(Hooks& hooks, Samples* samples) {
+  if (samples == nullptr) return;
+  hooks.sample = [samples](std::uint64_t iteration, csp::Cost cost) {
+    samples->emplace_back(iteration, cost);
+  };
+  hooks.sample_period = 8;
+}
+
 /// Run to completion with no interruption: the reference trajectory.
 Result reference_run(const csp::Problem& prototype, std::uint64_t seed,
-                     WalkerTrace* trace = nullptr) {
+                     Samples* samples = nullptr) {
   auto problem = prototype.clone();
   const AdaptiveSearch engine(test_params(*problem));
   util::Xoshiro256 rng(seed);
   Hooks hooks;
-  if (trace != nullptr) {
-    hooks.trace = trace;
-    hooks.trace_sample_period = 64;
-  }
+  sample_into(hooks, samples);
   return engine.solve(*problem, rng, StopToken(), hooks);
 }
 
@@ -43,23 +54,19 @@ std::optional<Checkpoint> capture_at(const csp::Problem& prototype,
                                      std::uint64_t seed,
                                      std::uint64_t preempt_at,
                                      Result* interrupted_out = nullptr,
-                                     bool with_trace = false) {
+                                     Samples* samples = nullptr) {
   auto problem = prototype.clone();
   const AdaptiveSearch engine(test_params(*problem));
   util::Xoshiro256 rng(seed);
   std::atomic<bool> preempt{false};
   std::optional<Checkpoint> checkpoint;
-  WalkerTrace trace;
   Hooks hooks;
   hooks.observer_period = 1;
   hooks.observer = [&](std::uint64_t iter, csp::Cost, std::span<const int>) {
     if (iter >= preempt_at) preempt.store(true, std::memory_order_relaxed);
   };
   hooks.checkpoint_out = &checkpoint;
-  if (with_trace) {
-    hooks.trace = &trace;
-    hooks.trace_sample_period = 64;
-  }
+  sample_into(hooks, samples);
   const Result result = engine.solve(
       *problem, rng, StopToken().with_preempt(&preempt), hooks);
   if (interrupted_out != nullptr) *interrupted_out = result;
@@ -68,16 +75,13 @@ std::optional<Checkpoint> capture_at(const csp::Problem& prototype,
 
 /// Resume from `checkpoint` and run to completion.
 Result resume_run(const csp::Problem& prototype, const Checkpoint& checkpoint,
-                  WalkerTrace* trace = nullptr) {
+                  Samples* samples = nullptr) {
   auto problem = prototype.clone();
   const AdaptiveSearch engine(test_params(*problem));
   util::Xoshiro256 rng(0);  // overwritten by the checkpoint's RNG state
   Hooks hooks;
   hooks.resume = &checkpoint;
-  if (trace != nullptr) {
-    hooks.trace = trace;
-    hooks.trace_sample_period = 64;
-  }
+  sample_into(hooks, samples);
   return engine.solve(*problem, rng, StopToken(), hooks);
 }
 
@@ -133,11 +137,11 @@ TEST(CoreCheckpoint, ResumeIsByteIdenticalToTheUninterruptedRun) {
 
 TEST(CoreCheckpoint, ResumeAfterJsonRoundTripIsStillByteIdentical) {
   const problems::Costas costas(10);
-  WalkerTrace reference_trace;
-  const Result reference = reference_run(costas, 77, &reference_trace);
-  const std::optional<Checkpoint> checkpoint =
-      capture_at(costas, 77, reference.stats.iterations / 2, nullptr,
-                 /*with_trace=*/true);
+  Samples reference_samples;
+  const Result reference = reference_run(costas, 77, &reference_samples);
+  Samples samples;
+  const std::optional<Checkpoint> checkpoint = capture_at(
+      costas, 77, reference.stats.iterations / 2, nullptr, &samples);
   ASSERT_TRUE(checkpoint.has_value());
 
   const std::optional<util::Json> reparsed =
@@ -146,19 +150,15 @@ TEST(CoreCheckpoint, ResumeAfterJsonRoundTripIsStillByteIdentical) {
   const Checkpoint decoded = Checkpoint::from_json(*reparsed);
   EXPECT_EQ(decoded, *checkpoint);
 
-  WalkerTrace resumed_trace;
-  expect_byte_identical(resume_run(costas, decoded, &resumed_trace),
-                        reference);
-  // The resumed trace reads as one uninterrupted walk: the pre-preemption
-  // samples carried through the checkpoint, the rest appended on resume.
-  EXPECT_EQ(resumed_trace.cost_samples.size(),
-            reference_trace.cost_samples.size());
-  for (std::size_t i = 0; i < resumed_trace.cost_samples.size(); ++i) {
-    EXPECT_EQ(resumed_trace.cost_samples[i].iteration,
-              reference_trace.cost_samples[i].iteration);
-    EXPECT_EQ(resumed_trace.cost_samples[i].cost,
-              reference_trace.cost_samples[i].cost);
-  }
+  const std::size_t before = samples.size();
+  ASSERT_GE(before, 2u);  // iteration 0 and at least one period
+  expect_byte_identical(resume_run(costas, decoded, &samples), reference);
+  // The preempted run's samples followed by the resumed run's read as one
+  // uninterrupted walk: the resumed walk takes no second iteration-0
+  // sample and goes on at the next period.
+  ASSERT_GT(samples.size(), before);
+  EXPECT_GT(samples[before].first, samples[before - 1].first);
+  EXPECT_EQ(samples, reference_samples);
 }
 
 TEST(CoreCheckpoint, CheckpointIsNotCapturedForPlainCancellation) {

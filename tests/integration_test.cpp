@@ -45,33 +45,6 @@ TEST(Integration, SamplingIsExactlyReproducibleInIterations) {
   }
 }
 
-TEST(Integration, SamplingTracesExposeCostOverTime) {
-  // The trace API behind the runtime-distribution sampling: per-walk
-  // counters plus a cost-over-time series, without perturbing the samples.
-  auto costas = problems::make_problem("costas", 9);
-  sim::SamplingOptions options;
-  options.num_samples = 12;
-  options.master_seed = 7;
-  options.trace_sample_period = 50;
-  const auto set = sim::collect_walk_samples(*costas, options);
-  ASSERT_EQ(set.traces.size(), set.samples.size());
-
-  sim::SamplingOptions untraced = options;
-  untraced.trace_sample_period = 0;
-  const auto plain = sim::collect_walk_samples(*costas, untraced);
-  for (std::size_t i = 0; i < set.samples.size(); ++i) {
-    // Recording is passive: iteration counts match the untraced run.
-    EXPECT_EQ(set.samples[i].iterations, plain.samples[i].iterations);
-    const auto& trace = set.traces[i];
-    EXPECT_EQ(trace.iterations, set.samples[i].iterations);
-    EXPECT_EQ(trace.solved, set.samples[i].solved);
-    ASSERT_GE(trace.cost_samples.size(), 2u);
-    EXPECT_EQ(trace.cost_samples.front().iteration, 0u);
-    EXPECT_EQ(trace.cost_samples.back().iteration, trace.iterations);
-    if (trace.solved) EXPECT_EQ(trace.cost_samples.back().cost, 0);
-  }
-}
-
 TEST(Integration, MiniFigureOnePipeline) {
   // Miniature of bench_fig1: costas walk law -> HA8000 model -> speedups.
   auto costas = problems::make_problem("costas", 10);
@@ -105,7 +78,7 @@ TEST(Integration, RacingAndOfflineFirstFinisherAgreeOnWinnersLaw) {
   ASSERT_TRUE(report.solved);
   ASSERT_TRUE(costas->verify(report.best.solution));
 
-  options.scheduling = parallel::Scheduling::kEmulatedRace;
+  options.scheduling = parallel::Scheduling::kSequential;
   const auto offline = parallel::WalkerPool(options).run(*costas);
   ASSERT_TRUE(offline.solved);
   EXPECT_TRUE(costas->verify(offline.best.solution));

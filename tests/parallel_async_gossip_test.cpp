@@ -1,8 +1,8 @@
 // Asynchronous gossip (CommMode::kAsync): the engine's mid-walk adoption
 // hook, mid-walk pull wiring through comm_hooks, determinism of gossiping
-// pools under kSequential/kEmulatedRace, the adoption/publish/accept
-// counter split, threaded gossip under TSan, and the async x kNone
-// validation rejection.
+// sequential pools (best-after-budget and first-finisher), the
+// adoption/publish/accept counter split, threaded gossip under TSan, and
+// the async x kNone validation rejection.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -163,7 +163,6 @@ TEST(AsyncGossip, DeterministicUnderEmulatedRace) {
   WalkerPoolOptions pool =
       gossip_options(Neighborhood::kComplete, Exchange::kElite,
                      CommMode::kAsync);
-  pool.scheduling = Scheduling::kEmulatedRace;
   pool.termination = Termination::kFirstFinisher;
   const auto a = WalkerPool(pool).run(langford);
   const auto b = WalkerPool(pool).run(langford);

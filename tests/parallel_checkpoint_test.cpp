@@ -101,8 +101,7 @@ void expect_same_report(const MultiWalkReport& resumed,
 TEST(PoolCheckpoint, ResumeIsByteIdenticalUnderEverySchedulingMode) {
   const problems::Langford langford(5);
   for (const Scheduling scheduling :
-       {Scheduling::kSequential, Scheduling::kEmulatedRace,
-        Scheduling::kThreads}) {
+       {Scheduling::kSequential, Scheduling::kThreads}) {
     const WalkerPoolOptions options = base_options(scheduling, 3, 42);
     const MultiWalkReport reference = WalkerPool(options).run(langford);
 
@@ -145,7 +144,7 @@ TEST(PoolCheckpoint, ResumedEmulatedRaceReachesTheSameWinner) {
   WalkerPoolOptions options;
   options.num_walkers = 4;
   options.master_seed = 7;
-  options.scheduling = Scheduling::kEmulatedRace;
+  options.scheduling = Scheduling::kSequential;
   options.termination = Termination::kFirstFinisher;
   const MultiWalkReport reference = WalkerPool(options).run(costas);
   ASSERT_TRUE(reference.solved);
@@ -168,8 +167,6 @@ TEST(PoolCheckpoint, JsonRoundTripIsExactAndStrict) {
   WalkerPoolOptions options =
       base_options(Scheduling::kSequential, 3, 42);
   options.communication = shared_elite();
-  options.trace.enabled = true;
-  options.trace.sample_period = 32;
   const std::optional<PoolCheckpoint> checkpoint =
       preempt_run(langford, options, 96);
   ASSERT_TRUE(checkpoint.has_value());

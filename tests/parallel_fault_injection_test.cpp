@@ -59,8 +59,7 @@ TEST(FaultInjection, SeededPlanKillsOneWalkerSurvivorsAreByteIdentical) {
   }
   const problems::Costas costas(9);
   for (const Scheduling scheduling :
-       {Scheduling::kSequential, Scheduling::kEmulatedRace,
-        Scheduling::kThreads}) {
+       {Scheduling::kSequential, Scheduling::kThreads}) {
     WalkerPoolOptions options = budget_options(scheduling, 3, 42);
     const MultiWalkReport reference = WalkerPool(options).run(costas);
     ASSERT_EQ(reference.failed_walkers, 0u);
@@ -96,8 +95,7 @@ TEST(FaultInjection, AllWalkersCrashingStillYieldsAStructuredReport) {
   }
   const problems::Costas costas(9);
   for (const Scheduling scheduling :
-       {Scheduling::kSequential, Scheduling::kEmulatedRace,
-        Scheduling::kThreads}) {
+       {Scheduling::kSequential, Scheduling::kThreads}) {
     WalkerPoolOptions options = budget_options(scheduling, 3, 7);
     options.termination = Termination::kFirstFinisher;
     FaultPlan kill_all;
@@ -339,8 +337,7 @@ TEST(CrashContainment, FusedBatchContainsACrashingMemberSiblingsUnaffected) {
       {&left, budget_options(Scheduling::kSequential, 2, 31), {}});
   jobs.push_back(
       {&crasher, budget_options(Scheduling::kSequential, 3, 21), {}});
-  jobs.push_back(
-      {&right, budget_options(Scheduling::kEmulatedRace, 2, 8), {}});
+  jobs.push_back({&right, budget_options(Scheduling::kSequential, 2, 8), {}});
 
   std::mutex m;
   std::vector<std::unique_ptr<MultiWalkReport>> reports(jobs.size());

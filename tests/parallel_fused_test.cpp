@@ -86,7 +86,7 @@ struct ReportCollector {
 
 TEST(FusedRun, HeterogeneousBatchIsByteIdenticalToSoloRuns) {
   // Mixed sizes, seeds, problems and scheduling modes in one batch — every
-  // deterministic configuration: ordered sequential/emulated members and a
+  // deterministic configuration: ordered sequential members and a
   // threaded best-after-budget member (walker trajectories independent, so
   // any interleaving yields the same per-walker results).
   const problems::Costas costas10(10);
@@ -98,7 +98,7 @@ TEST(FusedRun, HeterogeneousBatchIsByteIdenticalToSoloRuns) {
   jobs.push_back({&costas10, options_of(3, 42, Scheduling::kSequential,
                                         Termination::kBestAfterBudget),
                   {}});
-  jobs.push_back({&langford, options_of(4, 7, Scheduling::kEmulatedRace,
+  jobs.push_back({&langford, options_of(4, 7, Scheduling::kSequential,
                                         Termination::kFirstFinisher),
                   {}});
   jobs.push_back({&costas9, options_of(2, 11, Scheduling::kThreads,

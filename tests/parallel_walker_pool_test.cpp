@@ -3,7 +3,7 @@
 // RNG-stream identity), fixed-seed identity of the PR-1 communication
 // schemes spelled through the Neighborhood x ExchangeStrategy API, the
 // migration and decay-elite strategies, option validation,
-// best-after-budget termination, and trace neutrality.
+// best-after-budget termination, and sample-sink neutrality.
 #include "parallel/walker_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -75,38 +75,29 @@ TEST(WalkerPoolEquivalence, SequentialModeReproducesLegacyIndependentWalks) {
   }
 }
 
-TEST(WalkerPoolEquivalence, TracingDoesNotPerturbOutcomes) {
+TEST(WalkerPoolEquivalence, SampleSinkDoesNotPerturbOutcomes) {
   problems::Costas costas(10);
   const auto reference = reference_walks(costas, 4, 7);
 
+  std::vector<std::vector<std::uint64_t>> iterations(4);
   WalkerPoolOptions pool = sequential_options(4, 7);
-  pool.trace.enabled = true;
-  pool.trace.sample_period = 50;
+  pool.sample_sink = [&iterations](std::size_t id, std::uint64_t iteration,
+                                   csp::Cost) {
+    iterations[id].push_back(iteration);
+  };
+  pool.sample_sink_period = 50;
   const auto report = WalkerPool(pool).run(costas);
   ASSERT_EQ(report.walkers.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     const auto& walker = report.walkers[i];
-    // Identical trajectory despite recording: tracing is RNG-neutral.
+    // Identical trajectory despite sampling: the sink is RNG-neutral.
     EXPECT_EQ(walker.result.stats.iterations, reference[i].stats.iterations);
     EXPECT_EQ(walker.result.solution, reference[i].solution);
-    // Trace counters mirror the result's stats.
-    EXPECT_EQ(walker.trace.walker_id, i);
-    EXPECT_EQ(walker.trace.solved, walker.result.solved);
-    EXPECT_EQ(walker.trace.iterations, walker.result.stats.iterations);
-    EXPECT_EQ(walker.trace.resets, walker.result.stats.resets);
-    EXPECT_EQ(walker.trace.restarts, walker.result.stats.restarts);
-    EXPECT_EQ(walker.trace.best_cost, walker.result.cost);
-    EXPECT_DOUBLE_EQ(walker.trace.seconds, walker.result.stats.seconds);
-    // Cost-over-time series: starts at iteration 0, ends at the final
-    // iteration, sampled in non-decreasing order.
-    ASSERT_GE(walker.trace.cost_samples.size(), 2u);
-    EXPECT_EQ(walker.trace.cost_samples.front().iteration, 0u);
-    EXPECT_EQ(walker.trace.cost_samples.back().iteration,
-              walker.trace.iterations);
-    EXPECT_EQ(walker.trace.cost_samples.back().cost, walker.result.cost);
-    for (std::size_t s = 1; s < walker.trace.cost_samples.size(); ++s) {
-      EXPECT_LE(walker.trace.cost_samples[s - 1].iteration,
-                walker.trace.cost_samples[s].iteration);
+    // The series starts at iteration 0 and rises in steps of the period,
+    // up to the walk's last iteration.
+    ASSERT_EQ(iterations[i].size(), walker.result.stats.iterations / 50 + 1);
+    for (std::size_t s = 0; s < iterations[i].size(); ++s) {
+      EXPECT_EQ(iterations[i][s], 50 * s);
     }
   }
 }
@@ -117,7 +108,6 @@ TEST(WalkerPoolEquivalence, EmulatedRaceReplaysTheSequentialWalks) {
       WalkerPool(sequential_options(6, 11)).run(costas).walkers);
 
   WalkerPoolOptions pool = sequential_options(6, 11);
-  pool.scheduling = Scheduling::kEmulatedRace;
   pool.termination = Termination::kFirstFinisher;
   const auto emulated = WalkerPool(pool).run(costas);
 
@@ -191,22 +181,6 @@ TEST(WalkerPool, RingEliteIsDeterministicSequentially) {
   EXPECT_GE(a.elite_accepted, pool.num_walkers);
 }
 
-TEST(WalkerPool, EmulatedRaceHonoursBestAfterBudgetTermination) {
-  // The termination policy stays orthogonal under emulated scheduling: with
-  // kBestAfterBudget the report must match the sequential pool's selection,
-  // not first-finisher race replay.
-  problems::Costas costas(9);
-  WalkerPoolOptions pool = sequential_options(3, 5);
-  pool.scheduling = Scheduling::kEmulatedRace;  // termination: kBestAfterBudget
-  const auto emulated = WalkerPool(pool).run(costas);
-  const auto sequential = WalkerPool(sequential_options(3, 5)).run(costas);
-  EXPECT_EQ(emulated.solved, sequential.solved);
-  EXPECT_EQ(emulated.winner, sequential.winner);
-  EXPECT_EQ(emulated.best.solution, sequential.best.solution);
-  EXPECT_DOUBLE_EQ(emulated.time_to_solution_seconds,
-                   emulated.wall_seconds);
-}
-
 TEST(WalkerPool, BestAfterBudgetReportsLowestCost) {
   problems::Langford langford(5);  // unsolvable
   core::Params params =
@@ -227,6 +201,8 @@ TEST(WalkerPool, BestAfterBudgetReportsLowestCost) {
     EXPECT_FALSE(w.result.interrupted);  // nobody raced anybody
   }
   EXPECT_EQ(report.best.cost, lowest);
+  // Not a race replay: the emulated machine's wall clock is the result time.
+  EXPECT_DOUBLE_EQ(report.time_to_solution_seconds, report.wall_seconds);
 }
 
 TEST(WalkerPool, ThreadedBestAfterBudgetRunsEveryWalkerToCompletion) {
@@ -587,14 +563,14 @@ TEST(WalkerPool, CollapsedThreadedRaceShortCircuitsAfterInternalWinner) {
 }
 
 TEST(WalkerPool, SchedulingModesShareWalkerTrajectories) {
-  // The sequential pool, the threaded race and the emulated race all draw
-  // walker i from stream i of the master seed; the emulated winner's
-  // trajectory therefore appears verbatim among the sequential walkers.
+  // The sequential pool, the threaded race and the emulated race (a
+  // sequential first-finisher pool) all draw walker i from stream i of the
+  // master seed; the emulated winner's trajectory therefore appears
+  // verbatim among the best-after-budget walkers.
   problems::Costas costas(9);
   const auto sequential = WalkerPool(sequential_options(3, 77)).run(costas);
 
   WalkerPoolOptions emulated_options = sequential_options(3, 77);
-  emulated_options.scheduling = Scheduling::kEmulatedRace;
   emulated_options.termination = Termination::kFirstFinisher;
   const auto emulated = WalkerPool(emulated_options).run(costas);
 

@@ -1,8 +1,8 @@
 // One strict codec for every wire value.
 //
-// Golden bytes: every encoding below was recorded with the hand-rolled
-// codecs that the shared util::JsonReader replaced.  The codecs must
-// reproduce each byte for byte and decode each back to an equal value.
+// Golden bytes: every encoding below is a recorded wire document.  The
+// codecs must reproduce each byte for byte and decode each back to an equal
+// value.
 // Strictness: every value decoder rejects an unknown member, a missing
 // required member, a mistyped member and an out-of-range integer with
 // std::invalid_argument naming the member.  Names: each wire enum has one
@@ -36,8 +36,7 @@ core::Checkpoint golden_checkpoint() {
           .marks_since_reset = 3,
           .rng_state = {0x0123456789abcdefULL, 42, ~0ULL, 7},
           .stats = {1234, 1000, 200, 34, 5, 1, 99999, 0.125},
-          .iter_in_walk = 234, .restarts_done = 1,
-          .trace_samples = {{0, 12}, {256, 7}, {512, 2}}};
+          .iter_in_walk = 234, .restarts_done = 1};
 }
 
 parallel::PoolCheckpoint golden_pool_checkpoint() {
@@ -47,17 +46,11 @@ parallel::PoolCheckpoint golden_pool_checkpoint() {
       .stats = {5000, 4100, 600, 300, 30, 2, 123456, 0.5},
       .interrupted = true, .stop_cause = core::StopCause::kDeadline,
       .error = ""};
-  const core::WalkerTrace trace{
-      .walker_id = 2, .interrupted = true, .iterations = 5000, .resets = 30,
-      .restarts = 2, .local_minima = 300, .seconds = 0.5, .best_cost = 1,
-      .cost_samples = {{0, 9}, {1000, 4}, {5000, 1}}};
   return {.walkers = {{},  // kPending
                       {.stage = Stage::kRunning,
-                       .checkpoint = golden_checkpoint(), .result = {},
-                       .trace = {}},
+                       .checkpoint = golden_checkpoint(), .result = {}},
                       {.stage = Stage::kDone, .checkpoint = {},
-                       .result = result, .trace = trace,
-                       .injected_faults = 1}},
+                       .result = result, .injected_faults = 1}},
           .elite = {{.has_entry = true, .cost = 1, .values = {4, 3, 2, 1, 0},
                      .tick = 17, .publisher = 2, .publishes = 9,
                      .accepted = 4},
@@ -72,7 +65,7 @@ util::fault::FaultPlan golden_fault_plan() {
 
 api::SolveRequest golden_request() {
   return {.problem = "langford:5", .walkers = 3, .seed = ~0ULL,
-          .scheduling = parallel::Scheduling::kEmulatedRace,
+          .scheduling = parallel::Scheduling::kSequential,
           .neighborhood = parallel::Neighborhood::kRing,
           .exchange = parallel::Exchange::kDecayElite,
           .comm_mode = parallel::CommMode::kAsync,
@@ -81,7 +74,6 @@ api::SolveRequest golden_request() {
           .max_threads = 2, .deadline_ms = 9000,
           .params = core::Params{-1, 5000, core::RestartSchedule::kLuby, 7, 4,
                                  1, 12, 0.25, 0.9, 0.05},
-          .trace = true, .trace_sample_period = 256,
           .retry = {3, 20, 1.5, 0.1}, .watchdog_stall_ms = 750,
           .warm_start = std::nullopt,
           .faults = {golden_fault_plan(), util::fault::FaultPlan{}},
@@ -113,15 +105,15 @@ api::SolveReport golden_report() {
 // --- The golden bytes ---------------------------------------------------
 
 constexpr std::string_view kRequest =
-    R"json({"problem":"langford:5","walkers":3,"seed":18446744073709551615,"scheduling":"emulated-race","neighborhood":"ring","exchange":"decay-elite","comm_mode":"async","termination":"best-after-budget","comm_period":250,"comm_adopt_probability":0.3,"comm_decay":4,"max_threads":2,"deadline_ms":9000,"params":{"target_cost":-1,"restart_limit":5000,"restart_schedule":"luby","max_restarts":7,"freeze_loc_min":4,"freeze_swap":1,"reset_limit":12,"reset_fraction":0.25,"prob_accept_plateau":0.9,"prob_accept_local_min":0.05},"trace":true,"trace_sample_period":256,"retry":{"max_attempts":3,"base_backoff_ms":20,"multiplier":1.5,"jitter":0.1},"watchdog_stall_ms":750,"faults":[{"site":"elite_adopt","walker":1,"at":3,"kind":"stall","stall_ms":25},{"site":"walker_iteration","at":1,"kind":"throw","stall_ms":10}],"resume_from":{"schema":"cspls-pool-checkpoint/1","walkers":[{"stage":"pending"},{"stage":"running","checkpoint":{"schema":"cspls-checkpoint/1","values":[3,1,4,0,2],"cost":7,"best":[0,1,2,4,3],"best_cost":2,"tabu_until":[0,12,0,40,3],"marks_since_reset":3,"rng_state":[81985529216486895,42,18446744073709551615,7],"stats":{"iterations":1234,"swaps":1000,"plateau_moves":200,"local_minima":34,"resets":5,"restarts":1,"cost_evaluations":99999,"seconds":0.125},"iter_in_walk":234,"restarts_done":1,"trace_samples":[[0,12],[256,7],[512,2]]}},{"stage":"done","result":{"solved":false,"cost":1,"solution":[4,3,2,1,0],"stats":{"iterations":5000,"swaps":4100,"plateau_moves":600,"local_minima":300,"resets":30,"restarts":2,"cost_evaluations":123456,"seconds":0.5},"interrupted":true,"stop_cause":"deadline","error":""},"trace":{"walker_id":2,"solved":false,"interrupted":true,"iterations":5000,"resets":30,"restarts":2,"local_minima":300,"seconds":0.5,"best_cost":1,"cost_samples":[[0,9],[1000,4],[5000,1]]},"injected_faults":1}],"elite":[{"has_entry":true,"cost":1,"values":[4,3,2,1,0],"tick":17,"publisher":2,"publishes":9,"accepted":4},{"has_entry":false,"cost":0,"values":[],"tick":0,"publisher":18446744073709551615,"publishes":0,"accepted":0}],"comm_clock":17,"comm_adoptions":3}})json";
+    R"json({"problem":"langford:5","walkers":3,"seed":18446744073709551615,"scheduling":"sequential","neighborhood":"ring","exchange":"decay-elite","comm_mode":"async","termination":"best-after-budget","comm_period":250,"comm_adopt_probability":0.3,"comm_decay":4,"max_threads":2,"deadline_ms":9000,"params":{"target_cost":-1,"restart_limit":5000,"restart_schedule":"luby","max_restarts":7,"freeze_loc_min":4,"freeze_swap":1,"reset_limit":12,"reset_fraction":0.25,"prob_accept_plateau":0.9,"prob_accept_local_min":0.05},"retry":{"max_attempts":3,"base_backoff_ms":20,"multiplier":1.5,"jitter":0.1},"watchdog_stall_ms":750,"faults":[{"site":"elite_adopt","walker":1,"at":3,"kind":"stall","stall_ms":25},{"site":"walker_iteration","at":1,"kind":"throw","stall_ms":10}],"resume_from":{"schema":"cspls-pool-checkpoint/2","walkers":[{"stage":"pending"},{"stage":"running","checkpoint":{"schema":"cspls-checkpoint/2","values":[3,1,4,0,2],"cost":7,"best":[0,1,2,4,3],"best_cost":2,"tabu_until":[0,12,0,40,3],"marks_since_reset":3,"rng_state":[81985529216486895,42,18446744073709551615,7],"stats":{"iterations":1234,"swaps":1000,"plateau_moves":200,"local_minima":34,"resets":5,"restarts":1,"cost_evaluations":99999,"seconds":0.125},"iter_in_walk":234,"restarts_done":1}},{"stage":"done","result":{"solved":false,"cost":1,"solution":[4,3,2,1,0],"stats":{"iterations":5000,"swaps":4100,"plateau_moves":600,"local_minima":300,"resets":30,"restarts":2,"cost_evaluations":123456,"seconds":0.5},"interrupted":true,"stop_cause":"deadline","error":""},"injected_faults":1}],"elite":[{"has_entry":true,"cost":1,"values":[4,3,2,1,0],"tick":17,"publisher":2,"publishes":9,"accepted":4},{"has_entry":false,"cost":0,"values":[],"tick":0,"publisher":18446744073709551615,"publishes":0,"accepted":0}],"comm_clock":17,"comm_adoptions":3}})json";
 constexpr std::string_view kWarmRequest =
-    R"json({"problem":"costas:7","walkers":1,"seed":24301,"scheduling":"threads","neighborhood":"isolated","exchange":"none","comm_mode":"on_reset","termination":"first-finisher","comm_period":1000,"comm_adopt_probability":0.5,"comm_decay":0,"max_threads":0,"deadline_ms":0,"trace":false,"trace_sample_period":0,"retry":{"max_attempts":1,"base_backoff_ms":0,"multiplier":2,"jitter":0},"watchdog_stall_ms":0,"warm_start":[1,2,3,4,5,6,7]})json";
+    R"json({"problem":"costas:7","walkers":1,"seed":24301,"scheduling":"threads","neighborhood":"isolated","exchange":"none","comm_mode":"on_reset","termination":"first-finisher","comm_period":1000,"comm_adopt_probability":0.5,"comm_decay":0,"max_threads":0,"deadline_ms":0,"retry":{"max_attempts":1,"base_backoff_ms":0,"multiplier":2,"jitter":0},"watchdog_stall_ms":0,"warm_start":[1,2,3,4,5,6,7]})json";
 constexpr std::string_view kReport =
     R"json({"problem":"costas:7","solved":true,"cancelled":false,"deadline_expired":false,"preempted":false,"winner":0,"cost":0,"wall_seconds":0.0125,"time_to_solution_seconds":0.01,"total_iterations":4321,"comm_publishes":2,"elite_accepted":1,"comm_adoptions":1,"failed_walkers":1,"attempts":2,"degraded":true,"solution":[2,4,1,7,5,3,6],"walkers":[{"id":0,"solved":true,"interrupted":false,"cost":0,"iterations":4321,"swaps":4000,"plateau_moves":300,"local_minima":21,"resets":2,"restarts":0,"cost_evaluations":77777,"seconds":0.01,"failed":false},{"id":1,"solved":false,"interrupted":true,"cost":9223372036854775807,"iterations":0,"swaps":0,"plateau_moves":0,"local_minima":0,"resets":0,"restarts":0,"cost_evaluations":0,"seconds":0,"failed":true,"error":"injected fault: throw at walker_iteration count 3 (walker 1)"}]})json";
 constexpr std::string_view kCheckpoint =
-    R"json({"schema":"cspls-checkpoint/1","values":[3,1,4,0,2],"cost":7,"best":[0,1,2,4,3],"best_cost":2,"tabu_until":[0,12,0,40,3],"marks_since_reset":3,"rng_state":[81985529216486895,42,18446744073709551615,7],"stats":{"iterations":1234,"swaps":1000,"plateau_moves":200,"local_minima":34,"resets":5,"restarts":1,"cost_evaluations":99999,"seconds":0.125},"iter_in_walk":234,"restarts_done":1,"trace_samples":[[0,12],[256,7],[512,2]]})json";
+    R"json({"schema":"cspls-checkpoint/2","values":[3,1,4,0,2],"cost":7,"best":[0,1,2,4,3],"best_cost":2,"tabu_until":[0,12,0,40,3],"marks_since_reset":3,"rng_state":[81985529216486895,42,18446744073709551615,7],"stats":{"iterations":1234,"swaps":1000,"plateau_moves":200,"local_minima":34,"resets":5,"restarts":1,"cost_evaluations":99999,"seconds":0.125},"iter_in_walk":234,"restarts_done":1})json";
 constexpr std::string_view kPoolCheckpoint =
-    R"json({"schema":"cspls-pool-checkpoint/1","walkers":[{"stage":"pending"},{"stage":"running","checkpoint":{"schema":"cspls-checkpoint/1","values":[3,1,4,0,2],"cost":7,"best":[0,1,2,4,3],"best_cost":2,"tabu_until":[0,12,0,40,3],"marks_since_reset":3,"rng_state":[81985529216486895,42,18446744073709551615,7],"stats":{"iterations":1234,"swaps":1000,"plateau_moves":200,"local_minima":34,"resets":5,"restarts":1,"cost_evaluations":99999,"seconds":0.125},"iter_in_walk":234,"restarts_done":1,"trace_samples":[[0,12],[256,7],[512,2]]}},{"stage":"done","result":{"solved":false,"cost":1,"solution":[4,3,2,1,0],"stats":{"iterations":5000,"swaps":4100,"plateau_moves":600,"local_minima":300,"resets":30,"restarts":2,"cost_evaluations":123456,"seconds":0.5},"interrupted":true,"stop_cause":"deadline","error":""},"trace":{"walker_id":2,"solved":false,"interrupted":true,"iterations":5000,"resets":30,"restarts":2,"local_minima":300,"seconds":0.5,"best_cost":1,"cost_samples":[[0,9],[1000,4],[5000,1]]},"injected_faults":1}],"elite":[{"has_entry":true,"cost":1,"values":[4,3,2,1,0],"tick":17,"publisher":2,"publishes":9,"accepted":4},{"has_entry":false,"cost":0,"values":[],"tick":0,"publisher":18446744073709551615,"publishes":0,"accepted":0}],"comm_clock":17,"comm_adoptions":3})json";
+    R"json({"schema":"cspls-pool-checkpoint/2","walkers":[{"stage":"pending"},{"stage":"running","checkpoint":{"schema":"cspls-checkpoint/2","values":[3,1,4,0,2],"cost":7,"best":[0,1,2,4,3],"best_cost":2,"tabu_until":[0,12,0,40,3],"marks_since_reset":3,"rng_state":[81985529216486895,42,18446744073709551615,7],"stats":{"iterations":1234,"swaps":1000,"plateau_moves":200,"local_minima":34,"resets":5,"restarts":1,"cost_evaluations":99999,"seconds":0.125},"iter_in_walk":234,"restarts_done":1}},{"stage":"done","result":{"solved":false,"cost":1,"solution":[4,3,2,1,0],"stats":{"iterations":5000,"swaps":4100,"plateau_moves":600,"local_minima":300,"resets":30,"restarts":2,"cost_evaluations":123456,"seconds":0.5},"interrupted":true,"stop_cause":"deadline","error":""},"injected_faults":1}],"elite":[{"has_entry":true,"cost":1,"values":[4,3,2,1,0],"tick":17,"publisher":2,"publishes":9,"accepted":4},{"has_entry":false,"cost":0,"values":[],"tick":0,"publisher":18446744073709551615,"publishes":0,"accepted":0}],"comm_clock":17,"comm_adoptions":3})json";
 constexpr std::string_view kFaultPlan =
     R"json({"site":"elite_adopt","walker":1,"at":3,"kind":"stall","stall_ms":25})json";
 constexpr std::string_view kAcceptedEvent =
@@ -231,7 +223,12 @@ TEST(WireStrictness, EveryDecoderRejectsNamingTheMember) {
         R"(SolveRequest.faults[0].kind: unknown name "melt")"},
        {R"("swaps":1000)", R"("swaps":"1000")",
         "SolveRequest.resume_from.walkers[1].checkpoint.stats.swaps: "
-        "expected a number"}});
+        "expected a number"},
+       {R"("watchdog_stall_ms":750)",
+        R"("watchdog_stall_ms":750,"trace":false)",
+        R"(SolveRequest: unknown member "trace")"},
+       {R"("scheduling":"sequential")", R"("scheduling":"emulated-race")",
+        R"(SolveRequest.scheduling: unknown name "emulated-race")"}});
   expect_rejections(kWarmRequest, request,
                     {{"6,7]", "6,4294967297]",
                       "SolveRequest.warm_start[6]: expected an integer"}});
@@ -271,7 +268,11 @@ TEST(WireStrictness, EveryDecoderRejectsNamingTheMember) {
        {"[3,1,4,0,2]", "[3,1,4,0,4294967297]", "core::Checkpoint.values[4]"},
        {"[81985529216486895,42,18446744073709551615,7]", "[0,0,0,0]",
         "core::Checkpoint.rng_state: all-zero"},
-       {"[512,2]", "[512]", "core::Checkpoint.trace_samples[2]"}});
+       {R"("restarts_done":1})", R"("restarts_done":1,"trace_samples":[]})",
+        R"(core::Checkpoint: unknown member "trace_samples")"},
+       {"cspls-checkpoint/2", "cspls-checkpoint/1",
+        "core::Checkpoint.schema: unsupported schema "
+        R"("cspls-checkpoint/1")"}});
 
   expect_rejections(
       kPoolCheckpoint,
@@ -292,7 +293,12 @@ TEST(WireStrictness, EveryDecoderRejectsNamingTheMember) {
         "parallel::PoolCheckpoint.walkers[1].checkpoint.stats.swaps: "
         "expected a number"},
        {R"("values":[4,3,2,1,0])", R"("values":[4,3,2,1,-4294967297])",
-        "parallel::PoolCheckpoint.elite[0].values[4]"}});
+        "parallel::PoolCheckpoint.elite[0].values[4]"},
+       {R"("injected_faults":1)", R"("trace":{},"injected_faults":1)",
+        R"(parallel::PoolCheckpoint.walkers[2]: unknown member "trace")"},
+       {"cspls-pool-checkpoint/2", "cspls-pool-checkpoint/1",
+        "parallel::PoolCheckpoint.schema: unsupported schema "
+        R"("cspls-pool-checkpoint/1")"}});
 
   expect_rejections(
       kFaultPlan,
@@ -310,8 +316,8 @@ TEST(WireStrictness, EveryDecoderRejectsNamingTheMember) {
 
 // --- One name table per wire enum ----------------------------------------
 
-static_assert(parallel::name_of(parallel::Scheduling::kEmulatedRace) ==
-              "emulated-race");  // name_of stays constexpr
+static_assert(parallel::name_of(parallel::Scheduling::kSequential) ==
+              "sequential");  // name_of stays constexpr
 
 /// Every enumerator round-trips through its table, `name_of` reads that
 /// table, and an unknown name parses to std::nullopt.
