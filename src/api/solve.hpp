@@ -186,12 +186,13 @@ struct SolveReport {
   /// deadline_expired; the latter two still carry the best configuration
   /// reached (the anytime contract).
   bool deadline_expired = false;
-  /// The run was suspended at a safe point by a preemption request and a
-  /// PoolCheckpoint was captured (handed out-of-band via
+  /// The run was suspended at a safe point by a preemption request.  The
+  /// PoolCheckpoint it captured is handed out-of-band via
   /// SolveCallbacks::checkpoint_out, never embedded here; the service
-  /// requeues the job with it and reports only the resumed run).  A
-  /// preemption whose capture failed degrades to a plain cancel:
-  /// `cancelled` is set instead and no checkpoint exists.
+  /// requeues the job with it and reports only the resumed run.  A
+  /// preemption whose capture failed still sets this (and not `cancelled`),
+  /// but hands out no checkpoint: the service then requeues the job from
+  /// its last resume point.
   bool preempted = false;
 
   /// Winning walker id, or parallel::kNoWinner.

@@ -29,9 +29,10 @@ struct SolveCallbacks {
   /// at its next safe point; when `checkpoint_out` is also wired the run
   /// surrenders a PoolCheckpoint there (SolveReport::preempted set) that a
   /// later request can hand back via SolveRequest::resume_from.  A capture
-  /// failure leaves *checkpoint_out empty and the run reports a plain
-  /// cancel.  Unlike the observation channels these do affect the outcome —
-  /// but only the stopping point, never the trajectory up to it.
+  /// failure leaves *checkpoint_out empty while the report still says
+  /// `preempted`: the caller reruns from its last resume point.  Unlike
+  /// the observation channels these do affect the outcome — but only the
+  /// stopping point, never the trajectory up to it.
   const std::atomic<bool>* preempt = nullptr;
   std::optional<parallel::PoolCheckpoint>* checkpoint_out = nullptr;
 };

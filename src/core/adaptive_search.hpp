@@ -117,8 +117,10 @@ struct Hooks {
   /// engine captures its state at that safe point (before any draw of the
   /// pending iteration) and emplaces it here before returning the
   /// interrupted result.  Left untouched for every other stop cause, and
-  /// on a capture failure (the `checkpoint_capture` fault site) — callers
-  /// treat a missing checkpoint as a plain cancel.
+  /// emptied on a capture failure (the `checkpoint_capture` throw fault, or
+  /// an allocation failure while copying): a preempted walk without a
+  /// checkpoint cannot be resumed where it stopped, so the pool hands out
+  /// none and callers rerun from their last resume point.
   std::optional<Checkpoint>* checkpoint_out = nullptr;
 };
 

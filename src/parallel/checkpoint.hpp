@@ -6,13 +6,15 @@
 //
 //   * one entry per walker — mid-run walkers carry a core::Checkpoint
 //     (exact-resume state), already-finished walkers carry their final
-//     Result verbatim, and never-started walkers are pending (they run
-//     from their untouched RNG stream on resume);
+//     Result verbatim, and a walker the stopped pool never started keeps
+//     the entry it was resumed with (pending on a fresh run: it runs from
+//     its untouched RNG stream on resume);
 //   * the communication state — every ElitePool slot's entry and counters,
 //     the pool-wide exchange clock and the adoption counter — so a resumed
 //     run's exchange traffic and counters continue exactly where they
 //     stopped.
 //
+// Every checkpoint a pool hands out passes the check a resume makes.
 // Resuming a pool from its checkpoint (WalkerPoolOptions::resume) then
 // produces a MultiWalkReport byte-identical (timing fields excepted) to the
 // run that was never preempted — the property the serving tier's

@@ -1,6 +1,7 @@
 #include "parallel/job_execution.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -12,6 +13,8 @@ namespace cspls::parallel {
 
 namespace {
 
+using Stage = PoolCheckpoint::WalkerStage;
+
 core::Params params_for(const csp::Problem& prototype,
                         const std::optional<core::Params>& params) {
   return params.has_value() ? *params
@@ -20,11 +23,132 @@ core::Params params_for(const csp::Problem& prototype,
                                   prototype.num_variables());
 }
 
+/// Every configuration a caller hands in must be a permutation of the
+/// instance's values before any kernel reads it: kernels index their
+/// tables by value, so a foreign value reads out of bounds, and a repeated
+/// one walks a space that holds no solution.
+void require_permutation(const csp::Problem& prototype,
+                         std::span<const int> values,
+                         const std::string& member) {
+  if (!csp::is_permutation_of(values, prototype.values())) {
+    throw std::invalid_argument(
+        "WalkerPoolOptions: " + member + " is not a permutation of the " +
+        std::to_string(prototype.num_variables()) + " values of \"" +
+        std::string(prototype.name()) + "\"");
+  }
+}
+
+/// The one check of a state a pool resumes from, run on the caller's
+/// `resume` and on every checkpoint the pool hands out.  Throws
+/// std::invalid_argument naming the first member a pool of `walkers`
+/// walkers and `slots` elite slots on `prototype` cannot resume from.
+/// Costs are evaluated on one clone, and only after the configuration they
+/// price has passed its permutation check.
+void check_resume(const PoolCheckpoint& resume, const csp::Problem& prototype,
+                  const core::Params& params, std::size_t walkers,
+                  std::size_t slots) {
+  if (resume.walkers.size() != walkers) {
+    throw std::invalid_argument(
+        "WalkerPoolOptions: resume.walkers holds " +
+        std::to_string(resume.walkers.size()) + " entries but the pool has " +
+        std::to_string(walkers) + " walkers");
+  }
+  if (resume.elite.size() != slots) {
+    throw std::invalid_argument(
+        "WalkerPoolOptions: resume.elite holds " +
+        std::to_string(resume.elite.size()) + " slots but the "
+        "communication policy allocates " + std::to_string(slots));
+  }
+  // Every cost the checkpoint states must be the cost of its
+  // configuration: a lowered cost would let a report claim a solve its
+  // solution does not have.
+  const auto probe = prototype.clone();
+  const auto require_cost = [&](std::span<const int> values, csp::Cost cost,
+                                const std::string& member) {
+    const csp::Cost actual = probe->assign(values);
+    if (actual != cost) {
+      throw std::invalid_argument(
+          "WalkerPoolOptions: " + member + " is " + std::to_string(cost) +
+          " but its configuration costs " + std::to_string(actual));
+    }
+  };
+  // The engine sets a tabu clock only to the current iteration plus a
+  // freeze, so a clock further ahead freezes its variable for longer than
+  // any walk of these params could have.
+  const std::uint64_t max_freeze =
+      std::max(params.freeze_loc_min, params.freeze_swap);
+  for (std::size_t i = 0; i < resume.walkers.size(); ++i) {
+    const PoolCheckpoint::WalkerEntry& entry = resume.walkers[i];
+    const std::string walker = "resume.walkers[" + std::to_string(i) + "]";
+    if (entry.stage == Stage::kRunning) {
+      const core::Checkpoint& checkpoint = entry.checkpoint;
+      require_permutation(prototype, checkpoint.values,
+                          walker + ".checkpoint.values");
+      require_permutation(prototype, checkpoint.best,
+                          walker + ".checkpoint.best");
+      // Xoshiro256::from_state would silently swap an all-zero state for
+      // the default stream: the resumed walk would not be the captured one.
+      if (std::ranges::all_of(checkpoint.rng_state,
+                              [](std::uint64_t word) { return word == 0; })) {
+        throw std::invalid_argument(
+            "WalkerPoolOptions: " + walker +
+            ".checkpoint.rng_state is all-zero, which is not a xoshiro256** "
+            "state");
+      }
+      require_cost(checkpoint.values, checkpoint.cost,
+                   walker + ".checkpoint.cost");
+      require_cost(checkpoint.best, checkpoint.best_cost,
+                   walker + ".checkpoint.best_cost");
+      if (checkpoint.tabu_until.size() != checkpoint.values.size()) {
+        throw std::invalid_argument(
+            "WalkerPoolOptions: " + walker + ".checkpoint.tabu_until holds " +
+            std::to_string(checkpoint.tabu_until.size()) + " clocks for " +
+            std::to_string(checkpoint.values.size()) + " variables");
+      }
+      const std::uint64_t now = checkpoint.stats.iterations;
+      for (std::size_t v = 0; v < checkpoint.tabu_until.size(); ++v) {
+        const std::uint64_t until = checkpoint.tabu_until[v];
+        if (until > now && until - now > max_freeze) {
+          throw std::invalid_argument(
+              "WalkerPoolOptions: " + walker + ".checkpoint.tabu_until[" +
+              std::to_string(v) + "] is " + std::to_string(until) +
+              ", past iteration " + std::to_string(now) +
+              " plus the longest freeze " + std::to_string(max_freeze));
+        }
+      }
+    } else if (entry.stage == Stage::kDone) {
+      // A finished walker is replayed verbatim, so its result must be a
+      // walk this instance could have reported.  No solution means the
+      // walker failed before walking, which solves nothing.
+      const core::Result& result = entry.result;
+      if (!result.solution.empty()) {
+        require_permutation(prototype, result.solution,
+                            walker + ".result.solution");
+        require_cost(result.solution, result.cost, walker + ".result.cost");
+      }
+      if (result.solved != (!result.solution.empty() &&
+                            result.cost <= params.target_cost)) {
+        throw std::invalid_argument(
+            "WalkerPoolOptions: " + walker + ".result says solved=" +
+            (result.solved ? "true" : "false") +
+            ", which its solution and cost contradict");
+      }
+    }
+  }
+  for (std::size_t i = 0; i < resume.elite.size(); ++i) {
+    if (!resume.elite[i].has_entry) continue;
+    const std::string slot = "resume.elite[" + std::to_string(i) + "]";
+    require_permutation(prototype, resume.elite[i].values, slot + ".values");
+    require_cost(resume.elite[i].values, resume.elite[i].cost,
+                 slot + ".cost");
+  }
+}
+
 /// Best-cost selection over completed walks (Termination::kBestAfterBudget
-/// and the no-winner fallback of the threaded race): prefer any solved
-/// result, then any survivor over a crashed walker, then the lowest cost,
-/// first index breaking ties.  On an all-failed pool this still selects a
-/// (failed) result so the report stays structured.
+/// and every race nobody won): prefer any solved result, then any survivor
+/// over a crashed walker, then the lowest cost, first index breaking ties.
+/// On an all-failed pool this still selects a (failed) result so the
+/// report stays structured.
 void select_best_after_budget(MultiWalkReport& report) {
   const auto best_it = std::min_element(
       report.walkers.begin(), report.walkers.end(),
@@ -42,59 +166,7 @@ void select_best_after_budget(MultiWalkReport& report) {
   }
 }
 
-/// Crash-containment roll-up shared by every return path.
-void tally_failures(MultiWalkReport& report) {
-  report.failed_walkers = 0;
-  report.faults_injected = 0;
-  for (const auto& w : report.walkers) {
-    if (w.failed()) ++report.failed_walkers;
-    report.faults_injected += w.injected_faults;
-  }
-}
-
 }  // namespace
-
-MultiWalkReport resolve_emulated_race(std::vector<WalkerOutcome> walkers) {
-  MultiWalkReport report;
-  report.walkers = std::move(walkers);
-  std::uint64_t best_iters = UINT64_MAX;
-  csp::Cost best_cost = csp::kInfiniteCost;
-  std::size_t best_id = kNoWinner;
-  double wall = 0.0;
-  for (const auto& w : report.walkers) {
-    wall = std::max(wall, w.result.stats.seconds);
-    if (w.result.solved) {
-      if (w.result.stats.iterations < best_iters) {
-        best_iters = w.result.stats.iterations;
-        best_id = w.walker_id;
-      }
-    } else if (best_id == kNoWinner && w.result.cost < best_cost) {
-      best_cost = w.result.cost;
-    }
-  }
-  report.wall_seconds = wall;
-  if (best_id != kNoWinner) {
-    report.solved = true;
-    report.winner = best_id;
-    for (const auto& w : report.walkers) {
-      if (w.walker_id == best_id) {
-        report.best = w.result;
-        report.time_to_solution_seconds = w.result.stats.seconds;
-        break;
-      }
-    }
-  } else {
-    for (const auto& w : report.walkers) {
-      if (w.result.cost <= best_cost) {
-        report.best = w.result;
-        break;
-      }
-    }
-    report.time_to_solution_seconds = wall;
-  }
-  tally_failures(report);
-  return report;
-}
 
 namespace detail {
 
@@ -131,133 +203,22 @@ JobExecution::JobExecution(const csp::Problem& prototype,
       comm_(options.communication, options.num_walkers),
       threaded_(options.scheduling == Scheduling::kThreads),
       race_(threaded_ && options.termination == Termination::kFirstFinisher) {
-  // Every configuration a caller hands in must be a permutation of the
-  // instance's values before any kernel reads it: kernels index their
-  // tables by value, so a foreign value reads out of bounds, and a repeated
-  // one walks a space that holds no solution.
-  const auto require_permutation = [&](std::span<const int> values,
-                                       const std::string& member) {
-    if (!csp::is_permutation_of(values, prototype.values())) {
-      throw std::invalid_argument(
-          "WalkerPoolOptions: " + member + " is not a permutation of the " +
-          std::to_string(prototype.num_variables()) + " values of \"" +
-          std::string(prototype.name()) + "\"");
-    }
-  };
   if (options_.warm_start.has_value()) {
-    require_permutation(*options_.warm_start, "warm_start");
+    require_permutation(prototype, *options_.warm_start, "warm_start");
   }
-  if (options_.resume.has_value()) {
-    const PoolCheckpoint& resume = *options_.resume;
-    for (std::size_t i = 0; i < resume.walkers.size(); ++i) {
-      if (resume.walkers[i].stage != PoolCheckpoint::WalkerStage::kRunning) {
-        continue;
-      }
-      const std::string walker = "resume.walkers[" + std::to_string(i) + "]";
-      const core::Checkpoint& checkpoint = resume.walkers[i].checkpoint;
-      require_permutation(checkpoint.values, walker + ".checkpoint.values");
-      require_permutation(checkpoint.best, walker + ".checkpoint.best");
-      // Xoshiro256::from_state would silently swap an all-zero state for
-      // the default stream: the resumed walk would not be the captured one.
-      if (std::ranges::all_of(checkpoint.rng_state,
-                              [](std::uint64_t word) { return word == 0; })) {
-        throw std::invalid_argument(
-            "WalkerPoolOptions: " + walker +
-            ".checkpoint.rng_state is all-zero, which is not a xoshiro256** "
-            "state");
-      }
-    }
-    for (std::size_t i = 0; i < resume.elite.size(); ++i) {
-      if (resume.elite[i].has_entry) {
-        require_permutation(resume.elite[i].values,
-                            "resume.elite[" + std::to_string(i) + "].values");
-      }
-    }
-    if (resume.walkers.size() != k_) {
-      throw std::invalid_argument(
-          "WalkerPoolOptions: resume checkpoint has " +
-          std::to_string(resume.walkers.size()) + " walkers but the pool has " +
-          std::to_string(k_));
-    }
-    if (resume.elite.size() != comm_.num_slots()) {
-      throw std::invalid_argument(
-          "WalkerPoolOptions: resume checkpoint has " +
-          std::to_string(resume.elite.size()) + " elite slots but the "
-          "communication policy allocates " +
-          std::to_string(comm_.num_slots()));
-    }
-    // Every cost the checkpoint states must be the cost of its
-    // configuration, evaluated on one clone: a lowered cost would let a
-    // report claim a solve its solution does not have.
-    const auto probe = prototype.clone();
-    const auto require_cost = [&](std::span<const int> values,
-                                  csp::Cost cost, const std::string& member) {
-      const csp::Cost actual = probe->assign(values);
-      if (actual != cost) {
-        throw std::invalid_argument(
-            "WalkerPoolOptions: " + member + " is " + std::to_string(cost) +
-            " but its configuration costs " + std::to_string(actual));
-      }
-    };
-    // The engine sets a tabu clock only to the current iteration plus a
-    // freeze, so a clock further ahead freezes its variable for longer than
-    // any walk of these params could have.
-    const std::uint64_t max_freeze = std::max(
-        engine_.params().freeze_loc_min, engine_.params().freeze_swap);
-    for (std::size_t i = 0; i < resume.walkers.size(); ++i) {
-      const PoolCheckpoint::WalkerEntry& entry = resume.walkers[i];
-      const std::string walker = "resume.walkers[" + std::to_string(i) + "]";
-      if (entry.stage == PoolCheckpoint::WalkerStage::kRunning) {
-        const core::Checkpoint& checkpoint = entry.checkpoint;
-        require_cost(checkpoint.values, checkpoint.cost,
-                     walker + ".checkpoint.cost");
-        require_cost(checkpoint.best, checkpoint.best_cost,
-                     walker + ".checkpoint.best_cost");
-        const std::uint64_t now = checkpoint.stats.iterations;
-        for (std::size_t v = 0; v < checkpoint.tabu_until.size(); ++v) {
-          const std::uint64_t until = checkpoint.tabu_until[v];
-          if (until > now && until - now > max_freeze) {
-            throw std::invalid_argument(
-                "WalkerPoolOptions: " + walker + ".checkpoint.tabu_until[" +
-                std::to_string(v) + "] is " + std::to_string(until) +
-                ", past iteration " + std::to_string(now) +
-                " plus the longest freeze " + std::to_string(max_freeze));
-          }
-        }
-      } else if (entry.stage == PoolCheckpoint::WalkerStage::kDone) {
-        // A finished walker is replayed verbatim, so its result must be a
-        // walk this instance could have reported.  No solution means the
-        // walker failed before walking, which solves nothing.
-        const core::Result& result = entry.result;
-        if (!result.solution.empty()) {
-          require_permutation(result.solution, walker + ".result.solution");
-          require_cost(result.solution, result.cost, walker + ".result.cost");
-        }
-        if (result.solved != (!result.solution.empty() &&
-                              result.cost <= engine_.params().target_cost)) {
-          throw std::invalid_argument(
-              "WalkerPoolOptions: " + walker + ".result says solved=" +
-              (result.solved ? "true" : "false") +
-              ", which its solution and cost contradict");
-        }
-      }
-    }
-    for (std::size_t i = 0; i < resume.elite.size(); ++i) {
-      if (resume.elite[i].has_entry) {
-        require_cost(resume.elite[i].values, resume.elite[i].cost,
-                     "resume.elite[" + std::to_string(i) + "].cost");
-      }
-    }
-    // Restore the communication state before any walker runs, so the first
-    // publish/adopt of the resumed run sees exactly the preempted state.
-    comm_.restore_counters(resume.comm_clock, resume.comm_adoptions);
-    for (std::size_t i = 0; i < resume.elite.size(); ++i) {
-      comm_.slot(i).restore(resume.elite[i]);
-    }
+  if (!options_.resume.has_value()) {
+    entries_.resize(k_);
+    return;
   }
-  report_.walkers.resize(k_);
-  walker_checkpoints_.resize(k_);
-  walker_started_.assign(k_, 0);
+  const PoolCheckpoint& resume = *options_.resume;
+  check_resume(resume, prototype, engine_.params(), k_, comm_.num_slots());
+  entries_ = resume.walkers;
+  // Restore the communication state before any walker runs, so the first
+  // publish/adopt of the resumed run sees exactly the preempted state.
+  comm_.restore_counters(resume.comm_clock, resume.comm_adoptions);
+  for (std::size_t i = 0; i < resume.elite.size(); ++i) {
+    comm_.slot(i).restore(resume.elite[i]);
+  }
 }
 
 MultiWalkReport JobExecution::run() {
@@ -277,13 +238,6 @@ std::size_t JobExecution::preferred_threads() const noexcept {
 }
 
 void JobExecution::note_completion(std::size_t id, const core::Result& result) {
-  if (result.stop_cause == core::StopCause::kCancel) {
-    external_cancel_hit_.store(true, std::memory_order_relaxed);
-  } else if (result.stop_cause == core::StopCause::kDeadline) {
-    external_deadline_hit_.store(true, std::memory_order_relaxed);
-  } else if (result.stop_cause == core::StopCause::kPreempted) {
-    preempt_hit_.store(true, std::memory_order_relaxed);
-  }
   if (race_ && result.solved && !result.interrupted) {
     // First walker to flip the flag is the winner; latecomers keep
     // their result but lose the race (exactly the paper's completion
@@ -299,38 +253,34 @@ void JobExecution::note_completion(std::size_t id, const core::Result& result) {
 }
 
 void JobExecution::run_walker(std::size_t id) {
-  WalkerOutcome& out = report_.walkers[id];
-  out.walker_id = id;
+  PoolCheckpoint::WalkerEntry& entry = entries_[id];
   // A walker that already finished before the pool was preempted replays
   // its recorded outcome verbatim — no clone, no RNG draws, no fault
   // probes beyond those its original run already burned.
-  const PoolCheckpoint::WalkerEntry* resume_entry =
-      options_.resume.has_value() ? &options_.resume->walkers[id] : nullptr;
-  if (resume_entry != nullptr &&
-      resume_entry->stage == PoolCheckpoint::WalkerStage::kDone) {
-    out.result = resume_entry->result;
-    out.injected_faults = resume_entry->injected_faults;
-    note_completion(id, out.result);
+  if (entry.stage == Stage::kDone) {
+    note_completion(id, entry.result);
     return;
   }
   // The start gate comes after the replay on purpose: the replay is free
   // (no clone, no draws) and under sequential communication the restored
   // elite state already holds its publishes, so skipping it would break the
-  // byte-identity of a later resume.  A walker the gate stops stays kPending
-  // in a checkpoint and resumes from its untouched stream.
+  // byte-identity of a later resume.  A walker the gate stops keeps the
+  // stage and state it was resumed with, so a checkpoint resumes it from
+  // its untouched stream or its captured walk.
   if (const core::StopCause cut = start_gate();
       cut != core::StopCause::kNone) {
-    out.result.interrupted = true;
-    out.result.stop_cause = cut;
-    note_completion(id, out.result);
+    entry.result = core::Result{};
+    entry.result.interrupted = true;
+    entry.result.stop_cause = cut;
+    entry.injected_faults = 0;
     return;
   }
-  walker_started_[id] = 1;
   // Each walker owns its fault session, exactly like its RNG stream, so
   // probe counts are deterministic under every scheduling mode.  Production
   // builds never arm it: the sites compile to no-ops.
   util::fault::Session session(
       util::fault::kCompiledIn ? &options_.faults : nullptr, id);
+  std::optional<core::Checkpoint> captured;
   // Crash containment: no exception may escape a walker body — an escape
   // under kThreads would std::terminate the process.  A throwing walker
   // (injected or genuine) is recorded as StopCause::kFailed with its
@@ -355,26 +305,28 @@ void JobExecution::run_walker(std::size_t id) {
     // Exact resume overrides the warm start: the checkpoint carries the
     // full mid-walk state (values, bests, tabu marks, RNG position), not
     // just a seed configuration.
-    if (resume_entry != nullptr &&
-        resume_entry->stage == PoolCheckpoint::WalkerStage::kRunning) {
-      hooks.resume = &resume_entry->checkpoint;
-    }
-    if (options_.checkpoint_out != nullptr) {
-      hooks.checkpoint_out = &walker_checkpoints_[id];
-    }
-    core::Result result = engine_.solve(*problem, rng, walker_token(), hooks);
-    note_completion(id, result);
-    out.result = std::move(result);
+    if (entry.stage == Stage::kRunning) hooks.resume = &entry.checkpoint;
+    if (options_.checkpoint_out != nullptr) hooks.checkpoint_out = &captured;
+    entry.result = engine_.solve(*problem, rng, walker_token(), hooks);
+    note_completion(id, entry.result);
   } catch (const std::exception& e) {
-    out.result = core::Result{};
-    out.result.stop_cause = core::StopCause::kFailed;
-    out.result.error = e.what();
+    entry.result = core::Result{};
+    entry.result.stop_cause = core::StopCause::kFailed;
+    entry.result.error = e.what();
   } catch (...) {
-    out.result = core::Result{};
-    out.result.stop_cause = core::StopCause::kFailed;
-    out.result.error = "unknown exception";
+    entry.result = core::Result{};
+    entry.result.stop_cause = core::StopCause::kFailed;
+    entry.result.error = "unknown exception";
   }
-  out.injected_faults = session.fired();
+  entry.injected_faults = session.fired();
+  // A preempted walker is suspended on the state its capture took; every
+  // other started walker has finished.
+  if (captured.has_value()) {
+    entry.stage = Stage::kRunning;
+    entry.checkpoint = std::move(*captured);
+  } else {
+    entry.stage = Stage::kDone;
+  }
 }
 
 core::StopToken JobExecution::walker_token() const {
@@ -405,53 +357,22 @@ core::StopCause JobExecution::start_gate() {
              : expected;
 }
 
-bool JobExecution::assemble_checkpoint(const MultiWalkReport& report) {
+void JobExecution::assemble_checkpoint() {
   PoolCheckpoint cp;
   cp.walkers.resize(k_);
-  const std::size_t n = prototype_.num_variables();
   for (std::size_t id = 0; id < k_; ++id) {
-    const WalkerOutcome& out = report.walkers[id];
-    PoolCheckpoint::WalkerEntry& entry = cp.walkers[id];
-    std::optional<core::Checkpoint>& captured = walker_checkpoints_[id];
-    if (captured.has_value()) {
-      // Validate the capture before trusting it with a future resume: the
-      // sizes and the configuration/cost invariant the resume constructor
-      // checks.  A torn capture (the checkpoint_capture corrupt fault, or
-      // any bug producing inconsistent state) fails here and degrades the
-      // whole preemption instead of planting a time bomb in the requeue.
-      const core::Checkpoint& c = *captured;
-      if (c.values.size() != n || c.best.size() != n ||
-          c.tabu_until.size() != n) {
-        return false;
-      }
-      const auto probe = prototype_.clone();
-      probe->assign(c.values);
-      if (probe->total_cost() != c.cost) return false;
-      entry.stage = PoolCheckpoint::WalkerStage::kRunning;
-      entry.checkpoint = std::move(*captured);
-    } else if (out.result.stop_cause == core::StopCause::kPreempted) {
-      if (walker_started_[id] != 0) {
-        // Started, preempted, but produced no checkpoint: the capture
-        // itself failed (the checkpoint_capture throw fault, or an
-        // allocation failure mid-copy).
-        return false;
-      }
-      entry.stage = PoolCheckpoint::WalkerStage::kPending;
-    } else if (walker_started_[id] != 0 ||
-               (options_.resume.has_value() &&
-                options_.resume->walkers[id].stage ==
-                    PoolCheckpoint::WalkerStage::kDone)) {
-      if (out.result.interrupted) {
-        // Mixed external interruption (this walker observed the deadline
-        // or a chained flag while others were preempted): no consistent
-        // resumable state exists.
-        return false;
-      }
-      entry.stage = PoolCheckpoint::WalkerStage::kDone;
-      entry.result = out.result;
-      entry.injected_faults = out.injected_faults;
-    } else {
-      entry.stage = PoolCheckpoint::WalkerStage::kPending;
+    PoolCheckpoint::WalkerEntry& entry = entries_[id];
+    PoolCheckpoint::WalkerEntry& kept = cp.walkers[id];
+    kept.stage = entry.stage;
+    if (entry.stage == Stage::kRunning) {
+      kept.checkpoint = std::move(entry.checkpoint);
+    } else if (entry.stage == Stage::kDone) {
+      // A started walker that stopped interrupted without a capture either
+      // failed its capture or observed another stop source than the
+      // preemption: no consistent resumable state exists.
+      if (entry.result.interrupted) return;
+      kept.result = entry.result;
+      kept.injected_faults = entry.injected_faults;
     }
   }
   for (std::size_t i = 0; i < comm_.num_slots(); ++i) {
@@ -459,79 +380,106 @@ bool JobExecution::assemble_checkpoint(const MultiWalkReport& report) {
   }
   cp.comm_clock = comm_.now();
   cp.comm_adoptions = comm_.adoptions();
+  // A torn capture (the checkpoint_capture corrupt fault, or any bug
+  // producing inconsistent state) fails the check a resume makes here,
+  // instead of planting a time bomb in the requeue.
+  try {
+    check_resume(cp, prototype_, engine_.params(), k_, comm_.num_slots());
+  } catch (const std::invalid_argument&) {
+    return;
+  }
   options_.checkpoint_out->emplace(std::move(cp));
-  return true;
 }
 
 MultiWalkReport JobExecution::finalize() {
+  MultiWalkReport report;
+  if (threaded_) {
+    report.wall_seconds = watch_.elapsed_seconds();
+  } else {
+    // Emulated machine's wall clock: all walkers start together and the
+    // pool stops when the slowest one exhausts its budget.
+    for (const PoolCheckpoint::WalkerEntry& entry : entries_) {
+      report.wall_seconds =
+          std::max(report.wall_seconds, entry.result.stats.seconds);
+    }
+  }
   // Cancellation wins the attribution tie when walkers observed several
   // sources; preemption outranks the deadline (the preempted run must
   // surrender its checkpoint even when its deadline fired on the same
-  // poll).
-  const core::StopCause interrupt_cause =
-      external_cancel_hit_.load(std::memory_order_relaxed)
-          ? core::StopCause::kCancel
-      : preempt_hit_.load(std::memory_order_relaxed)
-          ? core::StopCause::kPreempted
-      : external_deadline_hit_.load(std::memory_order_relaxed)
-          ? core::StopCause::kDeadline
-          : core::StopCause::kNone;
+  // poll).  Only the external sources count: a race loser cut by the
+  // pool's own completion flag records kChained.
+  const auto observed = [this](core::StopCause cause) {
+    return std::ranges::any_of(entries_, [cause](const auto& entry) {
+      return entry.result.stop_cause == cause;
+    });
+  };
+  for (const core::StopCause cause :
+       {core::StopCause::kCancel, core::StopCause::kPreempted,
+        core::StopCause::kDeadline}) {
+    if (observed(cause)) {
+      report.interrupt_cause = cause;
+      report.interrupted = true;
+      break;
+    }
+  }
+  if (report.interrupt_cause == core::StopCause::kPreempted &&
+      options_.checkpoint_out != nullptr &&
+      std::ranges::none_of(entries_, [](const auto& entry) {
+        return entry.result.solved;
+      })) {
+    // A failed assembly leaves *checkpoint_out empty: the report still
+    // says kPreempted, and the caller reruns from its last resume point.
+    assemble_checkpoint();
+  }
 
-  MultiWalkReport report;
-  if (!threaded_ && options_.termination == Termination::kFirstFinisher) {
-    report = resolve_emulated_race(std::move(report_.walkers));
+  report.walkers.reserve(k_);
+  for (std::size_t id = 0; id < k_; ++id) {
+    report.walkers.push_back({.walker_id = id,
+                              .result = std::move(entries_[id].result),
+                              .injected_faults = entries_[id].injected_faults});
+    if (report.walkers[id].failed()) ++report.failed_walkers;
+    report.faults_injected += report.walkers[id].injected_faults;
+  }
+  // The winner: the race's CAS winner under kThreads; in a sequential race,
+  // the solved walker with the fewest iterations (the one that would have
+  // signalled completion first on an iteration-synchronous machine), the
+  // lower id breaking ties.
+  std::size_t winner = kNoWinner;
+  if (options_.termination == Termination::kFirstFinisher) {
+    if (threaded_) {
+      winner = winner_.load(std::memory_order_acquire);
+    } else {
+      for (const WalkerOutcome& w : report.walkers) {
+        if (w.result.solved &&
+            (winner == kNoWinner || w.result.stats.iterations <
+                                        report.walkers[winner]
+                                            .result.stats.iterations)) {
+          winner = w.walker_id;
+        }
+      }
+    }
+  }
+  if (winner != kNoWinner) {
+    report.winner = winner;
+    report.solved = true;
+    report.best = report.walkers[winner].result;
+    report.time_to_solution_seconds =
+        threaded_ ? static_cast<double>(solution_time_us_.load(
+                        std::memory_order_acquire)) /
+                        1e6
+                  : report.best.stats.seconds;
   } else {
-    report = std::move(report_);
-    if (!threaded_) {
-      // Emulated machine's wall clock: all walkers start together and the
-      // pool stops when the slowest one exhausts its budget.
-      double wall = 0.0;
-      for (const auto& w : report.walkers) {
-        wall = std::max(wall, w.result.stats.seconds);
-      }
-      report.wall_seconds = wall;
-    } else {
-      report.wall_seconds = watch_.elapsed_seconds();
-    }
-
-    if (race_) {
-      const std::size_t win = winner_.load(std::memory_order_acquire);
-      report.winner = win;
-      report.solved = win != kNoWinner;
-      if (report.solved) {
-        report.best = report.walkers[win].result;
-        report.time_to_solution_seconds =
-            static_cast<double>(
-                solution_time_us_.load(std::memory_order_acquire)) /
-            1e6;
-      } else {
-        // Nobody flipped the flag: report the best configuration reached.
-        // (A walker may still have solved after losing the race; prefer
-        // any solved result.)
-        select_best_after_budget(report);
-        report.time_to_solution_seconds = report.wall_seconds;
-      }
-    } else {
-      // kBestAfterBudget (and the non-racing threaded case): the pool's
-      // wall clock doubles as the time-to-result — also on cancelled or
-      // deadline-expired runs, where `best` is the anytime answer and the
-      // times say how long the pool actually had.
-      select_best_after_budget(report);
-      report.time_to_solution_seconds = report.wall_seconds;
-    }
-    tally_failures(report);
+    // Nobody won (kBestAfterBudget, or a race without a winner): report
+    // the best configuration reached — a walker may still have solved
+    // after losing the race, so any solved result comes first.  The
+    // pool's wall clock doubles as the time-to-result, also on cancelled
+    // or deadline-expired runs, where `best` is the anytime answer.
+    select_best_after_budget(report);
+    report.time_to_solution_seconds = report.wall_seconds;
   }
   report.comm_publishes = comm_.publishes();
   report.elite_accepted = comm_.accepted();
   report.comm_adoptions = comm_.adoptions();
-  report.interrupt_cause = interrupt_cause;
-  report.interrupted = interrupt_cause != core::StopCause::kNone;
-  if (interrupt_cause == core::StopCause::kPreempted &&
-      options_.checkpoint_out != nullptr && !report.solved) {
-    // A failed assembly leaves *checkpoint_out empty: the preemption
-    // degrades to a plain interrupt and the caller requeues cold.
-    (void)assemble_checkpoint(report);
-  }
   return report;
 }
 

@@ -7,6 +7,13 @@
 // inline on the caller in walker order; a kThreads pool runs on min(k,
 // max_threads or k, 16 x hardware threads) jthreads.
 //
+// Each walker's whole record is one PoolCheckpoint::WalkerEntry.  A walker
+// ends the run kDone (its result and fired faults, also when replayed from
+// the resume checkpoint), kRunning (its interrupted result plus the capture
+// its preemption took), or — when the start gate stops it — with the stage
+// and state it was resumed with (kPending on a fresh run).  finalize()
+// builds every report, and a preempted run's checkpoint, from the entries.
+//
 // Every walker passes one start gate: once a stop source has fired, a
 // walker that has not started records interrupted, zero iterations and the
 // first cause latched, instead of paying a clone + initial evaluation.  The
@@ -24,11 +31,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "core/adaptive_search.hpp"
-#include "core/checkpoint.hpp"
 #include "core/stop_token.hpp"
 #include "parallel/checkpoint.hpp"
 #include "parallel/walker_pool.hpp"
@@ -46,9 +51,10 @@ void run_tickets(std::size_t count, std::size_t threads,
 
 class JobExecution {
  public:
-  /// Validates `options` (validate_options plus every configuration and
-  /// RNG state a caller hands in) and preallocates every per-run structure;
-  /// throws std::invalid_argument before any walker work on a degenerate
+  /// Validates `options` (validate_options, the warm start, and the resume
+  /// checkpoint through the same check every handed-out checkpoint passes)
+  /// and preallocates every per-run structure; throws
+  /// std::invalid_argument before any walker work on a degenerate
   /// configuration.  `prototype` and `options` are borrowed and must
   /// outlive the execution.
   JobExecution(const csp::Problem& prototype, const WalkerPoolOptions& options,
@@ -80,22 +86,22 @@ class JobExecution {
   /// one; kNone while the pool runs on.
   core::StopCause start_gate();
 
-  /// Cause latches + first-finisher CAS, shared by live runs, gated walkers
-  /// and checkpoint replays of already-finished walkers.
+  /// The first-finisher CAS, shared by live runs and checkpoint replays of
+  /// already-finished walkers.
   void note_completion(std::size_t id, const core::Result& result);
 
   /// Apply the termination policy and hand over the report, after every
-  /// walker has returned.
+  /// walker has returned: the one report path of every scheduling mode.
   [[nodiscard]] MultiWalkReport finalize();
 
-  /// Assemble the PoolCheckpoint after a preempted run (finalize helper;
-  /// `report` is the finalized report whose walker outcomes become the
-  /// kDone entries).  Returns false — and leaves *options_.checkpoint_out
-  /// empty — when any started walker was preempted without a valid
-  /// checkpoint (torn or failed capture) or walkers observed mixed
-  /// external interruptions: the whole preemption then degrades to a plain
-  /// interrupt, which callers treat as a cancel.
-  bool assemble_checkpoint(const MultiWalkReport& report);
+  /// Hand the entries out as a PoolCheckpoint after a preempted run
+  /// (finalize helper; moves the kRunning captures out of the entries).
+  /// Leaves *options_.checkpoint_out empty when a started walker stopped
+  /// interrupted without a capture (a failed capture, or walkers observed
+  /// mixed external interruptions) or the checkpoint fails the check a
+  /// resume makes (a torn capture): the report still says kPreempted, and
+  /// the caller reruns from its last resume point.
+  void assemble_checkpoint();
 
   const csp::Problem& prototype_;
   const WalkerPoolOptions& options_;
@@ -114,21 +120,11 @@ class JobExecution {
   std::atomic<std::uint64_t> solution_time_us_{0};
   // The start gate's latched cause (kNone until a stop source is seen).
   std::atomic<core::StopCause> gate_cause_{core::StopCause::kNone};
-  // Walkers stopped by the *external* token latch their cause here (the
-  // engine records which source its poll observed, so a race loser cut by
-  // the pool's internal completion flag — StopCause::kChained — is never
-  // misattributed to a deadline that happened to pass during the joins).
-  std::atomic<bool> external_cancel_hit_{false};
-  std::atomic<bool> external_deadline_hit_{false};
-  std::atomic<bool> preempt_hit_{false};
 
-  // Per-walker preemption state.  Each slot is written only by the thread
-  // running that walker (like report_.walkers) and read in finalize(),
-  // after every walker task has been joined.
-  std::vector<std::optional<core::Checkpoint>> walker_checkpoints_;
-  std::vector<char> walker_started_;
-
-  MultiWalkReport report_;
+  // One entry per walker, seeded from the resume checkpoint (kPending on a
+  // fresh run).  Each entry is written only by the thread running that
+  // walker and read in finalize(), after every walker has been joined.
+  std::vector<PoolCheckpoint::WalkerEntry> entries_;
   util::Stopwatch watch_;
 };
 

@@ -12,7 +12,7 @@
 //                    another (the sampling primitive of sim/); under
 //                    kFirstFinisher the report replays the race on a
 //                    deterministic iteration-synchronous machine (winner =
-//                    fewest iterations, resolve_emulated_race).
+//                    the solved walker with the fewest iterations).
 //
 //   Communication (CommunicationPolicy, exchange.hpp) — who talks to whom
 //     and what they exchange, as two orthogonal pluggable concepts:
@@ -129,10 +129,11 @@ struct WalkerPoolOptions {
   /// When non-null and the run is preempted without having solved, run()
   /// assembles the drained walkers (per-walker checkpoints, final results
   /// of already-finished walkers, the ElitePool contents and exchange
-  /// counters) into a PoolCheckpoint here.  Left empty when any mid-run
-  /// walker failed to produce a valid checkpoint (a torn capture degrades
-  /// the whole preemption to a plain interrupt — callers treat it as a
-  /// cancel).  Must outlive run().
+  /// counters) into a PoolCheckpoint here, one that passes the check a
+  /// resume makes.  Left empty when a mid-run walker produced no valid
+  /// checkpoint (a torn or failed capture) or walkers observed mixed
+  /// interruptions: the report still says kPreempted, and callers rerun
+  /// from their last resume point.  Must outlive run().
   std::optional<PoolCheckpoint>* checkpoint_out = nullptr;
 
   /// When set, the run resumes from this checkpoint instead of starting
@@ -140,7 +141,9 @@ struct WalkerPoolOptions {
   /// state, finished walkers replay their recorded outcome, pending
   /// walkers run from their untouched RNG stream, and the communication
   /// state picks up where it stopped.  Walker count must match
-  /// num_walkers.  Overrides warm_start.
+  /// num_walkers and elite slots the communication policy's; every
+  /// configuration must be a permutation of the instance's values, and
+  /// every stated cost its configuration's.  Overrides warm_start.
   std::optional<PoolCheckpoint> resume;
 };
 
@@ -251,12 +254,5 @@ class WalkerPool {
  private:
   WalkerPoolOptions options_;
 };
-
-/// Deterministic race replay over completed walks: the winner is the solved
-/// walker with the fewest iterations (the one that would have signalled
-/// completion first on an iteration-synchronous machine).  This is how a
-/// sequential kFirstFinisher pool builds its report.
-[[nodiscard]] MultiWalkReport resolve_emulated_race(
-    std::vector<WalkerOutcome> walkers);
 
 }  // namespace cspls::parallel

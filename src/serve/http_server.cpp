@@ -308,7 +308,8 @@ void HttpServer::handle_connection(int fd, std::uint64_t id) {
       parsed_command = parse_command(request.body, options_.max_body_bytes);
     } catch (const ProtocolError& error) {
       if (!send_simple(fd, 400, "Bad Request",
-                       encode_error(error.code(), error.what()) + "\n",
+                       encode_error(error.code(), error.what(), error.tag()) +
+                           "\n",
                        keep_open)) {
         break;
       }
@@ -323,7 +324,8 @@ void HttpServer::handle_connection(int fd, std::uint64_t id) {
                        encode_error(kErrOverloaded,
                                     "lane \"" +
                                         std::string(name_of(solve->priority)) +
-                                        "\" is at its depth bound") +
+                                        "\" is at its depth bound",
+                                    solve->tag) +
                            "\n",
                        keep_open)) {
         break;

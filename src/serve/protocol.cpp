@@ -115,7 +115,17 @@ Command parse_command(std::string_view line, std::size_t max_line_bytes) {
   }
   const std::string& name = op->as_string();
   if (name == "solve") {
-    return parse_solve(*parsed);
+    // The tag first: every later rejection of this line echoes it, so a
+    // client pipelining tagged solves can match the error to its line.
+    std::string tag;
+    if (const util::Json* member = parsed->find("tag"); member != nullptr) {
+      tag = envelope_member<std::string>(*member, "solve", "tag");
+    }
+    try {
+      return parse_solve(*parsed);
+    } catch (const ProtocolError& error) {
+      throw ProtocolError(error.code(), error.what(), std::move(tag));
+    }
   }
   if (name == "stats") {
     reject_extra_members(*parsed, "stats");

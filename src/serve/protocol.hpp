@@ -19,7 +19,8 @@
 //    "report":{...SolveReport...}}            (+ "error" when status=failed)
 //   {"event":"cancel","id":7,"ok":true}
 //   {"event":"stats","scheduler":{...},"service":{...}}
-//   {"event":"error","code":"bad_json","message":"..."}
+//   {"event":"error","code":"bad_json","message":"...","tag":"..."}
+//                                      (tag: a rejected solve line's own)
 //
 // Per job the stream is: one `accepted`, zero or more `sample` /
 // `preempted` events — samples carry strictly decreasing best_cost (the
@@ -38,6 +39,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 
 #include "api/service.hpp"
@@ -64,17 +66,22 @@ inline constexpr std::string_view kErrShutdown = "shutdown";
 inline constexpr std::string_view kErrOverloaded = "overloaded";
 
 /// A wire-boundary failure: `code()` is one of the kErr* constants above,
-/// what() the human diagnostic.  Raised by parse_command, caught by the
-/// transport, never propagated past the session loop.
+/// what() the human diagnostic, `tag()` the rejected solve envelope's tag
+/// (empty when it had none, or none that could be read).  Raised by
+/// parse_command, caught by the transport, never propagated past the
+/// session loop.
 class ProtocolError : public std::runtime_error {
  public:
-  ProtocolError(std::string_view code, const std::string& message)
-      : std::runtime_error(message), code_(code) {}
+  ProtocolError(std::string_view code, const std::string& message,
+                std::string tag = {})
+      : std::runtime_error(message), code_(code), tag_(std::move(tag)) {}
 
   [[nodiscard]] std::string_view code() const noexcept { return code_; }
+  [[nodiscard]] const std::string& tag() const noexcept { return tag_; }
 
  private:
   std::string_view code_;  ///< always one of the static kErr* constants
+  std::string tag_;
 };
 
 struct SolveCommand {
@@ -96,7 +103,8 @@ using Command = std::variant<SolveCommand, StatsCommand, CancelCommand>;
 /// Parse one client line.  Throws ProtocolError on any malformed input:
 /// oversized (> max_line_bytes), unparsable JSON, a non-object envelope,
 /// unknown/mistyped envelope members, an unknown op, or a `request` that
-/// SolveRequest::from_json rejects.
+/// SolveRequest::from_json rejects.  A solve envelope's `tag` is read
+/// first, so the error of every later member carries it.
 [[nodiscard]] Command parse_command(std::string_view line,
                                     std::size_t max_line_bytes);
 

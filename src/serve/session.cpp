@@ -34,7 +34,7 @@ void Session::handle_line(std::string_view line) {
   try {
     command = parse_command(line, options_.max_line_bytes);
   } catch (const ProtocolError& error) {
-    emit(encode_error(error.code(), error.what()));
+    emit(encode_error(error.code(), error.what(), error.tag()));
     return;
   }
   handle_command(std::move(command));

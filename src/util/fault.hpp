@@ -16,8 +16,9 @@
 //   elite_adopt       at each adoption gate, reset-time or mid-walk;
 //   service_dispatch  once per SolverService job attempt (retry testing);
 //   checkpoint_capture at each preemption safe-point capture — a throw or
-//                     corrupt here proves a failed capture degrades to a
-//                     plain cancel+requeue instead of wedging the pool.
+//                     corrupt here proves a failed capture hands out no
+//                     checkpoint (the job reruns from its last resume
+//                     point) instead of wedging the pool.
 //
 // Kinds:
 //   throw    raise FaultInjected at the site (a crashing walker / attempt);

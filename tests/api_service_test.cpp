@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/fault.hpp"
 #include "util/timer.hpp"
 
 namespace cspls::api {
@@ -601,40 +602,56 @@ TEST(SolverService, PreemptedJobResumesToTheUninterruptedReport) {
   // Byte-identity through the engine's preemption: a fixed-budget low job
   // suspended for a high arrival and resumed from its checkpoint reports
   // exactly what the uninterrupted Solver::solve reports (timing fields
-  // aside).
-  SolveRequest low = endless_request(77);
-  low.scheduling = parallel::Scheduling::kSequential;
-  low.params->restart_limit = 1'000'000;
-  const SolveReport direct = Solver::solve(low);
+  // aside).  When walker 0's capture is torn (a checkpoint_capture corrupt
+  // plan, armed in fault-injection builds only), the pool hands out no
+  // checkpoint: the job is requeued from its last resume point, here its
+  // start, and still reports the same.
+  SolveRequest clean = endless_request(77);
+  clean.scheduling = parallel::Scheduling::kSequential;
+  clean.params->restart_limit = 1'000'000;
+  SolveRequest torn = clean;
+  util::fault::FaultPlan plan;
+  plan.site = util::fault::Site::kCheckpointCapture;
+  plan.walker = 0;
+  plan.at_count = 1;
+  plan.kind = util::fault::Kind::kCorrupt;
+  torn.faults = {plan};
 
-  SolverService service(SolverService::Options{1});
-  StartLog log;
-  std::atomic<int> preempted{0};
-  JobCallbacks low_callbacks = log.track(0);
-  low_callbacks.on_preempted = [&] { ++preempted; };
-  const JobHandle low_job =
-      service.submit(low, Priority::kLow, std::move(low_callbacks));
-  ASSERT_TRUE(log.wait_started(0));
-  const JobHandle high =
-      service.submit(tiny_request(5), Priority::kHigh, log.track(1));
+  for (const SolveRequest* low : {&clean, &torn}) {
+    const bool capture_fails = low == &torn;
+    if (capture_fails && !util::fault::kCompiledIn) continue;
+    SCOPED_TRACE(capture_fails ? "torn capture" : "clean capture");
+    const SolveReport direct = Solver::solve(*low);
 
-  // Under a budget of one the high job can only finish first if the low
-  // job gave up its slot.
-  EXPECT_TRUE(high.wait().solved);
-  SolveReport resumed = low_job.wait();
-  EXPECT_EQ(preempted.load(), 1);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.preempted, 1u);
-  EXPECT_EQ(stats.resumed, 1u);
-  EXPECT_EQ(log.order(), (std::vector<int>{0, 1}));
+    SolverService service(SolverService::Options{1});
+    StartLog log;
+    std::atomic<int> preempted{0};
+    JobCallbacks low_callbacks = log.track(0);
+    low_callbacks.on_preempted = [&] { ++preempted; };
+    const JobHandle low_job =
+        service.submit(*low, Priority::kLow, std::move(low_callbacks));
+    ASSERT_TRUE(log.wait_started(0));
+    const JobHandle high =
+        service.submit(tiny_request(5), Priority::kHigh, log.track(1));
 
-  SolveReport expected = direct;
-  for (SolveReport* report : {&resumed, &expected}) {
-    report->wall_seconds = 0.0;
-    report->time_to_solution_seconds = 0.0;
-    for (WalkerReport& walker : report->walkers) walker.seconds = 0.0;
+    // Under a budget of one the high job can only finish first if the low
+    // job gave up its slot.
+    EXPECT_TRUE(high.wait().solved);
+    SolveReport resumed = low_job.wait();
+    EXPECT_EQ(preempted.load(), 1);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.preempted, 1u);
+    EXPECT_EQ(stats.resumed, capture_fails ? 0u : 1u);
+    EXPECT_EQ(log.order(), (std::vector<int>{0, 1}));
+
+    SolveReport expected = direct;
+    for (SolveReport* report : {&resumed, &expected}) {
+      report->wall_seconds = 0.0;
+      report->time_to_solution_seconds = 0.0;
+      for (WalkerReport& walker : report->walkers) walker.seconds = 0.0;
+    }
+    EXPECT_EQ(resumed.to_json_string(), expected.to_json_string());
   }
-  EXPECT_EQ(resumed.to_json_string(), expected.to_json_string());
 }
 
 }  // namespace

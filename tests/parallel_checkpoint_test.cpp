@@ -10,6 +10,7 @@
 #include <atomic>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "core/params.hpp"
 #include "parallel/walker_pool.hpp"
@@ -45,21 +46,21 @@ CommunicationPolicy shared_elite() {
   return {.neighborhood = Neighborhood::kComplete, .exchange = Exchange::kElite};
 }
 
-/// Run the pool with a preempt flag that a walker trips at ~`preempt_at`
-/// iterations, collecting the assembled PoolCheckpoint (when capture
-/// succeeded) and the interrupted report.
-std::optional<PoolCheckpoint> preempt_run(const csp::Problem& prototype,
-                                          WalkerPoolOptions options,
-                                          std::uint64_t preempt_at,
-                                          MultiWalkReport* report_out =
-                                              nullptr) {
+/// Run the pool with a preempt flag that a walker (`trip_walker` only, when
+/// set) trips at ~`preempt_at` iterations, collecting the assembled
+/// PoolCheckpoint (when capture succeeded) and the interrupted report.
+std::optional<PoolCheckpoint> preempt_run(
+    const csp::Problem& prototype, WalkerPoolOptions options,
+    std::uint64_t preempt_at, MultiWalkReport* report_out = nullptr,
+    std::optional<std::size_t> trip_walker = std::nullopt) {
   std::atomic<bool> preempt{false};
   std::optional<PoolCheckpoint> checkpoint;
   options.preempt = &preempt;
   options.checkpoint_out = &checkpoint;
   options.sample_sink_period = 16;
-  options.sample_sink = [&](std::size_t, std::uint64_t iteration, csp::Cost) {
-    if (iteration >= preempt_at) {
+  options.sample_sink = [&](std::size_t walker, std::uint64_t iteration,
+                            csp::Cost) {
+    if (iteration >= preempt_at && trip_walker.value_or(walker) == walker) {
       preempt.store(true, std::memory_order_relaxed);
     }
   };
@@ -177,6 +178,24 @@ TEST(PoolCheckpoint, JsonRoundTripIsExactAndStrict) {
   ASSERT_TRUE(reparsed.has_value());
   EXPECT_EQ(PoolCheckpoint::from_json(*reparsed), *checkpoint);
 
+  // A capture holding all three stages: walker 0 finished before walker 1
+  // reached iteration 64, and walker 2 never started.
+  const MultiWalkReport reference = WalkerPool(options).run(langford);
+  const std::optional<PoolCheckpoint> staged =
+      preempt_run(langford, options, 64, nullptr, 1);
+  ASSERT_TRUE(staged.has_value());
+  ASSERT_EQ(staged->walkers.size(), 3u);
+  EXPECT_EQ(staged->walkers[0].stage, PoolCheckpoint::WalkerStage::kDone);
+  EXPECT_EQ(staged->walkers[1].stage, PoolCheckpoint::WalkerStage::kRunning);
+  EXPECT_EQ(staged->walkers[2].stage, PoolCheckpoint::WalkerStage::kPending);
+  const std::optional<util::Json> staged_text =
+      util::Json::parse(staged->to_json().dump(0));
+  ASSERT_TRUE(staged_text.has_value());
+  WalkerPoolOptions resume_options = options;
+  resume_options.resume = PoolCheckpoint::from_json(*staged_text);
+  EXPECT_EQ(*resume_options.resume, *staged);
+  expect_same_report(WalkerPool(resume_options).run(langford), reference);
+
   // Wrong schema tag, unknown member, missing member: each rejects.
   {
     util::Json bad = checkpoint->to_json();
@@ -206,17 +225,61 @@ TEST(PoolCheckpoint, ResumeValidatesWalkerCountAndEliteShape) {
       preempt_run(langford, options, 64);
   ASSERT_TRUE(checkpoint.has_value());
 
+  // The message of the rejection, naming the member that does not fit.
+  const auto rejection = [&](const WalkerPoolOptions& wrong) -> std::string {
+    try {
+      (void)WalkerPool(wrong).run(langford);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+
   WalkerPoolOptions wrong_count = options;
   wrong_count.num_walkers = 4;
   wrong_count.resume = checkpoint;
-  EXPECT_THROW((void)WalkerPool(wrong_count).run(langford),
-               std::invalid_argument);
+  const std::string count_message = rejection(wrong_count);
+  EXPECT_NE(count_message.find("resume.walkers"), std::string::npos)
+      << count_message;
 
   WalkerPoolOptions wrong_elite = options;
   wrong_elite.communication = shared_elite();
   wrong_elite.resume = checkpoint;  // captured with communication off
-  EXPECT_THROW((void)WalkerPool(wrong_elite).run(langford),
-               std::invalid_argument);
+  const std::string elite_message = rejection(wrong_elite);
+  EXPECT_NE(elite_message.find("resume.elite"), std::string::npos)
+      << elite_message;
+}
+
+TEST(PoolCheckpoint, AWalkerGatedOnResumeKeepsItsCapture) {
+  // Walker 0 finishes, walker 1 is preempted at iteration 64 and walker 2
+  // never starts.  Resumed with the flag already raised, walker 0 replays
+  // and walkers 1 and 2 meet the start gate: walker 1 must be handed out
+  // with the capture it was resumed with, not restarted from its stream.
+  const problems::Langford langford(5);
+  WalkerPoolOptions options = base_options(Scheduling::kSequential, 3, 42);
+  options.communication = shared_elite();
+  options.communication.period = 16;
+  const MultiWalkReport reference = WalkerPool(options).run(langford);
+  const std::optional<PoolCheckpoint> first =
+      preempt_run(langford, options, 64, nullptr, 1);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_EQ(first->walkers[1].stage, PoolCheckpoint::WalkerStage::kRunning);
+
+  const std::atomic<bool> raised{true};
+  std::optional<PoolCheckpoint> second;
+  WalkerPoolOptions again = options;
+  again.resume = first;
+  again.preempt = &raised;
+  again.checkpoint_out = &second;
+  const MultiWalkReport interrupted = WalkerPool(again).run(langford);
+  EXPECT_EQ(interrupted.interrupt_cause, core::StopCause::kPreempted);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->walkers[1].stage, PoolCheckpoint::WalkerStage::kRunning);
+  EXPECT_EQ(*second, *first);
+
+  WalkerPoolOptions resume_options = options;
+  resume_options.resume = second;
+  expect_same_report(WalkerPool(resume_options).run(langford), reference);
 }
 
 TEST(PoolCheckpoint, CancellationOutranksPreemptionAndCapturesNothing) {
@@ -245,7 +308,8 @@ TEST(PoolCheckpoint, CancellationOutranksPreemptionAndCapturesNothing) {
 /// The checkpoint_capture fault site: a corrupt capture (torn state) and a
 /// thrown capture both degrade the preemption to a plain interrupt — the
 /// report still says kPreempted but no checkpoint is handed out, so
-/// callers fall back to cancel+requeue instead of resuming torn state.
+/// callers rerun from their last resume point instead of resuming torn
+/// state.
 void expect_capture_fault_degrades(util::fault::Kind kind) {
   const problems::Langford langford(5);
   WalkerPoolOptions options =

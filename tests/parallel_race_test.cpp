@@ -44,6 +44,20 @@ std::vector<WalkerOutcome> independent_walks(
   return WalkerPool(pool).run(prototype).walkers;
 }
 
+/// The same population raced offline: a sequential first-finisher pool.
+MultiWalkReport emulated_race(const csp::Problem& prototype,
+                              std::size_t num_walkers,
+                              std::uint64_t master_seed,
+                              const std::optional<core::Params>& params = {}) {
+  WalkerPoolOptions pool;
+  pool.num_walkers = num_walkers;
+  pool.master_seed = master_seed;
+  pool.params = params;
+  pool.scheduling = Scheduling::kSequential;
+  pool.termination = Termination::kFirstFinisher;
+  return WalkerPool(pool).run(prototype);
+}
+
 TEST(ThreadedRace, SolvesAndWinnerIsWellFormed) {
   problems::Costas costas(10);
   const MultiWalkReport report = WalkerPool(race_options(4, 1)).run(costas);
@@ -139,16 +153,20 @@ TEST(IndependentWalks, PrefixStabilityAcrossPopulationSize) {
 
 TEST(EmulatedRace, PicksFewestIterations) {
   problems::Costas costas(10);
-  const MultiWalkReport report =
-      resolve_emulated_race(independent_walks(costas, 6, 11));
+  const MultiWalkReport report = emulated_race(costas, 6, 11);
   ASSERT_TRUE(report.solved);
   const auto& winner = report.walkers[report.winner];
   for (const auto& w : report.walkers) {
-    if (w.result.solved) {
-      EXPECT_LE(winner.result.stats.iterations, w.result.stats.iterations);
+    if (w.result.solved && w.walker_id != report.winner) {
+      // Fewest iterations; the lower id wins a tie.
+      EXPECT_TRUE(winner.result.stats.iterations < w.result.stats.iterations ||
+                  (winner.result.stats.iterations ==
+                       w.result.stats.iterations &&
+                   winner.walker_id < w.walker_id));
     }
   }
   EXPECT_EQ(report.best.stats.iterations, winner.result.stats.iterations);
+  EXPECT_EQ(report.time_to_solution_seconds, winner.result.stats.seconds);
 }
 
 TEST(EmulatedRace, HandlesAllFailed) {
@@ -157,10 +175,12 @@ TEST(EmulatedRace, HandlesAllFailed) {
       core::Params::from_hints(langford.tuning(), langford.num_variables());
   params.restart_limit = 500;
   params.max_restarts = 0;
-  const MultiWalkReport report =
-      resolve_emulated_race(independent_walks(langford, 3, 1, params));
+  const MultiWalkReport report = emulated_race(langford, 3, 1, params);
   EXPECT_FALSE(report.solved);
+  EXPECT_EQ(report.winner, kNoWinner);
   EXPECT_GT(report.best.cost, 0);
+  EXPECT_FALSE(report.best.solution.empty());
+  EXPECT_EQ(report.time_to_solution_seconds, report.wall_seconds);
 }
 
 TEST(ElitePool, OfferAcceptsOnlyStrictImprovements) {

@@ -96,7 +96,7 @@ std::string stats_request(std::string_view extra_headers = {}) {
   return request;
 }
 
-std::string solve_post() {
+std::string solve_post(std::string_view tag = {}) {
   api::SolveRequest solve;
   solve.problem = "costas:7";
   solve.walkers = 1;
@@ -104,6 +104,7 @@ std::string solve_post() {
   solve.scheduling = parallel::Scheduling::kSequential;
   util::Json envelope = util::Json::object();
   envelope.set("op", "solve").set("request", solve.to_json());
+  if (!tag.empty()) envelope.set("tag", tag);
   const std::string body = envelope.dump(0);
   return "POST /api HTTP/1.1\r\nHost: t\r\nContent-Length: " +
          std::to_string(body.size()) + "\r\n\r\n" + body;
@@ -275,6 +276,18 @@ TEST(ServeHttp, ProtocolErrorsAnswer400AndKeepTheSocketWhenFramed) {
   EXPECT_NE(head.find("Connection: keep-alive"), std::string::npos);
   EXPECT_NE(body.find("\"event\":\"error\""), std::string::npos);
 
+  // A tagged solve whose request fails to decode: its 400 echoes the tag.
+  const std::string tagged =
+      R"({"op":"solve","request":{"problem":"costas:7","trace":true},)"
+      R"("tag":"h"})";
+  send_text(fd, "POST /api HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+                    std::to_string(tagged.size()) + "\r\n\r\n" + tagged);
+  head = recv_simple_response(fd, buffer, body);
+  EXPECT_NE(head.find("400 Bad Request"), std::string::npos);
+  EXPECT_NE(head.find("Connection: keep-alive"), std::string::npos);
+  EXPECT_NE(body.find("\"code\":\"bad_request\""), std::string::npos);
+  EXPECT_NE(body.find("\"tag\":\"h\""), std::string::npos) << body;
+
   send_text(fd, stats_request());
   head = recv_simple_response(fd, buffer, body);
   EXPECT_NE(head.find("200 OK"), std::string::npos);
@@ -334,14 +347,16 @@ TEST(ServeHttp, AFullLaneAnswers429BeforeTheStreamHeader) {
   const std::uint64_t queued = scheduler.submit(endless, JobEvents{});
 
   // The admission pre-check answers before any chunked header: a plain 429
-  // with the stable `overloaded` code, and the connection persists.
+  // with the stable `overloaded` code and the line's tag, and the
+  // connection persists.
   const int fd = connect_to(server.port());
   std::string buffer;
-  send_text(fd, solve_post());
+  send_text(fd, solve_post("full"));
   std::string body;
   std::string head = recv_simple_response(fd, buffer, body);
   EXPECT_NE(head.find("429 Too Many Requests"), std::string::npos);
   EXPECT_NE(body.find("\"code\":\"overloaded\""), std::string::npos);
+  EXPECT_NE(body.find("\"tag\":\"full\""), std::string::npos) << body;
   EXPECT_EQ(body.find("\"event\":\"accepted\""), std::string::npos);
 
   // Same socket still serves; the rejection is visible in the stats.

@@ -179,23 +179,42 @@ TEST(ServeSession, AHostileWarmStartFailsItsJobAndTheServerServesOn) {
 TEST(ServeSession, BadRequestBodyAndUnknownJobCancelAreStructuredErrors) {
   const auto events = serve_lines({
       R"({"op":"solve","request":{"problem":"no-such-problem:5"},"tag":"x"})",
+      // A request that fails to decode, and an envelope with an unknown
+      // member: each rejection echoes the line's tag.
+      R"({"op":"solve","request":{"problem":"costas:7","trace":true},)"
+      R"("tag":"t"})",
+      R"({"op":"solve","request":{"problem":"costas:7"},"tag":"u",)"
+      R"("surprise":1})",
+      // A tag that is no string is itself the malformed member.
+      R"({"op":"solve","request":{"problem":"costas:7"},"tag":5})",
       R"({"op":"cancel","id":999})",
       R"({"op":"stats"})",
   });
-  ASSERT_EQ(events.size(), 3u);
+  ASSERT_EQ(events.size(), 6u);
   EXPECT_EQ(events[0].at("event").as_string(), "error");
   EXPECT_EQ(events[0].at("code").as_string(), "bad_request");
   EXPECT_EQ(events[0].at("tag").as_string(), "x");
   EXPECT_EQ(events[1].at("event").as_string(), "error");
-  EXPECT_EQ(events[1].at("code").as_string(), "unknown_job");
-  EXPECT_EQ(events[2].at("event").as_string(), "stats");
+  EXPECT_EQ(events[1].at("code").as_string(), "bad_request");
+  EXPECT_NE(events[1].at("message").as_string().find("trace"),
+            std::string::npos);
+  EXPECT_EQ(events[1].at("tag").as_string(), "t");
+  EXPECT_EQ(events[2].at("event").as_string(), "error");
+  EXPECT_EQ(events[2].at("code").as_string(), "bad_envelope");
+  EXPECT_EQ(events[2].at("tag").as_string(), "u");
+  EXPECT_EQ(events[3].at("event").as_string(), "error");
+  EXPECT_EQ(events[3].at("code").as_string(), "bad_envelope");
+  EXPECT_FALSE(events[3].contains("tag"));
+  EXPECT_EQ(events[4].at("event").as_string(), "error");
+  EXPECT_EQ(events[4].at("code").as_string(), "unknown_job");
+  EXPECT_EQ(events[5].at("event").as_string(), "stats");
   // Both stat panes carry their schema.
-  EXPECT_TRUE(events[2].at("scheduler").contains("batches"));
-  EXPECT_TRUE(events[2].at("scheduler").contains("preempted_queued"));
-  EXPECT_TRUE(events[2].at("scheduler").contains("preempted_running"));
-  EXPECT_TRUE(events[2].at("scheduler").contains("rejected_overload"));
-  EXPECT_TRUE(events[2].at("service").contains("thread_budget"));
-  EXPECT_TRUE(events[2].at("service").contains("retried"));
+  EXPECT_TRUE(events[5].at("scheduler").contains("batches"));
+  EXPECT_TRUE(events[5].at("scheduler").contains("preempted_queued"));
+  EXPECT_TRUE(events[5].at("scheduler").contains("preempted_running"));
+  EXPECT_TRUE(events[5].at("scheduler").contains("rejected_overload"));
+  EXPECT_TRUE(events[5].at("service").contains("thread_budget"));
+  EXPECT_TRUE(events[5].at("service").contains("retried"));
 }
 
 TEST(ServeSession, ServiceDispatchThrowFaultFailsTheJobNotTheServer) {
