@@ -194,7 +194,6 @@ std::jthread spawn_watchdog(std::uint64_t stall_ms,
                             std::atomic<bool>* stalled) {
   return std::jthread([stall_ms, heartbeat, stalled](std::stop_token stop) {
     using Clock = std::chrono::steady_clock;
-    const auto budget = std::chrono::milliseconds(stall_ms);
     // Poll in small chunks so disarming (and firing) stays prompt even
     // against multi-second budgets.
     const auto chunk = std::chrono::milliseconds(
@@ -209,7 +208,11 @@ std::jthread spawn_watchdog(std::uint64_t stall_ms,
         last_progress = Clock::now();
         continue;
       }
-      if (Clock::now() - last_progress >= budget) {
+      // Compared in whole milliseconds, so a budget of any size saturates:
+      // one the clock cannot reach never stalls.
+      const auto idle = std::chrono::duration_cast<std::chrono::milliseconds>(
+          Clock::now() - last_progress);
+      if (static_cast<std::uint64_t>(idle.count()) >= stall_ms) {
         stalled->store(true, std::memory_order_relaxed);
         return;
       }

@@ -101,7 +101,8 @@ struct SolveRequest {
 
   /// Wall-clock budget in milliseconds; 0 = none.  When it expires the run
   /// stops within one engine polling period and the report carries the best
-  /// configuration reached (deadline_expired is set).
+  /// configuration reached (deadline_expired is set).  A budget the steady
+  /// clock cannot represent (about 9.2e12 ms) saturates to none.
   std::uint64_t deadline_ms = 0;
 
   /// Engine-parameter overrides; absent = the model's tuning defaults.
@@ -114,7 +115,8 @@ struct SolveRequest {
   /// Watchdog budget in milliseconds for api::SolverService: when a
   /// running attempt makes no engine progress (no heartbeat) for this long
   /// it is declared stalled, cut short, and retried degraded (half the
-  /// walkers).  0 disables the watchdog.
+  /// walkers).  0 disables the watchdog; a budget longer than the clock
+  /// can measure never fires.
   std::uint64_t watchdog_stall_ms = 0;
 
   /// Start every walker's first walk from this configuration instead of a

@@ -70,9 +70,16 @@ SolveReport Solver::solve(const SolveRequest& request, core::StopToken token,
   const std::unique_ptr<csp::Problem> problem = problems::instantiate(spec);
 
   if (request.deadline_ms != 0) {
-    token = token.expiring_at(
-        core::StopToken::Clock::now() +
-        std::chrono::milliseconds(request.deadline_ms));
+    // A budget past the clock's last instant saturates to no deadline
+    // instead of overflowing into one that has already passed.
+    using Clock = core::StopToken::Clock;
+    const Clock::time_point now = Clock::now();
+    const auto room = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::time_point::max() - now);
+    if (request.deadline_ms <= static_cast<std::uint64_t>(room.count())) {
+      token = token.expiring_at(now +
+                                std::chrono::milliseconds(request.deadline_ms));
+    }
   }
 
   parallel::WalkerPoolOptions options = request.to_pool_options();

@@ -1,6 +1,8 @@
 #include "parallel/walker_pool.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "parallel/job_execution.hpp"
 
@@ -16,6 +18,20 @@ void validate_options(const WalkerPoolOptions& options) {
   if (options.num_walkers == 0) {
     throw std::invalid_argument(
         "WalkerPoolOptions: num_walkers must be at least 1");
+  }
+  if (options.params.has_value()) {
+    // Fractions and probabilities; NaN fails every comparison, so it
+    // rejects too.
+    const core::Params& params = *options.params;
+    for (const auto& [name, value] :
+         {std::pair{"reset_fraction", params.reset_fraction},
+          std::pair{"prob_accept_plateau", params.prob_accept_plateau},
+          std::pair{"prob_accept_local_min", params.prob_accept_local_min}}) {
+      if (!(value >= 0.0 && value <= 1.0)) {
+        throw std::invalid_argument(std::string("WalkerPoolOptions: params.") +
+                                    name + " must be in [0, 1]");
+      }
+    }
   }
   const CommunicationPolicy& comm = options.communication;
   if (comm.mode == CommMode::kAsync && !comm.exchanging()) {

@@ -220,15 +220,16 @@ struct MultiWalkReport {
 };
 
 /// Validate `options` up front, throwing std::invalid_argument naming the
-/// offending knob: a zero walker population, an exchanging strategy with a
-/// zero publish period, an adopt probability outside [0, 1], an isolated
-/// neighbourhood asked to exchange, a decay-elite strategy without a decay
-/// bound, a plain elite strategy with one (kElite never forgets — spell
-/// kDecayElite), or CommMode::kAsync without an exchanging strategy (there
-/// is nothing to gossip).  Called by WalkerPool::run, so a degenerate
-/// configuration fails loudly instead of silently running without
-/// communication; api::Solver surfaces the same error as a rejected
-/// request.
+/// offending knob: a zero walker population, a params reset fraction or
+/// acceptance probability outside [0, 1] (NaN included), an exchanging
+/// strategy with a zero publish period, an adopt probability outside
+/// [0, 1], an isolated neighbourhood asked to exchange, a decay-elite
+/// strategy without a decay bound, a plain elite strategy with one (kElite
+/// never forgets — spell kDecayElite), or CommMode::kAsync without an
+/// exchanging strategy (there is nothing to gossip).  Called by
+/// WalkerPool::run, so a degenerate configuration fails loudly instead of
+/// silently running without communication; api::Solver surfaces the same
+/// error as a rejected request.
 void validate_options(const WalkerPoolOptions& options);
 
 /// The unified runtime: executes one walker population under the configured

@@ -10,13 +10,13 @@ namespace {
   throw ProtocolError(kErrBadEnvelope, message);
 }
 
-/// One envelope member read as T: a wrong type or an out-of-range number is
-/// a bad_envelope error naming "<op>.<key>", never an escaping exception.
-template <typename T>
-T envelope_member(const util::Json& value, std::string_view op,
-                  std::string_view key) {
+/// One read of the envelope through the strict reader: a wrong type, an
+/// out-of-range number, an unknown, repeated or missing member is a
+/// bad_envelope error naming "<op>.<member>", never an escaping exception.
+template <typename Read>
+decltype(auto) read_envelope(Read read) {
   try {
-    return util::read_json<T>(value, util::JsonPath{op, key});
+    return read();
   } catch (const std::invalid_argument& error) {
     bad_envelope(error.what());
   }
@@ -24,69 +24,23 @@ T envelope_member(const util::Json& value, std::string_view op,
 
 SolveCommand parse_solve(const util::Json& envelope) {
   SolveCommand command;
-  bool saw_request = false;
-  for (const auto& [key, value] : envelope.members()) {
-    if (key == "op") {
-      continue;
-    } else if (key == "request") {
-      try {
-        command.request = api::SolveRequest::from_json(value);
-      } catch (const std::exception& error) {
-        throw ProtocolError(kErrBadRequest, error.what());
-      }
-      saw_request = true;
-    } else if (key == "priority") {
-      const std::string name =
-          envelope_member<std::string>(value, "solve", key);
-      const std::optional<Priority> priority = api::kPriorityNames.parse(name);
-      if (!priority) {
-        bad_envelope("solve: unknown priority \"" + name + "\" (valid: " +
-                     api::kPriorityNames.joined() + ")");
-      }
-      command.priority = *priority;
-    } else if (key == "stream") {
-      command.stream = envelope_member<bool>(value, "solve", key);
-    } else if (key == "sample_period") {
-      command.sample_period =
-          envelope_member<std::uint64_t>(value, "solve", key);
-    } else if (key == "tag") {
-      command.tag = envelope_member<std::string>(value, "solve", key);
-    } else {
-      bad_envelope("solve: unknown member \"" + key + "\"");
-    }
-  }
-  if (!saw_request) {
-    bad_envelope("solve: missing \"request\"");
+  const util::Json& request = read_envelope([&]() -> const util::Json& {
+    const util::JsonReader in(
+        envelope, util::JsonPath{"solve"},
+        {"op", "request", "priority", "stream", "sample_period", "tag"});
+    command.priority =
+        in.get("priority", api::kPriorityNames, Priority::kNormal);
+    command.stream = in.get("stream", false);
+    command.sample_period = in.get<std::uint64_t>("sample_period", 0);
+    command.tag = in.get<std::string>("tag", {});
+    return in.at("request");
+  });
+  try {
+    command.request = api::SolveRequest::from_json(request);
+  } catch (const std::exception& error) {
+    throw ProtocolError(kErrBadRequest, error.what());
   }
   return command;
-}
-
-CancelCommand parse_cancel(const util::Json& envelope) {
-  CancelCommand command;
-  bool saw_id = false;
-  for (const auto& [key, value] : envelope.members()) {
-    if (key == "op") {
-      continue;
-    } else if (key == "id") {
-      command.id = envelope_member<std::uint64_t>(value, "cancel", key);
-      saw_id = true;
-    } else {
-      bad_envelope("cancel: unknown member \"" + key + "\"");
-    }
-  }
-  if (!saw_id) {
-    bad_envelope("cancel: missing \"id\"");
-  }
-  return command;
-}
-
-void reject_extra_members(const util::Json& envelope, const char* op) {
-  for (const auto& [key, value] : envelope.members()) {
-    (void)value;
-    if (key != "op") {
-      bad_envelope(std::string(op) + ": unknown member \"" + key + "\"");
-    }
-  }
 }
 
 }  // namespace
@@ -119,7 +73,9 @@ Command parse_command(std::string_view line, std::size_t max_line_bytes) {
     // client pipelining tagged solves can match the error to its line.
     std::string tag;
     if (const util::Json* member = parsed->find("tag"); member != nullptr) {
-      tag = envelope_member<std::string>(*member, "solve", "tag");
+      tag = read_envelope([&] {
+        return util::read_json<std::string>(*member, {"solve", "tag"});
+      });
     }
     try {
       return parse_solve(*parsed);
@@ -128,11 +84,14 @@ Command parse_command(std::string_view line, std::size_t max_line_bytes) {
     }
   }
   if (name == "stats") {
-    reject_extra_members(*parsed, "stats");
+    read_envelope([&] { (void)util::JsonReader(*parsed, {"stats"}, {"op"}); });
     return StatsCommand{};
   }
   if (name == "cancel") {
-    return parse_cancel(*parsed);
+    return CancelCommand{read_envelope([&] {
+      return util::JsonReader(*parsed, {"cancel"}, {"op", "id"})
+          .get<std::uint64_t>("id");
+    })};
   }
   throw ProtocolError(kErrUnknownOp, "unknown op \"" + name +
                                          "\" (valid: solve | stats | cancel)");

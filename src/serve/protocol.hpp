@@ -28,10 +28,11 @@
 // a `preempted` marks a running job suspended to a checkpoint and requeued
 // (it resumes where it left off) — then exactly one `report`.
 //
-// The envelope parser is strict, mirroring SolveRequest::from_json: a
-// malformed line, an unknown member, a wrong type or an oversized line each
-// raise a ProtocolError carrying a stable machine-readable code — the
-// transport encodes it as an `error` event and keeps serving.
+// The envelope parser is strict, reading through the same util::JsonReader
+// as SolveRequest::from_json: a malformed line, an unknown or repeated
+// member, a wrong type or an oversized line each raise a ProtocolError
+// carrying a stable machine-readable code — the transport encodes it as an
+// `error` event and keeps serving.
 #pragma once
 
 #include <cstdint>
@@ -102,8 +103,8 @@ using Command = std::variant<SolveCommand, StatsCommand, CancelCommand>;
 
 /// Parse one client line.  Throws ProtocolError on any malformed input:
 /// oversized (> max_line_bytes), unparsable JSON, a non-object envelope,
-/// unknown/mistyped envelope members, an unknown op, or a `request` that
-/// SolveRequest::from_json rejects.  A solve envelope's `tag` is read
+/// unknown, repeated, missing or mistyped envelope members, an unknown op,
+/// or a `request` that SolveRequest::from_json rejects.  A solve envelope's `tag` is read
 /// first, so the error of every later member carries it.
 [[nodiscard]] Command parse_command(std::string_view line,
                                     std::size_t max_line_bytes);

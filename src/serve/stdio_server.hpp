@@ -4,8 +4,10 @@
 //
 // run() reads request lines until EOF, dispatching each through one
 // Session; events stream to the output as they happen (flushed per line,
-// so a consumer sees `sample` events live, not on exit).  At EOF it
-// drains — every submitted job still gets its `report` — then returns.
+// so a consumer sees `sample` events live, not on exit).  A line is
+// bounded while it is read: past Session::Options::max_line_bytes the rest
+// is dropped as it arrives and the line is answered `oversized`.  At EOF
+// it drains — every submitted job still gets its `report` — then returns.
 #pragma once
 
 #include <iosfwd>

@@ -69,13 +69,6 @@ T Json::number_as(const char* wanted) const {
   return value;
 }
 
-Json Json::number_from_text(std::string text) {
-  Json j;
-  j.type_ = Type::kNumber;
-  j.scalar_ = std::move(text);
-  return j;
-}
-
 bool Json::as_bool() const {
   if (type_ != Type::kBool) type_error("bool", type_);
   return bool_;
@@ -106,16 +99,6 @@ Json& Json::push_back(Json value) {
   if (type_ != Type::kArray) type_error("array", type_);
   array_.push_back(std::move(value));
   return *this;
-}
-
-const Json& Json::operator[](std::size_t index) const {
-  if (type_ != Type::kArray) type_error("array", type_);
-  if (index >= array_.size()) {
-    throw std::runtime_error("Json: array index " + std::to_string(index) +
-                             " out of range (size " +
-                             std::to_string(array_.size()) + ")");
-  }
-  return array_[index];
 }
 
 const std::vector<Json>& Json::elements() const {
@@ -244,11 +227,20 @@ JsonReader::JsonReader(const Json& json, const JsonPath& where,
                        std::initializer_list<std::string_view> allowed)
     : json_(json), where_(where.str()) {
   json_detail::expect(json, Json::Type::kObject, where);
+  // One pass, each member looked up in `allowed` once: linear in the
+  // object's size however many members a client sends.
+  std::vector<bool> seen(allowed.size());
   for (const auto& member : json.members()) {
-    if (std::find(allowed.begin(), allowed.end(), member.first) ==
-        allowed.end()) {
+    const auto known =
+        std::find(allowed.begin(), allowed.end(), member.first);
+    if (known == allowed.end()) {
       path({}).fail("unknown member \"" + member.first + "\"");
     }
+    const auto slot = static_cast<std::size_t>(known - allowed.begin());
+    if (seen[slot]) {
+      path({}).fail("repeated member \"" + member.first + "\"");
+    }
+    seen[slot] = true;
   }
 }
 
@@ -345,14 +337,14 @@ std::string Json::dump(int indent) const {
 }
 
 // ---------------------------------------------------------------------------
-// Parser — strict recursive descent with a nesting cap.
+// Parser — strict recursive descent with a nesting cap.  Object members are
+// appended as they come, so parsing stays linear in the text; a repeated
+// name is kept and left to JsonReader, which rejects it.
 // ---------------------------------------------------------------------------
 
-namespace {
+struct JsonParser {
+  static constexpr int kMaxDepth = 64;
 
-constexpr int kMaxDepth = 64;
-
-struct Parser {
   std::string_view text;
   std::size_t pos = 0;
   std::string error;
@@ -502,7 +494,9 @@ struct Parser {
         integral[1] <= '9') {
       return fail("bad number (leading zero)");
     }
-    out = Json::number_from_text(std::string(body));
+    out = Json();
+    out.type_ = Json::Type::kNumber;
+    out.scalar_ = body;
     return true;
   }
 
@@ -574,7 +568,7 @@ struct Parser {
           if (!consume(':')) return false;
           Json value;
           if (!parse_value(value, depth + 1)) return false;
-          object.set(std::move(key), std::move(value));
+          object.object_.emplace_back(std::move(key), std::move(value));
           skip_ws();
           if (pos >= text.size()) return fail("unterminated object");
           if (text[pos] == ',') {
@@ -595,10 +589,8 @@ struct Parser {
   }
 };
 
-}  // namespace
-
 std::optional<Json> Json::parse(std::string_view text, std::string* error) {
-  Parser parser{text, 0, {}};
+  JsonParser parser{text, 0, {}};
   Json value;
   if (!parser.parse_value(value, 0)) {
     if (error != nullptr) *error = parser.error;

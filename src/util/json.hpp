@@ -57,21 +57,11 @@ class Json {
     for (const auto& value : values) out.push_back(Json(value));
     return out;
   }
-  /// A number holding exactly `text` (must already be valid JSON number
-  /// syntax); the parser uses this to preserve the source text so 64-bit
-  /// integers and doubles round-trip losslessly.
-  [[nodiscard]] static Json number_from_text(std::string text);
 
   [[nodiscard]] Type type() const noexcept { return type_; }
-  [[nodiscard]] bool is_null() const noexcept { return type_ == Type::kNull; }
-  [[nodiscard]] bool is_bool() const noexcept { return type_ == Type::kBool; }
-  [[nodiscard]] bool is_number() const noexcept {
-    return type_ == Type::kNumber;
-  }
   [[nodiscard]] bool is_string() const noexcept {
     return type_ == Type::kString;
   }
-  [[nodiscard]] bool is_array() const noexcept { return type_ == Type::kArray; }
   [[nodiscard]] bool is_object() const noexcept {
     return type_ == Type::kObject;
   }
@@ -88,13 +78,14 @@ class Json {
   /// Number of elements (arrays) or members (objects); 0 otherwise.
   [[nodiscard]] std::size_t size() const noexcept;
   Json& push_back(Json value);  ///< appends; *this must be an array
-  [[nodiscard]] const Json& operator[](std::size_t index) const;
   [[nodiscard]] const std::vector<Json>& elements() const;
 
   // --- Objects ----------------------------------------------------------
-  /// Insert-or-replace `key`; returns *this so sets chain fluently.
+  /// Insert-or-replace `key`; returns *this so sets chain fluently.  The
+  /// builders' insert: the parser appends instead, keeping a repeated
+  /// member for JsonReader to reject.
   Json& set(std::string key, Json value);
-  /// Member lookup; nullptr when absent (or not an object).
+  /// First member named `key`; nullptr when absent (or not an object).
   [[nodiscard]] const Json* find(std::string_view key) const noexcept;
   /// Member lookup; throws std::runtime_error naming the missing key.
   [[nodiscard]] const Json& at(std::string_view key) const;
@@ -117,6 +108,10 @@ class Json {
   [[nodiscard]] bool operator==(const Json& other) const;
 
  private:
+  /// The parser appends object members and keeps each number's source
+  /// text, so 64-bit integers and doubles round-trip losslessly.
+  friend struct JsonParser;
+
   void write(std::string& out, int indent, int depth) const;
   /// The number's text parsed whole as T; `wanted` names T in the error.
   template <typename T>
@@ -200,13 +195,15 @@ template <typename T>
 /// `core::Checkpoint.stats.swaps: expected a number, got a string`.
 /// Unknown members reject rather than being ignored: a misspelled
 /// "deadline-ms" silently meaning "no deadline" is exactly the failure a
-/// wire format must not have.  A value nested in another decodes at its
-/// path there (the `from_json(json, path)` overloads), so a message names
-/// the member from the outermost document down.
+/// wire format must not have.  A repeated member rejects the same way, so
+/// no decoder silently picks one of two values.  A value nested in another
+/// decodes at its path there (the `from_json(json, path)` overloads), so a
+/// message names the member from the outermost document down.
 class JsonReader {
  public:
-  /// Rejects a non-object (`<where>: expected an object`) and any member
-  /// outside `allowed` (`<where>: unknown member "<name>"`).
+  /// Rejects a non-object (`<where>: expected an object`), any member
+  /// outside `allowed` (`<where>: unknown member "<name>"`) and any member
+  /// named twice (`<where>: repeated member "<name>"`).
   JsonReader(const Json& json, const JsonPath& where,
              std::initializer_list<std::string_view> allowed);
 

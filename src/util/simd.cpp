@@ -3,7 +3,7 @@
 namespace cspls::util::simd {
 
 const char* tier_name() noexcept {
-#if CSPLS_SIMD_VECTOR_EXT && defined(__x86_64__)
+#if defined(__x86_64__)
   static const char* const name = [] {
     if (__builtin_cpu_supports("avx512f")) return "vector-ext[avx512f]";
     if (__builtin_cpu_supports("avx2")) return "vector-ext[avx2]";
@@ -11,10 +11,8 @@ const char* tier_name() noexcept {
     return "vector-ext[sse2]";
   }();
   return name;
-#elif CSPLS_SIMD_VECTOR_EXT
-  return "vector-ext";
 #else
-  return "scalar";
+  return "vector-ext";
 #endif
 }
 

@@ -180,6 +180,39 @@ TEST(SelfHealing, WatchdogDegradesAStalledJobInsteadOfHanging) {
   }
 }
 
+TEST(SelfHealing, AFarStallBudgetNeverFires) {
+  if (!util::fault::kCompiledIn) {
+    GTEST_SKIP() << "build without CSPLS_FAULT_INJECTION";
+  }
+  // Every walker wedges for 300 ms early in its walk.  A budget longer
+  // than that lets the job run once, undegraded, however far it lies: one
+  // the steady clock cannot represent used to overflow into a budget that
+  // had already run out.
+  for (const std::uint64_t stall_ms :
+       {std::uint64_t{10'000}, std::uint64_t{10'000'000'000'000},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE(std::to_string(stall_ms) + " ms budget");
+    SolveRequest request = quick_request(17);
+    FaultPlan wedge;
+    wedge.site = Site::kWalkerIteration;
+    wedge.walker = util::fault::kAnyWalker;
+    wedge.at_count = 2;
+    wedge.kind = Kind::kStall;
+    wedge.stall_ms = 300;
+    request.faults = {wedge};
+    request.watchdog_stall_ms = stall_ms;
+    request.retry.max_attempts = 2;
+    SolverService service(SolverService::Options{2});
+    const JobHandle job = service.submit(request);
+    ASSERT_TRUE(job.wait_for(milliseconds(60'000)));
+    EXPECT_EQ(job.status(), JobStatus::kDone);
+    const SolveReport& report = job.report();
+    EXPECT_EQ(report.attempts, 1u);
+    EXPECT_FALSE(report.degraded);
+    EXPECT_TRUE(report.solved);
+  }
+}
+
 // --- Every-build coverage ---------------------------------------------
 
 TEST(SelfHealing, WarmStartSeedsTheFirstWalk) {

@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <thread>
 
 #include "core/params.hpp"
@@ -436,9 +438,17 @@ TEST(SolverDeadline, NoDeadlineNeverSetsTheFlag) {
   request.seed = 3;
   request.scheduling = parallel::Scheduling::kSequential;
   request.termination = parallel::Termination::kBestAfterBudget;
-  const SolveReport report = Solver::solve(request);
-  EXPECT_FALSE(report.deadline_expired);
-  EXPECT_FALSE(report.cancelled);
+  // 0 is no deadline; budgets past the steady clock's range saturate to
+  // none instead of overflowing into one that has already passed.
+  for (const std::uint64_t deadline_ms :
+       {std::uint64_t{0}, std::uint64_t{10'000'000'000'000},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    request.deadline_ms = deadline_ms;
+    const SolveReport report = Solver::solve(request);
+    EXPECT_FALSE(report.deadline_expired) << deadline_ms;
+    EXPECT_FALSE(report.cancelled) << deadline_ms;
+    EXPECT_TRUE(report.solved) << deadline_ms;
+  }
 }
 
 TEST(SolverCancel, HonoredUnderAllSchedulingPolicies) {

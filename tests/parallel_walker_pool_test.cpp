@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -457,6 +458,24 @@ TEST(WalkerPoolValidation, DegenerateOptionsAreRejectedUpFront) {
   WalkerPoolOptions zero_walkers;
   zero_walkers.num_walkers = 0;
   expect_rejected(zero_walkers, "num_walkers");
+
+  // Fractions and probabilities outside [0, 1], NaN included.  A negative
+  // reset fraction once reached the engine's float-to-size cast.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {-1.0, 1.5, nan}) {
+    WalkerPoolOptions params_pool;
+    params_pool.params = core::Params::from_hints(costas.tuning(),
+                                                  costas.num_variables());
+    params_pool.params->reset_limit = 1;
+    params_pool.params->reset_fraction = bad;
+    expect_rejected(params_pool, "params.reset_fraction");
+    params_pool.params->reset_fraction = 0.1;
+    params_pool.params->prob_accept_plateau = bad;
+    expect_rejected(params_pool, "params.prob_accept_plateau");
+    params_pool.params->prob_accept_plateau = 1.0;
+    params_pool.params->prob_accept_local_min = bad;
+    expect_rejected(params_pool, "params.prob_accept_local_min");
+  }
 
   WalkerPoolOptions zero_period;
   zero_period.communication.neighborhood = Neighborhood::kRing;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <variant>
 
@@ -16,6 +17,23 @@ std::string_view code_of(std::string_view line, std::size_t limit = 1 << 20) {
   } catch (const ProtocolError& error) {
     return error.code();
   }
+  return {};
+}
+
+/// The rejection of `line`: its code, message and echoed tag.
+struct Rejection {
+  std::string_view code;
+  std::string message;
+  std::string tag;
+};
+
+Rejection rejection_of(std::string_view line) {
+  try {
+    (void)parse_command(line, 1 << 20);
+  } catch (const ProtocolError& error) {
+    return {error.code(), error.what(), error.tag()};
+  }
+  ADD_FAILURE() << "accepted " << line;
   return {};
 }
 
@@ -84,6 +102,16 @@ TEST(ServeProtocol, EveryMalformedShapeHasAStableCode) {
   EXPECT_EQ(code_of(R"({"op":"solve","request":{"problem":"costas:8",)"
                     R"("walkerz":3}})"),
             kErrBadRequest);
+  // A repeated member is rejected like an unknown one: never solved with
+  // whichever value came last.
+  EXPECT_EQ(code_of(R"({"op":"solve","request":{"problem":"costas:8"},)"
+                    R"("stream":true,"stream":false})"),
+            kErrBadEnvelope);
+  EXPECT_EQ(code_of(R"({"op":"solve","request":{"problem":"costas:7",)"
+                    R"("problem":"queens:8"}})"),
+            kErrBadRequest);
+  EXPECT_EQ(code_of(R"({"op":"stats","op":"stats"})"), kErrBadEnvelope);
+  EXPECT_EQ(code_of(R"({"op":"cancel","id":1,"id":2})"), kErrBadEnvelope);
   // The line-size limit.
   EXPECT_EQ(code_of(R"({"op":"stats"})", 5), kErrOversized);
 }
@@ -93,6 +121,58 @@ TEST(ServeProtocol, OversizedWinsBeforeParsing) {
       R"({"op":"solve","request":{"problem":")" + std::string(4096, 'x') +
       R"("}})";
   EXPECT_EQ(code_of(huge, 1024), kErrOversized);
+}
+
+TEST(ServeProtocol, EnvelopeErrorsNameTheMemberAndEchoTheTag) {
+  const Rejection missing = rejection_of(R"({"op":"solve","tag":"t"})");
+  EXPECT_EQ(missing.code, kErrBadEnvelope);
+  EXPECT_EQ(missing.message, R"(solve: missing member "request")");
+  EXPECT_EQ(missing.tag, "t");
+
+  const Rejection priority = rejection_of(
+      R"({"op":"solve","request":{"problem":"costas:8"},"tag":"t",)"
+      R"("priority":"urgent"})");
+  EXPECT_EQ(priority.code, kErrBadEnvelope);
+  EXPECT_NE(priority.message.find(R"(solve.priority: unknown name "urgent")"),
+            std::string::npos)
+      << priority.message;
+  EXPECT_EQ(priority.tag, "t");
+
+  const Rejection repeated_tag = rejection_of(
+      R"({"op":"solve","request":{"problem":"costas:8"},"tag":"a","tag":"b"})");
+  EXPECT_EQ(repeated_tag.message, R"(solve: repeated member "tag")");
+  EXPECT_EQ(repeated_tag.tag, "a");
+
+  const Rejection problem = rejection_of(
+      R"({"op":"solve","request":{"problem":"costas:7","problem":"queens:8"},)"
+      R"("tag":"t"})");
+  EXPECT_EQ(problem.code, kErrBadRequest);
+  EXPECT_EQ(problem.message, R"(SolveRequest: repeated member "problem")");
+  EXPECT_EQ(problem.tag, "t");
+
+  EXPECT_EQ(rejection_of(R"({"op":"stats","verbose":true})").message,
+            R"(stats: unknown member "verbose")");
+  EXPECT_EQ(rejection_of(R"({"op":"cancel","id":1,"id":2})").message,
+            R"(cancel: repeated member "id")");
+  EXPECT_EQ(rejection_of(R"({"op":"cancel","id":-1})").message.rfind(
+                "cancel.id: expected an integer", 0),
+            0u);
+}
+
+TEST(ServeProtocol, AWideEnvelopeIsRejectedInLinearTime) {
+  // 90,000 distinct members in under 1 MiB.  Storing each parsed member
+  // by insert-or-replace scanned every earlier one, quadratic in the
+  // member count (tens of seconds for this line); appending, then one
+  // reader pass, keeps it linear.
+  std::string line = R"({"op":"solve","request":{"problem":"costas:7"})";
+  for (int i = 0; i < 90'000; ++i) {
+    line += ",\"x" + std::to_string(i) + "\":0";
+  }
+  line += '}';
+  ASSERT_LE(line.size(), std::size_t{1} << 20);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(code_of(line), kErrBadEnvelope);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
 }
 
 TEST(ServeProtocol, EventEncodingsAreDeterministicSingleLines) {

@@ -130,28 +130,38 @@ TEST(ServeSession, WireErrorsAreContainedAndTheServerKeepsServing) {
   const std::string oversized =
       R"({"op":"solve","request":{"problem":")" + std::string(600, 'x') +
       R"("}})";
+  // Many times the limit: read through to its newline without being held,
+  // and answered with its full length.
+  const std::string huge =
+      R"({"op":"stats","pad":")" + std::string(200 * 512, 'y') + R"("})";
   const auto events = serve_lines(
       {
           "{broken json",
           R"({"op":"solve","request":{"problem":"costas:7"},"nope":1})",
           oversized,
+          huge,
           R"({"op":"solve","request":{"problem":"costas:7","walkers":1,)"
           R"("scheduling":"sequential","seed":5},"tag":"after"})",
       },
       SchedulerOptions{}, session);
 
-  ASSERT_EQ(events.size(), 5u);
+  ASSERT_EQ(events.size(), 6u);
   EXPECT_EQ(events[0].at("event").as_string(), "error");
   EXPECT_EQ(events[0].at("code").as_string(), "bad_json");
   EXPECT_EQ(events[1].at("event").as_string(), "error");
   EXPECT_EQ(events[1].at("code").as_string(), "bad_envelope");
   EXPECT_EQ(events[2].at("event").as_string(), "error");
   EXPECT_EQ(events[2].at("code").as_string(), "oversized");
-  // The session survived all three: the valid solve still runs to a report.
-  EXPECT_EQ(events[3].at("event").as_string(), "accepted");
-  EXPECT_EQ(events[4].at("event").as_string(), "report");
-  EXPECT_EQ(events[4].at("status").as_string(), "done");
-  EXPECT_EQ(events[4].at("tag").as_string(), "after");
+  EXPECT_EQ(events[3].at("event").as_string(), "error");
+  EXPECT_EQ(events[3].at("code").as_string(), "oversized");
+  EXPECT_EQ(events[3].at("message").as_string(),
+            "request line of " + std::to_string(huge.size()) +
+                " bytes exceeds the 512-byte limit");
+  // The session survived all four: the valid solve still runs to a report.
+  EXPECT_EQ(events[4].at("event").as_string(), "accepted");
+  EXPECT_EQ(events[5].at("event").as_string(), "report");
+  EXPECT_EQ(events[5].at("status").as_string(), "done");
+  EXPECT_EQ(events[5].at("tag").as_string(), "after");
 }
 
 // A warm start outside the instance's values used to crash the server

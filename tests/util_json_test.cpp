@@ -6,12 +6,14 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <vector>
 
 namespace cspls::util {
 namespace {
 
 TEST(Json, TypesAndAccessors) {
-  EXPECT_TRUE(Json().is_null());
+  EXPECT_EQ(Json().type(), Json::Type::kNull);
   EXPECT_TRUE(Json(true).as_bool());
   EXPECT_FALSE(Json(false).as_bool());
   EXPECT_EQ(Json(42).as_int64(), 42);
@@ -68,10 +70,11 @@ TEST(Json, ArrayAccess) {
   array.push_back("two");
   array.push_back(Json());
   ASSERT_EQ(array.size(), 3u);
-  EXPECT_EQ(array[0].as_int64(), 1);
-  EXPECT_EQ(array[1].as_string(), "two");
-  EXPECT_TRUE(array[2].is_null());
-  EXPECT_THROW((void)array[3], std::runtime_error);
+  const std::vector<Json>& elements = array.elements();
+  EXPECT_EQ(elements[0].as_int64(), 1);
+  EXPECT_EQ(elements[1].as_string(), "two");
+  EXPECT_EQ(elements[2].type(), Json::Type::kNull);
+  EXPECT_THROW((void)Json(1).elements(), std::runtime_error);
 }
 
 TEST(Json, EncodeDecodeEncodeIsStable) {
@@ -120,13 +123,32 @@ TEST(Json, UnicodeEscapesDecodeToUtf8) {
 }
 
 TEST(Json, ParsesScalarsAndNesting) {
-  EXPECT_TRUE(Json::parse("null")->is_null());
+  EXPECT_EQ(Json::parse("null")->type(), Json::Type::kNull);
   EXPECT_EQ(Json::parse("-12.5e2")->as_double(), -1250.0);
   const auto nested = Json::parse(R"({"a":[{"b":[1,2,{"c":null}]}]})");
   ASSERT_TRUE(nested.has_value());
-  EXPECT_TRUE(nested->at("a")[0].at("b")[2].at("c").is_null());
-  EXPECT_TRUE(Json::parse("  [ ]  ")->is_array());
+  const std::vector<Json>& b =
+      nested->at("a").elements().at(0).at("b").elements();
+  EXPECT_EQ(read_json<int>(b.at(1), JsonPath{"b", {}, 1}), 2);
+  EXPECT_EQ(b.at(2).at("c").type(), Json::Type::kNull);
+  EXPECT_TRUE(Json::parse("  [ ]  ")->elements().empty());
   EXPECT_TRUE(Json::parse("{}")->is_object());
+}
+
+TEST(Json, ParserKeepsARepeatedMemberForTheReaderToReject) {
+  const auto twice = Json::parse(R"({"a":1,"b":2,"a":3})");
+  ASSERT_TRUE(twice.has_value());
+  EXPECT_EQ(twice->size(), 3u);
+  EXPECT_EQ(twice->at("a").as_int64(), 1);  // the first one
+  try {
+    (void)JsonReader(*twice, JsonPath{"Value"}, {"a", "b"});
+    ADD_FAILURE() << "accepted a repeated member";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), R"(Value: repeated member "a")");
+  }
+  const Json unique = *Json::parse(R"({"b":2,"a":1})");
+  EXPECT_EQ(JsonReader(unique, JsonPath{"Value"}, {"a", "b"}).get<int>("a"),
+            1);
 }
 
 TEST(Json, RejectsMalformedInput) {

@@ -1,7 +1,5 @@
 // The portable SIMD lane layer (util/simd.hpp).  Every lane operation is
-// checked against a plain scalar reference on randomized inputs, so the
-// vector tier (CSPLS_SIMD=ON) and the scalar-array tier (OFF) are held to
-// the same answers.
+// checked against a plain scalar reference on randomized inputs.
 #include "util/simd.hpp"
 
 #include <array>
@@ -33,11 +31,7 @@ TEST(SimdUtil, PaddedSize) {
 
 TEST(SimdUtil, TierNameFollowsTheBuild) {
   const char* tier = simd::tier_name();
-#if CSPLS_SIMD_VECTOR_EXT
   EXPECT_EQ(std::strncmp(tier, "vector-ext", 10), 0) << tier;
-#else
-  EXPECT_STREQ(tier, "scalar");
-#endif
 }
 
 TEST(SimdI32, LoadStoreBroadcast) {

@@ -3,9 +3,9 @@
 // Golden bytes: every encoding below is a recorded wire document.  The
 // codecs must reproduce each byte for byte and decode each back to an equal
 // value.
-// Strictness: every value decoder rejects an unknown member, a missing
-// required member, a mistyped member and an out-of-range integer with
-// std::invalid_argument naming the member.  Names: each wire enum has one
+// Strictness: every value decoder rejects an unknown member, a repeated
+// member, a missing required member, a mistyped member and an out-of-range
+// integer with std::invalid_argument naming the member.  Names: each wire enum has one
 // name table, and every name function reads it.
 #include <gtest/gtest.h>
 
@@ -202,7 +202,8 @@ void expect_rejections(std::string_view golden, Decode decode,
 }
 
 // Per decoder: an unknown member, a missing required member, a mistyped
-// member and an out-of-range integer, then nested and value checks.
+// member and an out-of-range integer, then nested and value checks, and a
+// repeated member.
 TEST(WireStrictness, EveryDecoderRejectsNamingTheMember) {
   const auto request = [](std::string_view text) {
     (void)api::SolveRequest::from_json_string(text);
@@ -228,7 +229,11 @@ TEST(WireStrictness, EveryDecoderRejectsNamingTheMember) {
         R"("watchdog_stall_ms":750,"trace":false)",
         R"(SolveRequest: unknown member "trace")"},
        {R"("scheduling":"sequential")", R"("scheduling":"emulated-race")",
-        R"(SolveRequest.scheduling: unknown name "emulated-race")"}});
+        R"(SolveRequest.scheduling: unknown name "emulated-race")"},
+       {R"("walkers":3)", R"("walkers":3,"walkers":4)",
+        R"(SolveRequest: repeated member "walkers")"},
+       {R"("reset_limit":12)", R"("reset_limit":12,"reset_limit":1)",
+        R"(SolveRequest.params: repeated member "reset_limit")"}});
   expect_rejections(kWarmRequest, request,
                     {{"6,7]", "6,4294967297]",
                       "SolveRequest.warm_start[6]: expected an integer"}});
@@ -248,7 +253,9 @@ TEST(WireStrictness, EveryDecoderRejectsNamingTheMember) {
        {R"("attempts":2)", R"("attempts":4294967296)",
         "SolveReport.attempts"},
        {R"("solution":[2,)", R"("solution":[4294967297,)",
-        "SolveReport.solution[0]"}});
+        "SolveReport.solution[0]"},
+       {R"("attempts":2)", R"("attempts":2,"attempts":3)",
+        R"(SolveReport: repeated member "attempts")"}});
 
   expect_rejections(
       kCheckpoint,
@@ -272,7 +279,9 @@ TEST(WireStrictness, EveryDecoderRejectsNamingTheMember) {
         R"(core::Checkpoint: unknown member "trace_samples")"},
        {"cspls-checkpoint/2", "cspls-checkpoint/1",
         "core::Checkpoint.schema: unsupported schema "
-        R"("cspls-checkpoint/1")"}});
+        R"("cspls-checkpoint/1")"},
+       {R"("cost":7)", R"("cost":7,"cost":0)",
+        R"(core::Checkpoint: repeated member "cost")"}});
 
   expect_rejections(
       kPoolCheckpoint,
@@ -298,7 +307,9 @@ TEST(WireStrictness, EveryDecoderRejectsNamingTheMember) {
         R"(parallel::PoolCheckpoint.walkers[2]: unknown member "trace")"},
        {"cspls-pool-checkpoint/2", "cspls-pool-checkpoint/1",
         "parallel::PoolCheckpoint.schema: unsupported schema "
-        R"("cspls-pool-checkpoint/1")"}});
+        R"("cspls-pool-checkpoint/1")"},
+       {R"({"stage":"pending"})", R"({"stage":"pending","stage":"done"})",
+        R"(parallel::PoolCheckpoint.walkers[0]: repeated member "stage")"}});
 
   expect_rejections(
       kFaultPlan,
@@ -311,7 +322,8 @@ TEST(WireStrictness, EveryDecoderRejectsNamingTheMember) {
        {R"("at":3)", R"("at":"3")", "FaultPlan.at: expected a number"},
        {R"("stall_ms":25)", R"("stall_ms":-1)", "FaultPlan.stall_ms"},
        {R"("walker":1)", R"("walker":18446744073709551616)",
-        "FaultPlan.walker"}});
+        "FaultPlan.walker"},
+       {R"("at":3)", R"("at":3,"at":4)", R"(FaultPlan: repeated member "at")"}});
 }
 
 // --- One name table per wire enum ----------------------------------------
